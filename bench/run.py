@@ -17,24 +17,24 @@ of ``tracing.PER_LAYER``.  The exit code is 0 only if every op was correct.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import shutil
-import statistics
-import sys
 import time
-from pathlib import Path
+
+#: Benchmark start: ``setup_s`` runs from here to the first timed op.
+STARTED = time.perf_counter()
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import os  # noqa: E402
+import platform  # noqa: E402
+import shutil  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 BENCH_DIR = Path(__file__).resolve().parent
 SRC = BENCH_DIR.parent / "src"
 RUNS = BENCH_DIR / ".runs"
 WORKLOAD_NAMES = ("figures", "fine-region", "discrete", "oracle")
-
-#: Set-up is repeated at least SETUP_MIN times and until SETUP_FLOOR_S
-#: seconds have passed (at most SETUP_MAX times); ``setup_s`` is the median.
-SETUP_MIN, SETUP_MAX, SETUP_FLOOR_S = 7, 1000, 0.25
 
 #: Every op of a run must end this long after the run started.
 RUN_LIMIT_S = 170
@@ -87,8 +87,12 @@ def _import_program():
         raise SystemExit(f"error: imported icdms from {icdms.__file__}, not from {SRC}")
 
 
-def run_workload(name: str, seed: int, seconds: float, traced: bool, smoke: bool) -> dict:
-    """Set up, run ops for ``seconds``, and return the run's report object."""
+def run_workload(name: str, seed: int, seconds: float, traced: bool, smoke: bool, import_s: float) -> dict:
+    """Set up, run ops for ``seconds``, and return the run's report object.
+
+    ``import_s`` is the time from benchmark start until the program was
+    imported; ``setup_s`` adds the time from here to the first op.
+    """
     from tracing import op_metrics, run_metrics
     from workloads import WORKLOADS
 
@@ -97,14 +101,11 @@ def run_workload(name: str, seed: int, seconds: float, traced: bool, smoke: bool
     shutil.rmtree(run_dir, ignore_errors=True)
     run_dir.mkdir(parents=True)
     workload = WORKLOADS[name](run_dir, seed, smoke)
-    setup_times = []
-    while len(setup_times) < SETUP_MIN or (sum(setup_times) < SETUP_FLOOR_S and len(setup_times) < SETUP_MAX):
-        t = time.perf_counter()
-        workload.setup()
-        setup_times.append(time.perf_counter() - t)
+    workload.setup()
 
     results, spans, per_op, absent = [], [], [], set()
     t0 = time.perf_counter()
+    setup_s = import_s + (t0 - started)
 
     def more() -> bool:
         if smoke:
@@ -134,7 +135,7 @@ def run_workload(name: str, seed: int, seconds: float, traced: bool, smoke: bool
     plain = [r for t, r in results if not t]
     op_s = statistics.fmean(r.wall for r in plain)
     e2e = {
-        "setup_s": {"value": statistics.median(setup_times), "unit": "s"},
+        "setup_s": {"value": setup_s, "unit": "s"},
         "op_s": {"value": op_s, "unit": "s"},
         "work_per_s": {"value": workload.work / op_s, "unit": "1/s"},
         "peak_rss_mb": {"value": statistics.median(r.rss_mb for r in plain), "unit": "MB"},
@@ -169,11 +170,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _import_program()
     sys.path.insert(0, str(BENCH_DIR))
+    import workloads  # noqa: F401  (numpy and the icdms modules the workloads use)
+
+    import_s = time.perf_counter() - STARTED
 
     names = WORKLOAD_NAMES if args.workload == "all" else (args.workload,)
     reports = {}
     for name in names:
-        reports[name] = run_workload(name, args.seed, args.seconds, bool(args.trace), args.smoke)
+        reports[name] = run_workload(name, args.seed, args.seconds, bool(args.trace), args.smoke, import_s)
         if len(names) > 1:
             print(json.dumps(reports[name]))
     if len(names) == 1:

@@ -174,3 +174,19 @@ def test_a_missing_target_is_reported_absent():
     assert metrics["geometry.hull_s"]["value"] == "absent"
     assert metrics["geometry.hull_points"]["value"] == "absent"
     assert metrics["geometry.union_s"]["value"] == 0.0
+
+
+def test_a_target_whose_counts_cannot_be_read_is_reported_absent():
+    """A changed return shape must not make a lower-is-better count read 0."""
+    from tracing import TARGETS
+
+    count = next(c for _, attr, _, c in TARGETS if attr == "_union_arrays")
+    tracer = Tracer()
+    union = tracer.wrap("geometry._union_arrays", lambda pentagons: np.zeros(3), count)
+    union(np.zeros(5))
+    union(np.zeros(5))
+    assert tracer.absent == ["geometry._union_arrays"]
+    metrics = run_metrics([op_metrics(tracer.spans, 1.0)], [1.0], tracer.absent)
+    for name in ("geometry.union_s", "geometry.union_pentagons", "geometry.union_cells", "geometry.sweep_self_s"):
+        assert metrics[name]["value"] == "absent", name
+    assert metrics["gaussian.pentagon_s"]["value"] == 0.0

@@ -9,7 +9,9 @@ calls are strictly nested, so children never overlap.
 
 A target that a later version of the program renames or removes is
 recorded as absent, and every metric derived from it is reported as
-``"absent"`` instead of a number.
+``"absent"`` instead of a number.  So is a target whose work counts can no
+longer be read from its arguments or result (its signature changed), so
+that a count never reads 0 in place of a number.
 """
 
 from __future__ import annotations
@@ -179,8 +181,10 @@ class Tracer:
             if count is not None:
                 try:
                     rec.update(count(args, out))
-                except (AttributeError, IndexError, TypeError, OSError):
+                except Exception:
                     rec["count_error"] = True
+                    if name not in self.absent:
+                        self.absent.append(name)
             return out
 
         return traced
