@@ -99,19 +99,28 @@ def _line_of(raw: str, key: str) -> int | None:
     return raw.count("\n", 0, match.start()) + 1
 
 
+#: Power-split axes: fractions of a power, so their grids must lie in [0, 1].
+_UNIT_AXES = ("alpha", "beta", "edge_alpha")
+
+
 def _axis_from_doc(doc, raw: str, key: str, fallback: AxisGrid) -> AxisGrid:
     if doc is None:
         return fallback
     if not isinstance(doc, dict):
         raise ConfigError(f"grid.{key} must be an object", _line_of(raw, key))
     try:
-        return AxisGrid(
+        hi = doc.get("hi", fallback.hi)
+        axis = AxisGrid(
             lo=float(doc.get("lo", fallback.lo)),
-            hi=None if doc.get("hi", fallback.hi) is None else float(doc["hi"]),
+            hi=None if hi is None else float(hi),
             count=int(doc.get("count", fallback.count)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid.{key}: {exc}", _line_of(raw, key)) from exc
+    in_unit = axis.hi is not None and 0.0 <= axis.lo <= axis.hi <= 1.0
+    if key in _UNIT_AXES and not in_unit:
+        raise ConfigError(f"grid.{key} must lie in [0, 1]", _line_of(raw, key))
+    return axis
 
 
 def load_config(path: Path, overrides: argparse.Namespace) -> RunConfig:
@@ -176,6 +185,12 @@ def load_config(path: Path, overrides: argparse.Namespace) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"r1_step: {exc}", _line_of(raw, "r1_step")) from exc
 
+    seed = overrides.seed
+    if seed is None:
+        seed = doc.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError("seed must be an integer", _line_of(raw, "seed"))
+
     return RunConfig(
         channel=channel,
         regions=tuple(regions),
@@ -183,7 +198,7 @@ def load_config(path: Path, overrides: argparse.Namespace) -> RunConfig:
         r1_step=r1_step,
         convex_hull=bool(doc.get("convex_hull", False)) or overrides.convex_hull,
         paper_literal=bool(doc.get("paper_literal", False)) or overrides.paper_literal,
-        seed=overrides.seed if overrides.seed is not None else int(doc.get("seed", 0)),
+        seed=seed,
     )
 
 
@@ -482,7 +497,8 @@ def cmd_dpc_lambda(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
+    seed = args.seed if args.seed is not None else 0
+    rng = np.random.default_rng(seed)
     failures = 0
 
     print("entropy terms vs Monte Carlo:")
@@ -499,7 +515,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             lambda1=float(rng.uniform(0.0, 1.0)),
             lambda2=float(rng.uniform(0.0, 1.0)),
         )
-        worst = _entropy_worst_z(channel, coding, args.samples, args.seed + 1000 * draw)
+        worst = _entropy_worst_z(channel, coding, args.samples, seed + 1000 * draw)
         status = "ok" if worst <= 3.0 else "FAIL"
         if worst > 3.0:
             failures += 1
@@ -643,8 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
     try:
         return args.func(args)
     except ConfigError as exc:

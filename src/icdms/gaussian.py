@@ -366,8 +366,8 @@ def _region_g_arrays(
     entropy-term route to floating-point accuracy.
 
     Returns ``(r1_max, r2_max, sum_max, feasible)`` arrays; infeasible
-    entries (constraint violations or divergent bin coefficients) carry
-    zero bounds.
+    entries (constraint violations, divergent bin coefficients or
+    non-finite bounds) carry zero bounds.
     """
     p1, p2, c12, c21 = ch.p1, ch.p2, ch.c12, ch.c21
     lam1 = np.asarray(lam1, dtype=float)
@@ -452,8 +452,12 @@ def _region_g_arrays(
         i7 = np.zeros_like(i2)
 
     r2 = i2 - i3 - i4
+    r_sum = i5 + i6 - i3 - i4
     feasible = (
         ~divergent
+        & np.isfinite(i1)
+        & np.isfinite(r2)
+        & np.isfinite(r_sum)
         & (i5 - i3 >= -FEAS_TOL)
         & (i7 - i3 >= -FEAS_TOL)
         & (i6 - i4 >= -FEAS_TOL)
@@ -461,7 +465,7 @@ def _region_g_arrays(
     )
     r1_max = np.where(feasible, np.maximum(i1, 0.0), 0.0)
     r2_max = np.where(feasible, np.maximum(r2, 0.0), 0.0)
-    sum_max = np.where(feasible, np.maximum(i5 + i6 - i3 - i4, 0.0), 0.0)
+    sum_max = np.where(feasible, np.maximum(r_sum, 0.0), 0.0)
     return r1_max, r2_max, sum_max, feasible
 
 

@@ -188,19 +188,73 @@ def _union_arrays(a, b, c, step: float, label: str) -> Frontier:
     """Frontier of the union of pentagons {r1<=a, r2<=b, r1+r2<=c}.
 
     A pentagon reaches r1 = min(a, c) (beyond that, even r2 = 0 violates
-    the sum bound), and at r1 <= reach its boundary is min(b, c - r1).
+    the sum bound), and at grid points r1 <= reach its boundary is
+    min(b, c - r1): flat at b on a prefix of the grid, then sloped at
+    c - r1.  Pentagon i is flat on samples [0, min(kf, kr)] and sloped on
+    (kf, kr], where kr is its last sample and kf the last sample with
+    c - r1 >= b (ties aside), both found by binary search.  The flat parts reduce to a
+    scatter-max of b at each prefix end and a reverse running max; the
+    sloped parts to an interval max of c, taken on a bottom-up segment
+    tree over the samples.  Rounding of c - r1 is monotone in c, so the
+    largest c covering a sample gives the largest rounded c - r1, and the
+    result is bit-for-bit the pointwise max of min(b, c - r1) over the
+    pentagons.  Time is O(N log M) and memory O(N + M) for N pentagons
+    and M samples.
+
+    Raises ``ValueError`` on a non-finite or negative bound.
     """
+    for name, x in (("r1", a), ("r2", b), ("sum", c)):
+        if not np.all(np.isfinite(x)) or np.any(x < 0.0):
+            raise ValueError(f"{name} bounds must be finite and non-negative")
     reach_each = np.minimum(a, c)
     reach = float(reach_each.max())
     n_samples = int(math.floor(reach / step + 1e-9)) + 1
     grid = np.arange(n_samples) * step
-    best = np.full(n_samples, -np.inf)
-    chunk = max(1, 4_000_000 // max(n_samples, 1))
-    for start in range(0, a.size, chunk):
-        sl = slice(start, start + chunk)
-        vals = np.minimum(b[sl, None], c[sl, None] - grid[None, :])
-        vals = np.where(grid[None, :] <= reach_each[sl, None] + 1e-15, vals, -np.inf)
-        np.maximum(best, vals.max(axis=0), out=best)
+
+    last = np.searchsorted(grid, reach_each + 1e-15, side="right") - 1
+    # c - b rounds differently from c - grid[k], so step back to the exact
+    # test.  No step forward is needed: no float lies strictly between
+    # fl(c - b) and c - b, so a later sample has c - grid[k] <= b, and
+    # one with equality gets the same value b from the sloped part.
+    flat_end = np.searchsorted(grid, c - b, side="right") - 1
+    while True:
+        down = (flat_end >= 0) & (c - grid[np.maximum(flat_end, 0)] < b)
+        if not down.any():
+            break
+        flat_end -= down
+
+    flat_end = np.minimum(flat_end, last)
+    flat = np.full(n_samples, -np.inf)
+    has_flat = flat_end >= 0
+    np.maximum.at(flat, flat_end[has_flat], b[has_flat])
+    flat = np.maximum.accumulate(flat[::-1])[::-1]
+
+    # Segment tree with leaves tree[size + k]: each interval [lo, hi) of
+    # sloped samples lands on O(log M) nodes, one level per pass, and the
+    # node maxima are then pushed down to the leaves.
+    size = 1 << (n_samples - 1).bit_length()
+    tree = np.full(2 * size, -np.inf)
+    sloped = flat_end < last
+    lo = flat_end[sloped] + 1 + size
+    hi = last[sloped] + 1 + size
+    top = c[sloped]
+    while lo.size:
+        left = (lo & 1).astype(bool)
+        np.maximum.at(tree, lo[left], top[left])
+        lo += left
+        right = (hi & 1).astype(bool)
+        hi -= right
+        np.maximum.at(tree, hi[right], top[right])
+        lo >>= 1
+        hi >>= 1
+        keep = lo < hi
+        lo, hi, top = lo[keep], hi[keep], top[keep]
+    width = 1
+    while width < size:
+        children = tree[2 * width : 4 * width].reshape(-1, 2)
+        np.maximum(children, tree[width : 2 * width, None], out=children)
+        width *= 2
+    best = np.maximum(flat, tree[size : size + n_samples] - grid)
     best = np.maximum(best, 0.0)
     at_end = reach_each >= reach - 1e-12
     reach_r2 = float(

@@ -114,6 +114,50 @@ def test_region_collapsed_alpha_single_corner(tmp_path):
     assert all(float(row.split(",")[1]) == 0.0 for row in rows)
 
 
+def test_region_axis_without_hi_uses_default(tmp_path):
+    doc = dict(SMALL_CONFIG, grid={"alpha": {"lo": 0.0, "count": 41}})
+    config = write_config(tmp_path, doc)
+    base_config = write_config(tmp_path, SMALL_CONFIG, "base.json")
+    out, base = tmp_path / "nohi", tmp_path / "base"
+    assert main(["region", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["region", "--config", str(base_config), "--out", str(base)]) == 0
+    assert (out / "frontier.csv").read_bytes() == (base / "frontier.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "key, axis",
+    [
+        ("alpha", {"lo": 0.0, "hi": 2.0, "count": 5}),
+        ("beta", {"lo": -0.5, "hi": 1.0, "count": 5}),
+        ("edge_alpha", {"lo": 0.0, "hi": 1.5, "count": 5}),
+        ("alpha", {"lo": 0.0, "hi": None, "count": 5}),
+    ],
+)
+def test_region_power_split_axis_outside_unit_interval(tmp_path, capsys, key, axis):
+    doc = dict(SMALL_CONFIG, regions=["g_suc"], grid={key: axis})
+    config = write_config(tmp_path, doc)
+    assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    lines = config.read_text().splitlines()
+    line = next(n for n, text in enumerate(lines, 1) if f'"{key}"' in text)
+    assert f"line {line}: grid.{key} must lie in [0, 1]" in err
+
+
+def test_region_config_seed_recorded(tmp_path):
+    config = write_config(tmp_path, dict(SMALL_CONFIG, seed=7))
+    out = tmp_path / "seeded"
+    assert main(["region", "--config", str(config), "--out", str(out)]) == 0
+    assert json.loads((out / "frontier.meta.json").read_text())["seed"] == 7
+    assert main(["region", "--config", str(config), "--out", str(out), "--seed", "3"]) == 0
+    assert json.loads((out / "frontier.meta.json").read_text())["seed"] == 3
+
+
+def test_region_config_seed_must_be_integer(tmp_path, capsys):
+    config = write_config(tmp_path, dict(SMALL_CONFIG, seed="seven"))
+    assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "seed must be an integer" in capsys.readouterr().err
+
+
 def test_figure_fig4(tmp_path):
     assert main(["figure", "fig4", "--out", str(tmp_path)]) == 0
     csv_lines = (tmp_path / "fig4.csv").read_text().splitlines()

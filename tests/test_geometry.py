@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icdms import (
     AxisGrid,
@@ -23,6 +24,7 @@ from icdms import (
     time_sharing_hull,
     union_frontier,
 )
+from icdms.geometry import _union_arrays
 
 FIG4 = ChannelParams(p1=6.0, p2=6.0, c12=0.0, c21=0.3)
 
@@ -99,6 +101,76 @@ def test_union_skips_infeasible_and_raises_when_all_are():
     np.testing.assert_allclose(f.r2, 1.0, atol=0)
     with pytest.raises(EmptyUnionError):
         union_frontier([bad, bad], step=0.5)
+
+
+def _dense_union_r2(a, b, c, step):
+    """Reference union: max over pentagons of min(b, c - r1) at every sample."""
+    reach_each = np.minimum(a, c)
+    n_samples = int(math.floor(float(reach_each.max()) / step + 1e-9)) + 1
+    grid = np.arange(n_samples) * step
+    vals = np.minimum(b[:, None], c[:, None] - grid[None, :])
+    vals = np.where(grid[None, :] <= reach_each[:, None] + 1e-15, vals, -np.inf)
+    return np.maximum(vals.max(axis=0), 0.0)
+
+
+@st.composite
+def pentagon_bounds(draw):
+    """(a, b, c, step, perm): bounds on or off the r1 grid, many of them tied."""
+    step = draw(st.sampled_from([0.25, 0.1, 0.005, 1.0 / 3.0]))
+    n = draw(st.integers(1, 12))
+    on_grid = st.integers(0, 40).map(lambda k: k * step)
+    # a few ulps off a sample, where c - b and c - r1 round differently
+    near_grid = st.tuples(st.integers(0, 40), st.integers(-3, 3)).map(
+        lambda t: max(0.0, t[0] * step + t[1] * math.ulp(t[0] * step))
+    )
+    anywhere = st.floats(0.0, 10.0, allow_subnormal=False)
+    bound = on_grid | near_grid | anywhere
+    a, b, c = (
+        np.array(draw(st.lists(bound, min_size=n, max_size=n))) for _ in range(3)
+    )
+    # c = b + k*step puts the corner c - b on or next to a sample
+    offsets = draw(st.lists(st.none() | on_grid, min_size=n, max_size=n))
+    c = np.array([ci if k is None else bi + k for bi, ci, k in zip(b, c, offsets)])
+    perm = np.array(draw(st.permutations(range(n))))
+    return a, b, c, step, perm
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pentagon_bounds())
+def test_union_sweep_matches_dense_oracle(bounds):
+    a, b, c, step, _ = bounds
+    f = _union_arrays(a, b, c, step, "")
+    np.testing.assert_array_equal(_bits(f.r2), _bits(_dense_union_r2(a, b, c, step)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pentagon_bounds())
+def test_union_order_independent_idempotent_and_above_members(bounds):
+    a, b, c, step, perm = bounds
+    f = _union_arrays(a, b, c, step, "")
+    for other in (
+        _union_arrays(a[perm], b[perm], c[perm], step, ""),
+        _union_arrays(np.tile(a, 2), np.tile(b, 2), np.tile(c, 2), step, ""),
+    ):
+        np.testing.assert_array_equal(_bits(other.r2), _bits(f.r2))
+        assert (other.reach, other.reach_r2) == (f.reach, f.reach_r2)
+    for member in zip(a, b, c):
+        lone = pentagon_frontier(PentagonRegion(*member), step=step)
+        assert lone.reach <= f.reach
+        assert np.all(lone.r2 <= f.r2[: lone.r2.size])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+@pytest.mark.parametrize("column", range(3))
+def test_union_rejects_non_finite_or_negative_bounds(column, bad):
+    bounds = [np.array([1.0, 0.5]), np.array([0.5, 1.0]), np.array([1.2, 1.2])]
+    bounds[column][1] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        _union_arrays(*bounds, 0.1, "")
 
 
 def test_frontier_monotone_and_value_at():
