@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -29,7 +30,8 @@ import numpy as np
 from . import __version__
 from .discrete import (
     AlphabetSpec,
-    NormalizationError,
+    assemble_joint,
+    conditional_mi,
     distribution_from_dict,
     random_star,
     region_full,
@@ -37,8 +39,10 @@ from .discrete import (
     region_suc,
 )
 from .gaussian import (
+    ENTROPY_BLOCKS,
     ChannelParams,
     GaussianCoding,
+    build_covariances,
     dpc_gain_objective,
     dpc_lambda_star,
     entropy_terms,
@@ -50,23 +54,29 @@ from .geometry import (
     EmptyUnionError,
     Frontier,
     REGION_FAMILIES,
+    SampleCapError,
     SweepGrid,
     default_grid,
     sweep_gaussian,
     time_sharing_hull,
 )
-from .oracle import brute_joint_mi, grid_maximize, mc_gaussian_entropy
-from .discrete import assemble_joint, conditional_mi
+from .oracle import MIN_MC_SAMPLES, brute_joint_mi, grid_maximize, mc_gaussian_entropy
 
 EXIT_CONFIG = 2
 EXIT_EMPTY = 3
 
-#: Figure presets: channel parameters and the region families plotted.
+#: Figure presets: run config documents, read as a ``region --config`` file is.
 FIGURE_PRESETS = {
-    "fig4": (ChannelParams(p1=6.0, p2=6.0, c12=0.0, c21=0.3), ("g_sp1",)),
-    "fig5": (ChannelParams(p1=0.0, p2=6.0, c12=0.0, c21=0.5), ("g_sp1",)),
-    "fig6": (ChannelParams(p1=6.0, p2=6.0, c12=0.3, c21=2.0), ("g_sp1", "g_sp2", "g")),
-    "fig7": (ChannelParams(p1=6.0, p2=6.0, c12=0.3, c21=6.0), ("g_sp1", "g_sp2", "g")),
+    "fig4": {"channel": {"p1": 6.0, "p2": 6.0, "c12": 0.0, "c21": 0.3}, "regions": ["g_sp1"]},
+    "fig5": {"channel": {"p1": 0.0, "p2": 6.0, "c12": 0.0, "c21": 0.5}, "regions": ["g_sp1"]},
+    "fig6": {
+        "channel": {"p1": 6.0, "p2": 6.0, "c12": 0.3, "c21": 2.0},
+        "regions": ["g_sp1", "g_sp2", "g"],
+    },
+    "fig7": {
+        "channel": {"p1": 6.0, "p2": 6.0, "c12": 0.3, "c21": 6.0},
+        "regions": ["g_sp1", "g_sp2", "g"],
+    },
 }
 
 
@@ -86,10 +96,10 @@ class RunConfig:
     channel: ChannelParams
     regions: tuple[str, ...]
     grids: dict[str, SweepGrid]
-    r1_step: float = DEFAULT_R1_STEP
-    convex_hull: bool = False
-    paper_literal: bool = False
-    seed: int = 0
+    r1_step: float
+    convex_hull: bool
+    paper_literal: bool
+    seed: int
 
 
 def _line_of(raw: str, key: str) -> int | None:
@@ -129,6 +139,11 @@ def load_config(path: Path, overrides: argparse.Namespace) -> RunConfig:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+    return config_from_doc(doc, raw, overrides)
+
+
+def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
+    """Check a parsed run config; ``raw`` is its JSON text, for line numbers."""
     if not isinstance(doc, dict):
         raise ConfigError("top level must be a JSON object")
 
@@ -163,11 +178,10 @@ def load_config(path: Path, overrides: argparse.Namespace) -> RunConfig:
     if not isinstance(grid_doc, dict):
         raise ConfigError("'grid' must be an object", _line_of(raw, "grid"))
     grids: dict[str, SweepGrid] = {}
-    steps_override = getattr(overrides, "grid_steps", None)
     for name in regions:
         base = default_grid(name)
-        if steps_override:
-            base = _apply_steps(base, name, steps_override)
+        if overrides.grid_steps is not None:
+            base = _apply_steps(base, name, overrides.grid_steps)
         grids[name] = SweepGrid(
             alpha=_axis_from_doc(grid_doc.get("alpha"), raw, "alpha", base.alpha),
             beta=_axis_from_doc(grid_doc.get("beta"), raw, "beta", base.beta),
@@ -188,8 +202,8 @@ def load_config(path: Path, overrides: argparse.Namespace) -> RunConfig:
     seed = overrides.seed
     if seed is None:
         seed = doc.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("seed must be an integer", _line_of(raw, "seed"))
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError("seed must be an integer >= 0", _line_of(raw, "seed"))
 
     return RunConfig(
         channel=channel,
@@ -260,38 +274,34 @@ def _write_meta(path: Path, config: RunConfig, extra: dict) -> None:
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _sweep_all(config: RunConfig) -> dict[str, Frontier]:
+def _run(config: RunConfig, out: str | None, stem: str, extra: dict):
+    """Sweep every region of ``config``, write ``<stem>.csv`` and
+    ``<stem>.meta.json``, print a summary; return the CSV path and frontiers."""
+    out_dir = Path(out or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
     frontiers: dict[str, Frontier] = {}
+    rows = []
     for name in config.regions:
-        frontier = sweep_gaussian(
-            config.channel, config.grids[name], name, config.r1_step
-        )
+        frontier = sweep_gaussian(config.channel, config.grids[name], name, config.r1_step)
         if config.convex_hull:
             frontier = time_sharing_hull(frontier)
         frontiers[name] = frontier
-    return frontiers
-
-
-def cmd_region(args: argparse.Namespace) -> int:
-    config = load_config(Path(args.config), args)
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        frontiers = _sweep_all(config)
-    except EmptyUnionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    rows = []
-    for name, frontier in frontiers.items():
         rows.extend(_frontier_rows(frontier, name))
-    _write_csv(out_dir / "frontier.csv", rows)
-    _write_meta(out_dir / "frontier.meta.json", config, {"command": "region"})
+    csv_path = out_dir / f"{stem}.csv"
+    _write_csv(csv_path, rows)
+    _write_meta(out_dir / f"{stem}.meta.json", config, extra)
     for name, frontier in frontiers.items():
         print(
             f"{name}: {frontier.r2.size} samples, reach {frontier.reach:.6f} bits, "
             f"max r2 {float(frontier.r2.max()):.6f} bits"
         )
-    print(f"wrote {out_dir / 'frontier.csv'}")
+    return csv_path, frontiers
+
+
+def cmd_region(args: argparse.Namespace) -> int:
+    config = load_config(Path(args.config), args)
+    csv_path, _ = _run(config, args.out, "frontier", {"command": "region"})
+    print(f"wrote {csv_path}")
     return 0
 
 
@@ -308,27 +318,16 @@ def _format_report(region) -> list[str]:
 
 
 def cmd_discrete(args: argparse.Namespace) -> int:
-    path = Path(args.distribution)
     try:
-        doc = json.loads(path.read_text())
-        fd = distribution_from_dict(doc)
+        fd = distribution_from_dict(json.loads(Path(args.distribution).read_text()))
+        if args.scheme == "full":
+            region = region_full(fd)
+        else:
+            evaluate = region_sim if args.scheme == "sim" else region_suc
+            region = evaluate(fd, paper_literal=args.paper_literal)
     except json.JSONDecodeError as exc:
         print(f"error: line {exc.lineno}: invalid JSON: {exc.msg}", file=sys.stderr)
         return EXIT_CONFIG
-    except NormalizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    evaluators = {"full": region_full, "sim": region_sim, "suc": region_suc}
-    evaluate = evaluators[args.scheme]
-    try:
-        if args.scheme == "full":
-            region = evaluate(fd)
-        else:
-            region = evaluate(fd, paper_literal=args.paper_literal)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -417,9 +416,7 @@ def _svg_plot(frontiers: dict[str, Frontier], title: str) -> str:
     )
     for k, (name, f) in enumerate(frontiers.items()):
         color = _SVG_COLORS[k % len(_SVG_COLORS)]
-        points = list(zip(f.r1, f.r2))
-        if f.reach > points[-1][0] + 1e-12:
-            points.append((f.reach, f.reach_r2))
+        points = [(r1, r2) for r1, r2, _ in _frontier_rows(f, name)]
         coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6" '
@@ -439,42 +436,12 @@ def _svg_plot(frontiers: dict[str, Frontier], title: str) -> str:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    channel, regions = FIGURE_PRESETS[args.preset]
-    grids = {}
-    for name in regions:
-        grid = default_grid(name)
-        if args.grid_steps:
-            grid = _apply_steps(grid, name, args.grid_steps)
-        grids[name] = grid
-    config = RunConfig(
-        channel=channel,
-        regions=regions,
-        grids=grids,
-        r1_step=DEFAULT_R1_STEP,
-        convex_hull=args.convex_hull,
-        paper_literal=args.paper_literal,
-        seed=args.seed if args.seed is not None else 0,
-    )
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        frontiers = _sweep_all(config)
-    except EmptyUnionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    rows = []
-    for name, frontier in frontiers.items():
-        rows.extend(_frontier_rows(frontier, name))
-    _write_csv(out_dir / f"{args.preset}.csv", rows)
-    (out_dir / f"{args.preset}.svg").write_text(
-        _svg_plot(frontiers, f"{args.preset}: achievable rate regions")
-    )
-    _write_meta(
-        out_dir / f"{args.preset}.meta.json",
-        config,
-        {"command": "figure", "preset": args.preset},
-    )
-    print(f"wrote {out_dir / (args.preset + '.csv')} and .svg")
+    config = config_from_doc(FIGURE_PRESETS[args.preset], "", args)
+    extra = {"command": "figure", "preset": args.preset}
+    csv_path, frontiers = _run(config, args.out, args.preset, extra)
+    title = f"{args.preset}: achievable rate regions"
+    csv_path.with_suffix(".svg").write_text(_svg_plot(frontiers, title))
+    print(f"wrote {csv_path} and .svg")
     return 0
 
 
@@ -497,8 +464,7 @@ def cmd_dpc_lambda(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     failures = 0
 
     print("entropy terms vs Monte Carlo:")
@@ -515,7 +481,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             lambda1=float(rng.uniform(0.0, 1.0)),
             lambda2=float(rng.uniform(0.0, 1.0)),
         )
-        worst = _entropy_worst_z(channel, coding, args.samples, seed + 1000 * draw)
+        worst = _entropy_worst_z(channel, coding, args.samples, args.seed + 1000 * draw)
         status = "ok" if worst <= 3.0 else "FAIL"
         if worst > 3.0:
             failures += 1
@@ -543,53 +509,56 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _entropy_worst_z(channel, coding, samples, seed_base) -> float:
-    from .gaussian import build_covariances
-
     h = entropy_terms(channel, coding)
-    mu, nu = build_covariances(channel, coding)
-    blocks = {
-        "h_a": (mu, (0,)),
-        "h_b": (mu, (1, 2)),
-        "h_c": (mu, (0, 1, 2)),
-        "h_d": (nu, (0, 1)),
-        "h_e": (nu, (2,)),
-        "h_f": (nu, (0, 1, 2)),
-        "h_g": (mu, (0, 1)),
-        "h_h": (mu, (2,)),
-        "h_i": (nu, (1,)),
-        "h_j": (nu, (0, 2)),
-        "h_k": (nu, (0,)),
-        "h_l": (nu, (1, 2)),
-    }
+    matrices = build_covariances(channel, coding)
     worst = 0.0
-    for term_index, (name, (matrix, rows)) in enumerate(blocks.items()):
-        sub = matrix[np.ix_(rows, rows)]
+    for term_index, (name, (which, rows)) in enumerate(ENTROPY_BLOCKS.items()):
+        sub = matrices[which][np.ix_(rows, rows)]
         estimate = mc_gaussian_entropy(sub, samples, seed_base + term_index)
         z = abs(estimate.value_bits - getattr(h, name)) / estimate.std_error_bits
         worst = max(worst, z)
     return worst
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="random seed")
-    parser.add_argument(
-        "--convex-hull",
+def _number(kind, lo, hi=None):
+    """argparse type: a finite ``kind`` in [lo, hi]; argparse names the flag
+    and exits 2 on anything else."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and lo <= value and (hi is None or value <= hi)):
+            where = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be finite and {where}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid float value" message
+    return parse
+
+
+#: Flags shared by the subcommands; each subcommand adds the ones it reads.
+_FLAGS = {
+    "--out": dict(default=None, help="output directory"),
+    "--seed": dict(type=_number(int, 0), default=None, help="random seed"),
+    "--convex-hull": dict(
         action="store_true",
         help="apply the time-sharing (concave envelope) closure to frontiers",
-    )
-    parser.add_argument(
-        "--paper-literal",
+    ),
+    "--paper-literal": dict(
         action="store_true",
         help="use the as-printed receiver-1 sign constraint instead of the "
         "derivation-consistent receiver-2 form",
-    )
-    parser.add_argument(
-        "--grid-steps",
-        type=int,
+    ),
+    "--grid-steps": dict(
+        type=_number(int, 1),
         default=None,
         help="override the per-parameter grid point count",
-    )
+    ),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -609,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=REGION_FAMILIES,
         help="region selector(s), overriding the config",
     )
-    _add_common(p_region)
+    _add_flags(p_region, *_FLAGS)
     p_region.set_defaults(func=cmd_region)
 
     p_discrete = sub.add_parser("discrete", help="evaluate a factored distribution")
@@ -622,37 +591,37 @@ def build_parser() -> argparse.ArgumentParser:
         default="full",
         help="coding scheme to evaluate",
     )
-    _add_common(p_discrete)
+    _add_flags(p_discrete, "--out", "--paper-literal")
     p_discrete.set_defaults(func=cmd_discrete)
 
     p_figure = sub.add_parser("figure", help="run a figure preset")
     p_figure.add_argument("preset", choices=sorted(FIGURE_PRESETS))
-    _add_common(p_figure)
+    _add_flags(p_figure, *_FLAGS)
     p_figure.set_defaults(func=cmd_figure)
 
     p_dpc = sub.add_parser("dpc-lambda", help="dirty-paper bin coefficient")
-    p_dpc.add_argument("--p1", type=float, required=True)
-    p_dpc.add_argument("--p2", type=float, required=True)
-    p_dpc.add_argument("--c12", type=float, default=0.0)
-    p_dpc.add_argument("--c21", type=float, default=0.0)
-    p_dpc.add_argument("--alpha", type=float, required=True)
-    p_dpc.add_argument("--beta", type=float, required=True)
+    power, fraction = _number(float, 0.0), _number(float, 0.0, 1.0)
+    p_dpc.add_argument("--p1", type=power, required=True)
+    p_dpc.add_argument("--p2", type=power, required=True)
+    p_dpc.add_argument("--c12", type=power, default=0.0)
+    p_dpc.add_argument("--c21", type=power, default=0.0)
+    p_dpc.add_argument("--alpha", type=fraction, required=True)
+    p_dpc.add_argument("--beta", type=fraction, required=True)
     p_dpc.add_argument(
         "--check",
-        type=int,
+        type=_number(int, 2),
         nargs="?",
         const=50001,
         default=None,
         help="grid-check the optimum with this many grid points",
     )
-    _add_common(p_dpc)
     p_dpc.set_defaults(func=cmd_dpc_lambda)
 
     p_oracle = sub.add_parser("oracle-check", help="run oracle self-checks")
-    p_oracle.add_argument("--draws", type=int, default=3)
-    p_oracle.add_argument("--samples", type=int, default=200_000)
-    _add_common(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle_check)
+    p_oracle.add_argument("--draws", type=_number(int, 1), default=3)
+    p_oracle.add_argument("--samples", type=_number(int, MIN_MC_SAMPLES), default=200_000)
+    _add_flags(p_oracle, "--seed")
+    p_oracle.set_defaults(func=cmd_oracle_check, seed=0)
     return parser
 
 
@@ -661,10 +630,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except EmptyUnionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+        return EXIT_EMPTY
+    except (ConfigError, SampleCapError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

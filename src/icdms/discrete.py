@@ -67,6 +67,11 @@ NORM_TOL = 1e-12
 #: Slack allowed on constraint residuals when flagging feasibility.
 DISCRETE_FEAS_TOL = 1e-12
 
+#: Conditioning sets of the region bounds: the time-sharing variable alone,
+#: and with the common stream.
+_Q = ("q",)
+_UQ = ("u", "q")
+
 
 class NormalizationError(ValueError):
     """A factor table has a conditional slice that does not sum to one."""
@@ -337,25 +342,41 @@ def region_full(fd: FactoredDistribution) -> DiscreteRegion:
     """
     _require_family(fd, FULL)
     j = assemble_joint(fd)
-
-    def mi(left, right, given=("q",)):
-        return conditional_mi(j, left, right, given)
-
-    i_uw = mi(("u",), ("w",))
-    i_vw = mi(("v",), ("w",))
-    i_uw_y1 = mi(("u", "w"), ("y1",))
-    i_v_y2u = mi(("v",), ("y2", "u"))
-    r1 = mi(("w",), ("y1", "u"))
-    r2 = mi(("u", "v"), ("y2",)) - i_uw - i_vw
+    i_uw = conditional_mi(j, ("u",), ("w",), _Q)
+    i_vw = conditional_mi(j, ("v",), ("w",), _Q)
+    i_uw_y1 = conditional_mi(j, ("u", "w"), ("y1",), _Q)
+    i_v_y2u = conditional_mi(j, ("v",), ("y2", "u"), _Q)
+    r1 = conditional_mi(j, ("w",), ("y1", "u"), _Q)
+    r2 = conditional_mi(j, ("u", "v"), ("y2",), _Q) - i_uw - i_vw
     rsum = i_uw_y1 + i_v_y2u - i_uw - i_vw
     constraints = {
         "u_at_y1": i_uw_y1 - i_uw,
-        "u_at_y2": mi(("u",), ("y2", "v")) - i_uw,
+        "u_at_y2": conditional_mi(j, ("u",), ("y2", "v"), _Q) - i_uw,
         "v_at_y2": i_v_y2u - i_vw,
         "r2_total": r2,
     }
     feasible = all(v >= -DISCRETE_FEAS_TOL for v in constraints.values())
     return DiscreteRegion(FULL, r1, r2, rsum, constraints, feasible)
+
+
+def _star_core(fd: FactoredDistribution, paper_literal: bool):
+    """The terms both STAR regions share.
+
+    Returns the joint, I(V;W|Q), I(V;Y2|U,Q), the R1 bound I(W;Y1|U,Q),
+    the two sign-constraint residuals and whether the active one holds.
+    """
+    _require_family(fd, STAR)
+    j = assemble_joint(fd)
+    i_vw = conditional_mi(j, ("v",), ("w",), _Q)
+    i_v_y2 = conditional_mi(j, ("v",), ("y2",), _UQ)
+    r1 = conditional_mi(j, ("w",), ("y1",), _UQ)
+    constraints = {
+        "v_margin_y2": i_v_y2 - i_vw,
+        "v_margin_y1": conditional_mi(j, ("v",), ("y1",), _UQ) - i_vw,
+    }
+    active = "v_margin_y1" if paper_literal else "v_margin_y2"
+    feasible = constraints[active] >= -DISCRETE_FEAS_TOL
+    return j, i_vw, i_v_y2, r1, constraints, feasible
 
 
 def region_sim(fd: FactoredDistribution, paper_literal: bool = False) -> DiscreteRegion:
@@ -369,23 +390,9 @@ def region_sim(fd: FactoredDistribution, paper_literal: bool = False) -> Discret
     ``paper_literal=True`` the as-printed receiver-1 form decides
     feasibility instead.  Both residuals are always reported.
     """
-    _require_family(fd, STAR)
-    j = assemble_joint(fd)
-
-    def mi(left, right, given=("q",)):
-        return conditional_mi(j, left, right, given)
-
-    i_vw = mi(("v",), ("w",))
-    i_v_y2 = mi(("v",), ("y2",), ("u", "q"))
-    r1 = mi(("w",), ("y1",), ("u", "q"))
-    r2 = mi(("u", "v"), ("y2",)) - i_vw
-    rsum = mi(("w", "u"), ("y1",)) + i_v_y2 - i_vw
-    constraints = {
-        "v_margin_y2": i_v_y2 - i_vw,
-        "v_margin_y1": mi(("v",), ("y1",), ("u", "q")) - i_vw,
-    }
-    active = "v_margin_y1" if paper_literal else "v_margin_y2"
-    feasible = constraints[active] >= -DISCRETE_FEAS_TOL
+    j, i_vw, i_v_y2, r1, constraints, feasible = _star_core(fd, paper_literal)
+    r2 = conditional_mi(j, ("u", "v"), ("y2",), _Q) - i_vw
+    rsum = conditional_mi(j, ("w", "u"), ("y1",), _Q) + i_v_y2 - i_vw
     return DiscreteRegion("sim", r1, r2, rsum, constraints, feasible)
 
 
@@ -397,22 +404,11 @@ def region_suc(fd: FactoredDistribution, paper_literal: bool = False) -> Discret
     I(V;W|Q), with R1 <= I(W;Y1|U,Q) and no sum bound.  The constraint
     handling matches :func:`region_sim`.
     """
-    _require_family(fd, STAR)
-    j = assemble_joint(fd)
-
-    def mi(left, right, given=("q",)):
-        return conditional_mi(j, left, right, given)
-
-    i_vw = mi(("v",), ("w",))
-    i_v_y2 = mi(("v",), ("y2",), ("u", "q"))
-    r1 = mi(("w",), ("y1",), ("u", "q"))
-    r2 = min(mi(("u",), ("y1",)), mi(("u",), ("y2",))) + i_v_y2 - i_vw
-    constraints = {
-        "v_margin_y2": i_v_y2 - i_vw,
-        "v_margin_y1": mi(("v",), ("y1",), ("u", "q")) - i_vw,
-    }
-    active = "v_margin_y1" if paper_literal else "v_margin_y2"
-    feasible = constraints[active] >= -DISCRETE_FEAS_TOL
+    j, i_vw, i_v_y2, r1, constraints, feasible = _star_core(fd, paper_literal)
+    u_rate = min(
+        conditional_mi(j, ("u",), ("y1",), _Q), conditional_mi(j, ("u",), ("y2",), _Q)
+    )
+    r2 = u_rate + i_v_y2 - i_vw
     return DiscreteRegion("suc", r1, r2, None, constraints, feasible)
 
 

@@ -58,6 +58,7 @@ __all__ = [
     "ChannelParams",
     "GaussianCoding",
     "EntropyTerms",
+    "ENTROPY_BLOCKS",
     "MiTerms",
     "PentagonRegion",
     "eta_coefficients",
@@ -166,6 +167,26 @@ class EntropyTerms:
     eta1: float
     eta2: float
     xi: float = XI
+
+
+#: Covariance block of each entropy term: which matrix of
+#: :func:`build_covariances` (0 for (W, U, Y1), 1 for (U, V, Y2)) and the
+#: rows kept.  The order is part of the contract: ``oracle-check`` seeds the
+#: Monte Carlo estimate of each term by its position here.
+ENTROPY_BLOCKS = {
+    "h_a": (0, (0,)),
+    "h_b": (0, (1, 2)),
+    "h_c": (0, (0, 1, 2)),
+    "h_d": (1, (0, 1)),
+    "h_e": (1, (2,)),
+    "h_f": (1, (0, 1, 2)),
+    "h_g": (0, (0, 1)),
+    "h_h": (0, (2,)),
+    "h_i": (1, (1,)),
+    "h_j": (1, (0, 2)),
+    "h_k": (1, (0,)),
+    "h_l": (1, (1, 2)),
+}
 
 
 @dataclass(frozen=True)
@@ -293,21 +314,13 @@ def entropy_terms(ch: ChannelParams, cp: GaussianCoding) -> EntropyTerms:
     below the singularity tolerance, which signals that the parameter point
     must be skipped.
     """
-    mu, nu = build_covariances(ch, cp)
+    matrices = build_covariances(ch, cp)
     eta1, eta2 = eta_coefficients(ch, cp.alpha)
     return EntropyTerms(
-        h_a=_block_entropy(mu, (0,), "h_a"),
-        h_b=_block_entropy(mu, (1, 2), "h_b"),
-        h_c=_block_entropy(mu, (0, 1, 2), "h_c"),
-        h_d=_block_entropy(nu, (0, 1), "h_d"),
-        h_e=_block_entropy(nu, (2,), "h_e"),
-        h_f=_block_entropy(nu, (0, 1, 2), "h_f"),
-        h_g=_block_entropy(mu, (0, 1), "h_g"),
-        h_h=_block_entropy(mu, (2,), "h_h"),
-        h_i=_block_entropy(nu, (1,), "h_i"),
-        h_j=_block_entropy(nu, (0, 2), "h_j"),
-        h_k=_block_entropy(nu, (0,), "h_k"),
-        h_l=_block_entropy(nu, (1, 2), "h_l"),
+        **{
+            name: _block_entropy(matrices[which], rows, name)
+            for name, (which, rows) in ENTROPY_BLOCKS.items()
+        },
         eta1=eta1,
         eta2=eta2,
     )

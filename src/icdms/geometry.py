@@ -37,6 +37,8 @@ __all__ = [
     "EmptyRegionError",
     "EmptyUnionError",
     "GridMismatchError",
+    "MAX_R1_SAMPLES",
+    "SampleCapError",
     "Frontier",
     "AxisGrid",
     "SweepGrid",
@@ -51,6 +53,10 @@ __all__ = [
 
 #: Default spacing of the r1 sampling grid, bits.
 DEFAULT_R1_STEP = 0.005
+
+#: Most r1 samples one frontier may hold, so that a tiny ``step`` cannot ask
+#: for an unbounded grid (the default step needs a few hundred).
+MAX_R1_SAMPLES = 10**6
 
 #: The bin-coefficient grids span [0, LAMBDA_SPAN * eta2] (unit-W scale);
 #: the dirty-paper optimum sits at s*eta2/(s+1) < eta2, and the rate terms
@@ -70,6 +76,10 @@ class EmptyUnionError(ValueError):
 
 class GridMismatchError(ValueError):
     """Frontiers sampled on different r1 grids cannot be compared."""
+
+
+class SampleCapError(ValueError):
+    """The r1 step would need more than ``MAX_R1_SAMPLES`` samples."""
 
 
 @dataclass(frozen=True)
@@ -201,14 +211,19 @@ def _union_arrays(a, b, c, step: float, label: str) -> Frontier:
     pentagons.  Time is O(N log M) and memory O(N + M) for N pentagons
     and M samples.
 
-    Raises ``ValueError`` on a non-finite or negative bound.
+    Raises ``ValueError`` on a non-finite or negative bound, and
+    :class:`SampleCapError`, before allocating, when the grid would hold
+    more than ``MAX_R1_SAMPLES`` samples.
     """
     for name, x in (("r1", a), ("r2", b), ("sum", c)):
         if not np.all(np.isfinite(x)) or np.any(x < 0.0):
             raise ValueError(f"{name} bounds must be finite and non-negative")
     reach_each = np.minimum(a, c)
     reach = float(reach_each.max())
-    n_samples = int(math.floor(reach / step + 1e-9)) + 1
+    span = reach / step + 1e-9
+    if not span < MAX_R1_SAMPLES:
+        raise SampleCapError(f"r1_step {step!r} needs over {MAX_R1_SAMPLES} r1 samples")
+    n_samples = int(math.floor(span)) + 1
     grid = np.arange(n_samples) * step
 
     last = np.searchsorted(grid, reach_each + 1e-15, side="right") - 1

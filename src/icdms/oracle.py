@@ -31,6 +31,9 @@ __all__ = [
 
 LOG2E = math.log2(math.e)
 
+#: Fewest samples :func:`mc_gaussian_entropy` accepts.
+MIN_MC_SAMPLES = 1000
+
 
 class NotPositiveDefiniteError(ValueError):
     """Covariance matrix is not symmetric positive definite."""
@@ -64,8 +67,8 @@ def mc_gaussian_entropy(cov, n: int, seed: int) -> McEstimate:
         raise NotPositiveDefiniteError("covariance must be a square matrix")
     if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
         raise NotPositiveDefiniteError("covariance must be symmetric")
-    if n < 1000:
-        raise ValueError("need at least 1000 samples")
+    if n < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:

@@ -153,9 +153,70 @@ def test_region_config_seed_recorded(tmp_path):
 
 
 def test_region_config_seed_must_be_integer(tmp_path, capsys):
-    config = write_config(tmp_path, dict(SMALL_CONFIG, seed="seven"))
+    for seed in ("seven", -1):
+        config = write_config(tmp_path, dict(SMALL_CONFIG, seed=seed))
+        assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_region_config_r1_step_over_sample_cap(tmp_path, capsys):
+    config = write_config(tmp_path, dict(SMALL_CONFIG, r1_step=1e-9))
     assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
-    assert "seed must be an integer" in capsys.readouterr().err
+    assert "r1_step 1e-09" in capsys.readouterr().err
+
+
+def test_region_config_of_figure_preset_matches_figure(tmp_path):
+    config = write_config(tmp_path, cli_module.FIGURE_PRESETS["fig4"])
+    assert main(["figure", "fig4", "--out", str(tmp_path)]) == 0
+    assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "frontier.csv").read_bytes() == (tmp_path / "fig4.csv").read_bytes()
+    region_meta = json.loads((tmp_path / "frontier.meta.json").read_text())
+    figure_meta = json.loads((tmp_path / "fig4.meta.json").read_text())
+    assert region_meta.pop("command") == "region"
+    assert figure_meta.pop("command") == "figure"
+    assert figure_meta.pop("preset") == "fig4"
+    assert region_meta == figure_meta
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dpc-lambda", "--p1", "6", "--p2", "6", "--alpha", "1", "--beta", "0", "--out", "x"],
+        ["oracle-check", "--grid-steps", "5"],
+        ["discrete", "--distribution", "d.json", "--seed", "1"],
+    ],
+)
+def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_DPC = ["dpc-lambda", "--p1", "6", "--p2", "6", "--alpha", "1", "--beta", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["figure", "fig4", "--grid-steps", "0"], "--grid-steps"),
+        (["figure", "fig4", "--grid-steps", "-1"], "--grid-steps"),
+        (["region", "--config", "c.json", "--grid-steps", "0"], "--grid-steps"),
+        (_DPC + ["--alpha", "2"], "--alpha"),
+        (_DPC + ["--beta", "nan"], "--beta"),
+        (_DPC + ["--p1", "-1"], "--p1"),
+        (_DPC + ["--c21", "inf"], "--c21"),
+        (_DPC + ["--check", "1"], "--check"),
+        (["oracle-check", "--samples", "1"], "--samples"),
+        (["oracle-check", "--draws", "0"], "--draws"),
+        (["oracle-check", "--seed", "-1"], "--seed"),
+    ],
+)
+def test_bad_numeric_argument_exits_2_naming_it(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_figure_fig4(tmp_path):

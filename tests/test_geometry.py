@@ -24,7 +24,7 @@ from icdms import (
     time_sharing_hull,
     union_frontier,
 )
-from icdms.geometry import _union_arrays
+from icdms.geometry import MAX_R1_SAMPLES, SampleCapError, _union_arrays
 
 FIG4 = ChannelParams(p1=6.0, p2=6.0, c12=0.0, c21=0.3)
 
@@ -171,6 +171,17 @@ def test_union_rejects_non_finite_or_negative_bounds(column, bad):
     bounds[column][1] = bad
     with pytest.raises(ValueError, match="finite and non-negative"):
         _union_arrays(*bounds, 0.1, "")
+
+
+def test_union_sample_cap():
+    one = np.array([1.0])
+    f = _union_arrays(one, one, one, 1.0 / (MAX_R1_SAMPLES - 1), "")
+    assert f.r2.size == MAX_R1_SAMPLES
+    with pytest.raises(SampleCapError):
+        _union_arrays(one, one, one, 1.0 / MAX_R1_SAMPLES, "")
+    # The check runs before allocating, so an absurd step costs nothing.
+    with pytest.raises(SampleCapError):
+        _union_arrays(one, one, one, 5e-324, "")
 
 
 def test_frontier_monotone_and_value_at():
