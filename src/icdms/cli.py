@@ -60,7 +60,14 @@ from .geometry import (
     sweep_gaussian,
     time_sharing_hull,
 )
-from .oracle import MIN_MC_SAMPLES, brute_joint_mi, grid_maximize, mc_gaussian_entropy
+from .oracle import (
+    MAX_GRID_STEPS,
+    MAX_MC_SAMPLES,
+    MIN_MC_SAMPLES,
+    brute_joint_mi,
+    grid_maximize,
+    mc_gaussian_entropy,
+)
 
 EXIT_CONFIG = 2
 EXIT_EMPTY = 3
@@ -609,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dpc.add_argument("--beta", type=fraction, required=True)
     p_dpc.add_argument(
         "--check",
-        type=_number(int, 2),
+        type=_number(int, 2, MAX_GRID_STEPS),
         nargs="?",
         const=50001,
         default=None,
@@ -619,7 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle-check", help="run oracle self-checks")
     p_oracle.add_argument("--draws", type=_number(int, 1), default=3)
-    p_oracle.add_argument("--samples", type=_number(int, MIN_MC_SAMPLES), default=200_000)
+    p_oracle.add_argument(
+        "--samples", type=_number(int, MIN_MC_SAMPLES, MAX_MC_SAMPLES), default=200_000
+    )
     _add_flags(p_oracle, "--seed")
     p_oracle.set_defaults(func=cmd_oracle_check, seed=0)
     return parser

@@ -363,123 +363,154 @@ def mi_terms(ch: ChannelParams, cp: GaussianCoding) -> MiTerms:
     )
 
 
+def _eta_arrays(ch: ChannelParams, alpha):
+    """:func:`eta_coefficients` elementwise over an array of ``alpha``."""
+    abar = 1.0 - alpha
+    eta1 = math.sqrt(ch.p1) + np.sqrt(ch.c21 * abar * ch.p2)
+    eta2 = np.sqrt(abar * ch.p2) + math.sqrt(ch.c12 * ch.p1)
+    return eta1, eta2
+
+
 def _region_g_arrays(
-    ch: ChannelParams,
-    alpha: float,
-    beta: float,
-    lam1: np.ndarray,
-    lam2: np.ndarray,
+    ch: ChannelParams, alpha, beta, lam1, lam2
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pentagon bounds for a batch of (lambda1, lambda2) at fixed (alpha, beta).
+    """Pentagon bounds for a batch of (alpha, beta, lambda1, lambda2) tuples.
+
+    The four arguments broadcast against each other, and the outputs have
+    the broadcast shape: equal-length 1-D arrays pair up element by element,
+    while ``beta[:, None, None]``, ``lam1[:, :, None]`` and
+    ``lam2[:, None, :]`` give every (beta, lambda1, lambda2) combination.
+    Terms that involve only lambda1 are computed once per row of the
+    broadcast of (alpha, beta, lam1), and terms that involve only lambda2
+    once per column of (alpha, beta, lam2).  The terms of a pair are
+    evaluated only on rows that pass the lambda1-only checks (lambda1 not
+    divergent, ``i1`` finite, ``i5 - i3 >= -FEAS_TOL``).  A row that fails
+    them is infeasible whatever lambda2 is, so skipping its pairs changes no
+    output.  Each tuple still goes through the same floating-point
+    operations as when evaluated alone, so the result does not depend on
+    how the tuples are batched.
 
     Works on the unit-variance-W parameterization internally, which keeps
     the zero-power limits (p1 == 0, or a stream with zero power and zero
     lambda) exact: the degenerate variable is dropped instead of pushing a
     singular determinant through a log.  Interior points agree with the
-    entropy-term route to floating-point accuracy.
+    entropy-term route to 1e-9 relative, or to the rounding error of the
+    covariance determinants where a block is ill-conditioned.
 
     Returns ``(r1_max, r2_max, sum_max, feasible)`` arrays; infeasible
     entries (constraint violations, divergent bin coefficients or
     non-finite bounds) carry zero bounds.
     """
-    p1, p2, c12, c21 = ch.p1, ch.p2, ch.c12, ch.c21
-    lam1 = np.asarray(lam1, dtype=float)
-    lam2 = np.asarray(lam2, dtype=float)
+    p1, p2, c21 = ch.p1, ch.p2, ch.c21
+    alpha, beta, lam1, lam2 = (
+        np.asarray(x, dtype=float) for x in (alpha, beta, lam1, lam2)
+    )
+    rp1 = math.sqrt(p1)
+    eta1, eta2 = _eta_arrays(ch, alpha)
     s_u = alpha * beta * p2
     s_v = alpha * (1.0 - beta) * p2
-    eta1, eta2 = eta_coefficients(ch, alpha)
-    rp1 = math.sqrt(p1)
-    l1 = lam1 * rp1
-    l2 = lam2 * rp1
+    active_u = s_u > 0.0
+    active_v = s_v > 0.0
 
-    divergent = np.zeros(np.broadcast(lam1, lam2).shape, dtype=bool)
-    if s_u == 0.0:
-        divergent |= lam1 > 0.0
-        l1 = np.zeros_like(l1)
-    if s_v == 0.0:
-        divergent |= lam2 > 0.0
-        l2 = np.zeros_like(l2)
-
-    # Unit-W covariance entries. var(W) = 1 throughout.
+    # Unit-W covariance entries. var(W) = 1 throughout.  A stream with zero
+    # power drops its lambda; a positive one there diverges.
+    l1 = np.where(active_u, lam1 * rp1, 0.0)
+    l2 = np.where(active_v, lam2 * rp1, 0.0)
     uu = s_u + l1 * l1
     vv = s_v + l2 * l2
-    uv = l1 * l2
-    rc21 = math.sqrt(c21)
-    uy1 = rc21 * s_u + l1 * eta1
+    uy1 = math.sqrt(c21) * s_u + l1 * eta1
     uy2 = s_u + l1 * eta2
     vy2 = s_v + l2 * eta2
     y1y1 = eta1 * eta1 + c21 * (s_u + s_v) + 1.0
     y2y2 = s_u + s_v + eta2 * eta2 + 1.0
     det_wy1 = y1y1 - eta1 * eta1  # var(Y1 | W)
 
-    active_u = s_u > 0.0
-    active_v = s_v > 0.0
+    rows, cols = l1.shape, l2.shape
+    shape = np.broadcast_shapes(rows, cols)
 
-    if active_u:
+    with np.errstate(all="ignore"):
+        # lambda1-only terms.  (W, U, Y1) with unit W in the first slot.
         det_uy1 = uu * y1y1 - uy1 * uy1
-        # (W, U, Y1) with unit W in the first slot.
         det_wuy1 = (
-            uu * y1y1
-            - uy1 * uy1
-            - l1 * (l1 * y1y1 - uy1 * eta1)
-            + eta1 * (l1 * uy1 - uu * eta1)
+            det_uy1 - l1 * (l1 * y1y1 - uy1 * eta1) + eta1 * (l1 * uy1 - uu * eta1)
         )
-        i1 = _gamma(det_uy1 / det_wuy1)
-        i5 = _gamma(s_u * y1y1 / det_wuy1)
-        i3 = _gamma(1.0 + l1 * l1 / s_u)
-    else:
-        i1 = np.full_like(l1, float(_gamma(y1y1 / det_wy1)))
-        i5 = i1.copy()
-        i3 = np.zeros_like(l1)
-
-    if active_v:
-        i4 = _gamma(1.0 + l2 * l2 / s_v)
-    else:
-        i4 = np.zeros_like(l2)
-
-    if active_u and active_v:
-        det_uv = uu * vv - uv * uv
+        i1_w = _gamma(y1y1 / det_wy1)  # no U stream: I(W; Y1)
+        i1 = np.where(active_u, _gamma(det_uy1 / det_wuy1), i1_w)
+        i5 = np.where(active_u, _gamma(s_u * y1y1 / det_wuy1), i1_w)
+        i3 = np.where(active_u, _gamma(1.0 + l1 * l1 / s_u), 0.0)
         det_uy2 = uu * y2y2 - uy2 * uy2
+        i2_u = _gamma(uu * y2y2 / det_uy2)  # no V stream
+        row_ok = (
+            ~(~active_u & (lam1 > 0.0))
+            & np.isfinite(i1)
+            & (i5 - i3 >= -FEAS_TOL)
+        )
+
+        # lambda2-only terms.
+        i4 = np.where(active_v, _gamma(1.0 + l2 * l2 / s_v), 0.0)
         det_vy2 = vv * y2y2 - vy2 * vy2
+        i2_v = _gamma(vv * y2y2 / det_vy2)  # no U stream
+        col_ok = ~(~active_v & (lam2 > 0.0))
+
+        # Pair terms, on the tuples of the rows that passed, flattened.
+        take = np.flatnonzero(np.broadcast_to(row_ok, shape))
+
+        def where_in(part):
+            flat = np.arange(math.prod(part)).reshape(part)
+            return np.broadcast_to(flat, shape).ravel()[take]
+
+        at_row, at_col = where_in(rows), where_in(cols)
+
+        def row(x):
+            return np.broadcast_to(x, rows).ravel()[at_row]
+
+        def col(x):
+            return np.broadcast_to(x, cols).ravel()[at_col]
+
+        uu_, uy2_, on_u, i3_ = row(uu), row(uy2), row(active_u), row(i3)
+        vv_, vy2_, on_v, i4_ = col(vv), col(vy2), col(active_v), col(i4)
+        det_vy2_, y2y2_ = col(det_vy2), col(y2y2)
+        uv = row(l1) * col(l2)
+        det_uv = uu_ * vv_ - uv * uv
         det_uvy2 = (
-            uu * (vv * y2y2 - vy2 * vy2)
-            - uv * (uv * y2y2 - vy2 * uy2)
-            + uy2 * (uv * vy2 - vv * uy2)
+            uu_ * det_vy2_
+            - uv * (uv * y2y2_ - vy2_ * uy2_)
+            + uy2_ * (uv * vy2_ - vv_ * uy2_)
         )
-        i2 = _gamma(det_uv * y2y2 / det_uvy2)
-        i6 = _gamma(vv * det_uy2 / det_uvy2)
-        i7 = _gamma(uu * det_vy2 / det_uvy2)
-    elif active_u:
-        det_uy2 = uu * y2y2 - uy2 * uy2
-        i2 = _gamma(uu * y2y2 / det_uy2)
-        i6 = np.zeros_like(l1)
-        i7 = i2.copy()
-    elif active_v:
-        det_vy2 = vv * y2y2 - vy2 * vy2
-        i2 = _gamma(vv * y2y2 / det_vy2)
-        i6 = i2.copy()
-        i7 = np.zeros_like(l2)
-    else:
-        i2 = np.zeros_like(l1 + l2)
-        i6 = np.zeros_like(i2)
-        i7 = np.zeros_like(i2)
+        i2_u_, i2_v_ = row(i2_u), col(i2_v)
+        both = on_u & on_v
+        i2 = np.where(
+            both,
+            _gamma(det_uv * y2y2_ / det_uvy2),
+            np.where(on_u, i2_u_, np.where(on_v, i2_v_, 0.0)),
+        )
+        i6 = np.where(
+            both, _gamma(vv_ * row(det_uy2) / det_uvy2), np.where(on_u, 0.0, i2)
+        )
+        i7 = np.where(
+            both, _gamma(uu_ * det_vy2_ / det_uvy2), np.where(on_v, 0.0, i2)
+        )
 
-    r2 = i2 - i3 - i4
-    r_sum = i5 + i6 - i3 - i4
-    feasible = (
-        ~divergent
-        & np.isfinite(i1)
-        & np.isfinite(r2)
-        & np.isfinite(r_sum)
-        & (i5 - i3 >= -FEAS_TOL)
-        & (i7 - i3 >= -FEAS_TOL)
-        & (i6 - i4 >= -FEAS_TOL)
-        & (r2 >= -FEAS_TOL)
-    )
-    r1_max = np.where(feasible, np.maximum(i1, 0.0), 0.0)
-    r2_max = np.where(feasible, np.maximum(r2, 0.0), 0.0)
-    sum_max = np.where(feasible, np.maximum(r_sum, 0.0), 0.0)
-    return r1_max, r2_max, sum_max, feasible
+        r2 = i2 - i3_ - i4_
+        r_sum = row(i5) + i6 - i3_ - i4_
+        ok = (
+            col(col_ok)
+            & np.isfinite(r2)
+            & np.isfinite(r_sum)
+            & (i7 - i3_ >= -FEAS_TOL)
+            & (i6 - i4_ >= -FEAS_TOL)
+            & (r2 >= -FEAS_TOL)
+        )
+
+    hit = take[ok]
+    feasible = np.zeros(shape, dtype=bool)
+    feasible.ravel()[hit] = True
+    bounds = []
+    for value in (row(i1), r2, r_sum):
+        out = np.zeros(shape)
+        out.ravel()[hit] = np.maximum(value[ok], 0.0)
+        bounds.append(out)
+    return bounds[0], bounds[1], bounds[2], feasible
 
 
 def region_g(ch: ChannelParams, cp: GaussianCoding) -> PentagonRegion:
@@ -502,11 +533,9 @@ def _region_g_suc_values(ch: ChannelParams, alpha, beta):
     """(r1_max, r2_max) of the successive-decoding region, vectorized."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    p1, p2, c12, c21 = ch.p1, ch.p2, ch.c12, ch.c21
-    abar = 1.0 - alpha
+    p2, c21 = ch.p2, ch.c21
     bbar = 1.0 - beta
-    eta1 = math.sqrt(p1) + np.sqrt(c21 * abar * p2)
-    eta2 = np.sqrt(abar * p2) + math.sqrt(c12 * p1)
+    eta1, eta2 = _eta_arrays(ch, alpha)
     r1 = _gamma(1.0 + eta1 ** 2 / (c21 * alpha * bbar * p2 + 1.0))
     base = _gamma(1.0 + alpha * bbar * p2)
     term_y1 = _gamma(

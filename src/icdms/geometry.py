@@ -17,6 +17,7 @@ floating-point accuracy rather than to grid resolution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -24,9 +25,9 @@ import numpy as np
 
 from .gaussian import (
     ChannelParams,
+    _eta_arrays,
     _region_g_arrays,
     _region_g_suc_values,
-    dpc_lambda_star,
     eta_coefficients,
     PentagonRegion,
 )
@@ -62,6 +63,11 @@ MAX_R1_SAMPLES = 10**6
 #: the dirty-paper optimum sits at s*eta2/(s+1) < eta2, and the rate terms
 #: decay beyond it.
 LAMBDA_SPAN = 3.0
+
+#: Most (beta, lambda1, lambda2) tuples one batched pentagon evaluation of
+#: the four-parameter sweep holds, which bounds its memory whatever the grid
+#: counts are (the default grid needs 41 * 42 * 42 = 72,324 per alpha).
+PAIR_TILE = 1 << 17
 
 REGION_FAMILIES = ("g", "g_suc", "g_sp1", "g_sp2")
 
@@ -308,6 +314,11 @@ def union_frontier(
     return acc.frontier(step, label)
 
 
+def _tiles(n: int, size: int) -> list[slice]:
+    """Consecutive slices of at most ``size`` covering range(n)."""
+    return [slice(i, min(i + size, n)) for i in range(0, n, size)]
+
+
 def _sweep_binned_pair(
     ch: ChannelParams, grid: SweepGrid, acc: _UnionAccumulator
 ) -> None:
@@ -316,40 +327,49 @@ def _sweep_binned_pair(
     The bin-coefficient grids are built in the unit-variance-W scale,
     spanning [0, LAMBDA_SPAN * eta2(alpha)] and always containing the exact
     dirty-paper optimum of each stream, then converted to the stored
-    E{W^2}=p1 scale.  The two boundary faces are added at ``edge_alpha``
-    resolution (see module docstring).
+    E{W^2}=p1 scale (with p1 == 0 there is nothing to bin: lambda = 0).
+    Each alpha is one batched :func:`_region_g_arrays` call over every
+    (beta, lambda1, lambda2) combination, split into tiles of at most
+    ``PAIR_TILE`` tuples so that memory does not grow with the grid
+    counts.  A lambda value may repeat (a grid point equal to the
+    optimum); the union is idempotent, so that costs a duplicate pentagon
+    and changes nothing.  The two boundary faces are added at
+    ``edge_alpha`` resolution (see module docstring), one call per face.
     """
-    p1, p2 = ch.p1, ch.p2
-    rp1 = math.sqrt(p1)
+    p2 = ch.p2
+    rp1 = math.sqrt(ch.p1)
+    betas = grid.beta.points()
 
-    def to_stored(lam_unit: np.ndarray) -> np.ndarray:
+    def stored(axis: AxisGrid, lam_hi: float, s, eta2: float) -> np.ndarray:
+        """(beta, lambda) grid: the axis points plus each beta's optimum."""
         if rp1 == 0.0:
-            return np.zeros(1)
-        return np.unique(lam_unit / rp1)
+            return np.zeros((s.size, 1))
+        points = np.broadcast_to(axis.points(lam_hi), (s.size, axis.count))
+        optimum = (s * eta2 / (s + 1.0))[:, None]
+        return np.concatenate([points, optimum], axis=1) / rp1
 
     for alpha in grid.alpha.points():
-        _, eta2 = eta_coefficients(ch, float(alpha))
-        lam_hi = LAMBDA_SPAN * eta2
-        for beta in grid.beta.points():
-            s_u = alpha * beta * p2
-            s_v = alpha * (1.0 - beta) * p2
-            lam1_unit = np.append(grid.lambda1.points(lam_hi), s_u * eta2 / (s_u + 1.0))
-            lam2_unit = np.append(grid.lambda2.points(lam_hi), s_v * eta2 / (s_v + 1.0))
-            lam1 = to_stored(np.unique(lam1_unit))
-            lam2 = to_stored(np.unique(lam2_unit))
-            mesh1, mesh2 = np.meshgrid(lam1, lam2, indexing="ij")
-            acc.add(
-                *_region_g_arrays(
-                    ch, float(alpha), float(beta), mesh1.ravel(), mesh2.ravel()
-                )
-            )
-
-    for alpha in grid.edge_alpha.points():
         alpha = float(alpha)
-        lam2_unit, _ = dpc_lambda_star(ch, alpha, 0.0)
-        lam2 = lam2_unit / rp1 if rp1 > 0.0 else 0.0
-        acc.add(*_region_g_arrays(ch, alpha, 0.0, np.array([0.0]), np.array([lam2])))
-        acc.add(*_region_g_arrays(ch, alpha, 1.0, np.array([0.0]), np.array([0.0])))
+        _, eta2 = eta_coefficients(ch, alpha)
+        lam_hi = LAMBDA_SPAN * eta2
+        lam1 = stored(grid.lambda1, lam_hi, alpha * betas * p2, eta2)
+        lam2 = stored(grid.lambda2, lam_hi, alpha * (1.0 - betas) * p2, eta2)
+        n2 = min(lam2.shape[1], PAIR_TILE)
+        n1 = min(lam1.shape[1], max(1, PAIR_TILE // n2))
+        nb = max(1, PAIR_TILE // (n1 * n2))
+        for b, j, k in itertools.product(
+            _tiles(betas.size, nb), _tiles(lam1.shape[1], n1), _tiles(lam2.shape[1], n2)
+        ):
+            beta = betas[b, None, None]
+            acc.add(*_region_g_arrays(ch, alpha, beta, lam1[b, j, None], lam2[b, None, k]))
+
+    alphas = grid.edge_alpha.points()
+    s_v = alphas * p2  # beta = 0: the V stream has all of alpha * p2
+    _, eta2 = _eta_arrays(ch, alphas)
+    lam2 = s_v * eta2 / (s_v + 1.0) / rp1 if rp1 > 0.0 else np.zeros_like(alphas)
+    for t in _tiles(alphas.size, PAIR_TILE):
+        acc.add(*_region_g_arrays(ch, alphas[t], 0.0, 0.0, lam2[t]))
+        acc.add(*_region_g_arrays(ch, alphas[t], 1.0, 0.0, 0.0))
 
 
 def sweep_gaussian(

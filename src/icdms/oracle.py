@@ -34,6 +34,13 @@ LOG2E = math.log2(math.e)
 #: Fewest samples :func:`mc_gaussian_entropy` accepts.
 MIN_MC_SAMPLES = 1000
 
+#: Most samples :func:`mc_gaussian_entropy` accepts: the draw holds
+#: ``n * k`` floats, so an unbounded ``n`` is an unbounded allocation.
+MAX_MC_SAMPLES = 10**7
+
+#: Most grid points :func:`grid_maximize` accepts, for the same reason.
+MAX_GRID_STEPS = 10**7
+
 
 class NotPositiveDefiniteError(ValueError):
     """Covariance matrix is not symmetric positive definite."""
@@ -69,6 +76,8 @@ def mc_gaussian_entropy(cov, n: int, seed: int) -> McEstimate:
         raise NotPositiveDefiniteError("covariance must be symmetric")
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
+    if n > MAX_MC_SAMPLES:
+        raise ValueError(f"need at most {MAX_MC_SAMPLES} samples")
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -99,8 +108,8 @@ def grid_maximize(objective, lo: float, hi: float, steps: int) -> tuple[float, f
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if steps < 2:
-        raise ValueError("need at least 2 grid points")
+    if not 2 <= steps <= MAX_GRID_STEPS:
+        raise ValueError(f"need 2 to {MAX_GRID_STEPS} grid points")
     xs = np.linspace(lo, hi, steps)
     try:
         values = np.asarray(objective(xs), dtype=float)

@@ -1,0 +1,171 @@
+"""Test-only oracle: the four-parameter ``g`` sweep as a Python loop.
+
+This is the form the sweep had before it was batched: one pentagon call
+per (alpha, beta), each on the ``meshgrid`` of the deduplicated
+(``np.unique``) bin-coefficient grids, with the zero-power streams handled
+by scalar ``active_u`` / ``active_v`` branches.  The batched
+``_region_g_arrays`` and ``sweep_gaussian(..., "g")`` must match it bit for
+bit.
+"""
+
+import math
+
+import numpy as np
+
+from icdms.gaussian import (
+    FEAS_TOL,
+    ChannelParams,
+    _gamma,
+    dpc_lambda_star,
+    eta_coefficients,
+)
+from icdms.geometry import LAMBDA_SPAN, Frontier, SweepGrid, _UnionAccumulator
+
+
+def loop_region_g_arrays(
+    ch: ChannelParams,
+    alpha: float,
+    beta: float,
+    lam1: np.ndarray,
+    lam2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pentagon bounds for equal-length (lambda1, lambda2) at one (alpha, beta).
+
+    Returns ``(r1_max, r2_max, sum_max, feasible)``, zero bounds where
+    infeasible.
+    """
+    p1, p2, c12, c21 = ch.p1, ch.p2, ch.c12, ch.c21
+    lam1 = np.asarray(lam1, dtype=float)
+    lam2 = np.asarray(lam2, dtype=float)
+    s_u = alpha * beta * p2
+    s_v = alpha * (1.0 - beta) * p2
+    eta1, eta2 = eta_coefficients(ch, alpha)
+    rp1 = math.sqrt(p1)
+    l1 = lam1 * rp1
+    l2 = lam2 * rp1
+
+    divergent = np.zeros(np.broadcast(lam1, lam2).shape, dtype=bool)
+    if s_u == 0.0:
+        divergent |= lam1 > 0.0
+        l1 = np.zeros_like(l1)
+    if s_v == 0.0:
+        divergent |= lam2 > 0.0
+        l2 = np.zeros_like(l2)
+
+    # Unit-W covariance entries. var(W) = 1 throughout.
+    uu = s_u + l1 * l1
+    vv = s_v + l2 * l2
+    uv = l1 * l2
+    rc21 = math.sqrt(c21)
+    uy1 = rc21 * s_u + l1 * eta1
+    uy2 = s_u + l1 * eta2
+    vy2 = s_v + l2 * eta2
+    y1y1 = eta1 * eta1 + c21 * (s_u + s_v) + 1.0
+    y2y2 = s_u + s_v + eta2 * eta2 + 1.0
+    det_wy1 = y1y1 - eta1 * eta1  # var(Y1 | W)
+
+    active_u = s_u > 0.0
+    active_v = s_v > 0.0
+
+    if active_u:
+        det_uy1 = uu * y1y1 - uy1 * uy1
+        # (W, U, Y1) with unit W in the first slot.
+        det_wuy1 = (
+            uu * y1y1
+            - uy1 * uy1
+            - l1 * (l1 * y1y1 - uy1 * eta1)
+            + eta1 * (l1 * uy1 - uu * eta1)
+        )
+        i1 = _gamma(det_uy1 / det_wuy1)
+        i5 = _gamma(s_u * y1y1 / det_wuy1)
+        i3 = _gamma(1.0 + l1 * l1 / s_u)
+    else:
+        i1 = np.full_like(l1, float(_gamma(y1y1 / det_wy1)))
+        i5 = i1.copy()
+        i3 = np.zeros_like(l1)
+
+    if active_v:
+        i4 = _gamma(1.0 + l2 * l2 / s_v)
+    else:
+        i4 = np.zeros_like(l2)
+
+    if active_u and active_v:
+        det_uv = uu * vv - uv * uv
+        det_uy2 = uu * y2y2 - uy2 * uy2
+        det_vy2 = vv * y2y2 - vy2 * vy2
+        det_uvy2 = (
+            uu * (vv * y2y2 - vy2 * vy2)
+            - uv * (uv * y2y2 - vy2 * uy2)
+            + uy2 * (uv * vy2 - vv * uy2)
+        )
+        i2 = _gamma(det_uv * y2y2 / det_uvy2)
+        i6 = _gamma(vv * det_uy2 / det_uvy2)
+        i7 = _gamma(uu * det_vy2 / det_uvy2)
+    elif active_u:
+        det_uy2 = uu * y2y2 - uy2 * uy2
+        i2 = _gamma(uu * y2y2 / det_uy2)
+        i6 = np.zeros_like(l1)
+        i7 = i2.copy()
+    elif active_v:
+        det_vy2 = vv * y2y2 - vy2 * vy2
+        i2 = _gamma(vv * y2y2 / det_vy2)
+        i6 = i2.copy()
+        i7 = np.zeros_like(l2)
+    else:
+        i2 = np.zeros_like(l1 + l2)
+        i6 = np.zeros_like(i2)
+        i7 = np.zeros_like(i2)
+
+    r2 = i2 - i3 - i4
+    r_sum = i5 + i6 - i3 - i4
+    feasible = (
+        ~divergent
+        & np.isfinite(i1)
+        & np.isfinite(r2)
+        & np.isfinite(r_sum)
+        & (i5 - i3 >= -FEAS_TOL)
+        & (i7 - i3 >= -FEAS_TOL)
+        & (i6 - i4 >= -FEAS_TOL)
+        & (r2 >= -FEAS_TOL)
+    )
+    r1_max = np.where(feasible, np.maximum(i1, 0.0), 0.0)
+    r2_max = np.where(feasible, np.maximum(r2, 0.0), 0.0)
+    sum_max = np.where(feasible, np.maximum(r_sum, 0.0), 0.0)
+    return r1_max, r2_max, sum_max, feasible
+
+
+def loop_sweep_g(ch: ChannelParams, grid: SweepGrid, r1_step: float) -> Frontier:
+    """Frontier of the four-parameter family, one call per (alpha, beta)."""
+    acc = _UnionAccumulator()
+    p1, p2 = ch.p1, ch.p2
+    rp1 = math.sqrt(p1)
+
+    def to_stored(lam_unit: np.ndarray) -> np.ndarray:
+        if rp1 == 0.0:
+            return np.zeros(1)
+        return np.unique(lam_unit / rp1)
+
+    for alpha in grid.alpha.points():
+        _, eta2 = eta_coefficients(ch, float(alpha))
+        lam_hi = LAMBDA_SPAN * eta2
+        for beta in grid.beta.points():
+            s_u = alpha * beta * p2
+            s_v = alpha * (1.0 - beta) * p2
+            lam1_unit = np.append(grid.lambda1.points(lam_hi), s_u * eta2 / (s_u + 1.0))
+            lam2_unit = np.append(grid.lambda2.points(lam_hi), s_v * eta2 / (s_v + 1.0))
+            lam1 = to_stored(np.unique(lam1_unit))
+            lam2 = to_stored(np.unique(lam2_unit))
+            mesh1, mesh2 = np.meshgrid(lam1, lam2, indexing="ij")
+            acc.add(
+                *loop_region_g_arrays(
+                    ch, float(alpha), float(beta), mesh1.ravel(), mesh2.ravel()
+                )
+            )
+
+    for alpha in grid.edge_alpha.points():
+        alpha = float(alpha)
+        lam2_unit, _ = dpc_lambda_star(ch, alpha, 0.0)
+        lam2 = lam2_unit / rp1 if rp1 > 0.0 else 0.0
+        acc.add(*loop_region_g_arrays(ch, alpha, 0.0, np.array([0.0]), np.array([lam2])))
+        acc.add(*loop_region_g_arrays(ch, alpha, 1.0, np.array([0.0]), np.array([0.0])))
+    return acc.frontier(r1_step, "g")

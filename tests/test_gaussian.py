@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from g_loop_oracle import loop_region_g_arrays
+from hypothesis import assume, given, settings, strategies as st
 
 from icdms import (
     XI,
@@ -19,13 +21,14 @@ from icdms import (
     dpc_gain_objective,
     dpc_lambda_star,
     entropy_terms,
+    eta_coefficients,
     mi_terms,
     region_g,
     region_g_sp1,
     region_g_sp2,
     region_g_suc,
 )
-from icdms.gaussian import _region_g_arrays
+from icdms.gaussian import ENTROPY_BLOCKS, FEAS_TOL, _region_g_arrays
 from icdms.oracle import grid_maximize, mc_gaussian_entropy
 
 CH_LOW = ChannelParams(p1=6.0, p2=6.0, c12=0.3, c21=0.3)
@@ -330,6 +333,125 @@ def test_region_g_batch_matches_scalar():
         assert scalar.r1_max == pytest.approx(r1[k], abs=1e-14)
         assert scalar.r2_max == pytest.approx(r2[k], abs=1e-14)
         assert scalar.sum_max == pytest.approx(rsum[k], abs=1e-14)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+_power = st.just(0.0) | st.floats(0.01, 100.0)
+_split = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def g_tuples(draw):
+    """A channel, alphas, betas and per-(alpha, beta) stored-scale lambda grids.
+
+    Zero powers, alpha = 0 and beta in {0, 1} come up often; every lambda
+    grid holds 0, drawn points up to 3 * eta2 and the dirty-paper optimum of
+    its stream (unit-W scale, divided by sqrt(p1) unless p1 = 0).
+    """
+    ch = ChannelParams(
+        draw(_power), draw(_power), draw(st.floats(0.0, 8.0)), draw(st.floats(0.0, 8.0))
+    )
+    alphas = draw(st.lists(_split, min_size=1, max_size=3))
+    betas = np.array(draw(st.lists(_split, min_size=1, max_size=3)))
+    fractions = st.lists(st.floats(0.0, 3.0), min_size=0, max_size=3)
+    f1, f2 = draw(fractions), draw(fractions)
+    rp1 = math.sqrt(ch.p1)
+    grids = []
+    for alpha in alphas:
+        _, eta2 = eta_coefficients(ch, alpha)
+        lams = []
+        for s, f in ((alpha * betas * ch.p2, f1), (alpha * (1.0 - betas) * ch.p2, f2)):
+            unit = np.column_stack(
+                [np.zeros_like(s), s * eta2 / (s + 1.0)]
+                + [np.full_like(s, x * eta2) for x in f]
+            )
+            lams.append(unit / rp1 if rp1 > 0.0 else unit)
+        grids.append((alpha, lams[0], lams[1]))
+    return ch, betas, grids
+
+
+@settings(max_examples=300, deadline=None)
+@given(g_tuples())
+def test_region_g_arrays_match_loop_oracle_bitwise(case):
+    # Batched over (beta, lambda1, lambda2) and element by element, the
+    # pentagon bounds are the ones of the pre-batching per-(alpha, beta)
+    # loop, bit for bit.
+    ch, betas, grids = case
+    flat = [[], [], [], []]
+    expected = [[], [], [], []]
+    for alpha, lam1, lam2 in grids:
+        got = _region_g_arrays(
+            ch, alpha, betas[:, None, None], lam1[:, :, None], lam2[:, None, :]
+        )
+        for b, beta in enumerate(betas):
+            mesh1, mesh2 = np.meshgrid(lam1[b], lam2[b], indexing="ij")
+            with np.errstate(all="ignore"):
+                want = loop_region_g_arrays(
+                    ch, float(alpha), float(beta), mesh1.ravel(), mesh2.ravel()
+                )
+            for out, ref, acc in zip(got, want, expected):
+                np.testing.assert_array_equal(_bits(out[b].ravel()), _bits(ref))
+                acc.append(ref)
+            for acc, x in zip(flat, (alpha, beta, mesh1.ravel(), mesh2.ravel())):
+                acc.append(np.broadcast_to(x, mesh1.size))
+    got = _region_g_arrays(ch, *(np.concatenate(x) for x in flat))
+    for out, ref in zip(got, expected):
+        np.testing.assert_array_equal(_bits(out), _bits(np.concatenate(ref)))
+
+
+def _rounding_scale(ch, cp):
+    """Largest diagonal-product / determinant over the covariance blocks."""
+    matrices = build_covariances(ch, cp)
+    return max(
+        float(np.prod(np.diag(sub)) / np.linalg.det(sub))
+        for which, rows in ENTROPY_BLOCKS.values()
+        if len(rows) > 1
+        for sub in [matrices[which][np.ix_(rows, rows)]]
+    )
+
+
+_log_power = st.floats(-1.0, 8.0).map(lambda e: 10.0**e)
+_interior = st.floats(0.05, 0.95)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _log_power, _log_power, st.floats(0.0, 8.0), st.floats(0.0, 8.0),
+    _interior, _interior, st.floats(0.0, 3.0), st.floats(0.0, 3.0),
+)
+def test_region_g_arrays_match_entropy_route(p1, p2, c12, c21, alpha, beta, f1, f2):
+    # Interior draws up to p = 1e8: the batched bounds agree with the
+    # mi_terms / entropy_terms route to 1e-9 relative (below 1 bit, 1e-9
+    # bits).  Both routes round determinants of the covariance blocks, so
+    # where a block is ill-conditioned (diagonal product / det = kappa
+    # above about 1e7) the tolerance is the rounding scale 64 eps kappa.
+    ch = ChannelParams(p1, p2, c12, c21)
+    _, eta2 = eta_coefficients(ch, alpha)
+    cp = GaussianCoding(
+        alpha, beta, f1 * eta2 / math.sqrt(p1), f2 * eta2 / math.sqrt(p1)
+    )
+    try:
+        mi = mi_terms(ch, cp)
+    except DegenerateError:
+        assume(False)
+    tol = max(1e-9, 64 * np.finfo(float).eps * _rounding_scale(ch, cp))
+    residuals = (
+        mi.i5 - mi.i3, mi.i7 - mi.i3, mi.i6 - mi.i4, mi.i2 - mi.i3 - mi.i4
+    )
+    feasible = all(r >= -FEAS_TOL for r in residuals)
+    r1, r2, rsum, ok = _region_g_arrays(ch, alpha, beta, cp.lambda1, cp.lambda2)
+    if all(abs(r + FEAS_TOL) > tol * max(abs(r), 1.0) for r in residuals):
+        assert bool(ok) == feasible
+    if ok and feasible:
+        for got, want in (
+            (r1, max(mi.i1, 0.0)),
+            (r2, max(mi.i2 - mi.i3 - mi.i4, 0.0)),
+            (rsum, max(mi.i5 + mi.i6 - mi.i3 - mi.i4, 0.0)),
+        ):
+            assert abs(float(got) - want) <= tol * max(abs(want), 1.0)
 
 
 def test_region_g_suc_low_interference_corner():

@@ -18,7 +18,7 @@ from icdms import (
     mc_gaussian_entropy,
     random_star,
 )
-from icdms.oracle import AxisError
+from icdms.oracle import MAX_GRID_STEPS, MAX_MC_SAMPLES, AxisError
 
 
 def test_mc_entropy_unit_gaussian():
@@ -66,6 +66,8 @@ def test_mc_entropy_rejects_bad_inputs():
         mc_gaussian_entropy(np.array([[1.0, 0.5], [0.4, 1.0]]), 10_000, seed=0)
     with pytest.raises(ValueError):
         mc_gaussian_entropy(np.eye(2), 10, seed=0)
+    with pytest.raises(ValueError):  # raised before any sample is drawn
+        mc_gaussian_entropy(np.eye(2), MAX_MC_SAMPLES + 1, seed=0)
 
 
 def test_grid_maximize_parabola():
@@ -91,6 +93,8 @@ def test_grid_maximize_errors():
         grid_maximize(lambda x: x, 1.0, 0.0, 11)
     with pytest.raises(ValueError):
         grid_maximize(lambda x: x, 0.0, 1.0, 1)
+    with pytest.raises(ValueError):  # raised before the grid is built
+        grid_maximize(lambda x: x, 0.0, 1.0, MAX_GRID_STEPS + 1)
 
 
 def test_brute_mi_correlated_bits():
