@@ -207,11 +207,11 @@ _DPC = ["dpc-lambda", "--p1", "6", "--p2", "6", "--alpha", "1", "--beta", "0"]
         (_DPC + ["--p1", "-1"], "--p1"),
         (_DPC + ["--c21", "inf"], "--c21"),
         (_DPC + ["--check", "1"], "--check"),
-        (_DPC + ["--check", str(10**7 + 1)], "--check"),
         (["oracle-check", "--samples", "1"], "--samples"),
-        (["oracle-check", "--samples", str(10**7 + 1)], "--samples"),
         (["oracle-check", "--draws", "0"], "--draws"),
         (["oracle-check", "--seed", "-1"], "--seed"),
+        (_DPC + ["--check", str(10**7 + 1)], "--check"),
+        (["oracle-check", "--samples", str(10**7 + 1)], "--samples"),
     ],
 )
 def test_bad_numeric_argument_exits_2_naming_it(argv, flag, capsys):
