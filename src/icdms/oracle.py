@@ -14,6 +14,7 @@ estimate is bit-reproducible from its seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +67,20 @@ def mc_gaussian_entropy(cov, n: int, seed: int) -> McEstimate:
     Draws ``n`` samples and averages ``-log2 density``; the sample mean is
     an unbiased estimator of the entropy and the reported standard error is
     the sample standard deviation over ``sqrt(n)``.  The density is
-    evaluated through a Cholesky factor and ``slogdet`` rather than any
-    closed-form entropy expression.
+    evaluated by forward substitution on a Cholesky factor and ``slogdet``
+    rather than any closed-form entropy expression.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise NotPositiveDefiniteError("covariance must be a square matrix")
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] == 0:
+        raise NotPositiveDefiniteError("covariance must be a non-empty square matrix")
+    if not np.all(np.isfinite(cov)):
+        raise NotPositiveDefiniteError("covariance entries must be finite")
     if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
         raise NotPositiveDefiniteError("covariance must be symmetric")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
     if n > MAX_MC_SAMPLES:
@@ -90,13 +97,24 @@ def mc_gaussian_entropy(cov, n: int, seed: int) -> McEstimate:
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, k))
-    x = z @ chol.T
-    # quad = x^T cov^{-1} x, through the Cholesky factor: L y = x per sample.
-    y = np.linalg.solve(chol, x.T)
-    quad = np.sum(y * y, axis=0)
-    neglog2 = 0.5 * (k * math.log2(2.0 * math.pi) + logdet * LOG2E) + 0.5 * quad * LOG2E
-    value = float(np.mean(neglog2))
-    stderr = float(np.std(neglog2, ddof=1) / math.sqrt(n))
+    # x = z L^T, held as its transpose L z^T so that each coordinate is a
+    # contiguous row; the draw is released once x exists.
+    x = chol @ z.T
+    del z
+    # quad = x^T cov^{-1} x = |y|^2 with L y = x, by forward substitution in
+    # place: row i of x becomes y_i = (x_i - sum_{j<i} L_ij y_j) / L_ii.
+    quad = np.zeros(n)
+    for i in range(k):
+        y = x[i]
+        for j in range(i):
+            y -= chol[i, j] * x[j]
+        y /= chol[i, i]
+        quad += y * y
+    # quad becomes -log2 density in place.
+    quad *= 0.5 * LOG2E
+    quad += 0.5 * (k * math.log2(2.0 * math.pi) + logdet * LOG2E)
+    value = float(np.mean(quad))
+    stderr = float(np.std(quad, ddof=1) / math.sqrt(n))
     return McEstimate(value, stderr, n, seed)
 
 
@@ -106,8 +124,8 @@ def grid_maximize(objective, lo: float, hi: float, steps: int) -> tuple[float, f
     Deterministic: ties resolve to the smallest argument.  The objective
     may be vectorized (called once on the whole grid) or scalar.
     """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("need finite lo < hi")
     if not 2 <= steps <= MAX_GRID_STEPS:
         raise ValueError(f"need 2 to {MAX_GRID_STEPS} grid points")
     xs = np.linspace(lo, hi, steps)

@@ -1,9 +1,13 @@
 """Tests for the Monte Carlo, grid-search, and brute-force oracles."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from mc_solve_oracle import solve_gaussian_entropy
 
 from icdms import (
     XI,
@@ -68,6 +72,58 @@ def test_mc_entropy_rejects_bad_inputs():
         mc_gaussian_entropy(np.eye(2), 10, seed=0)
     with pytest.raises(ValueError):  # raised before any sample is drawn
         mc_gaussian_entropy(np.eye(2), MAX_MC_SAMPLES + 1, seed=0)
+    with pytest.raises(NotPositiveDefiniteError, match="finite"):
+        mc_gaussian_entropy(np.array([[1.0, 0.0], [0.0, np.inf]]), 10_000, seed=0)
+    with pytest.raises(NotPositiveDefiniteError, match="finite"):
+        mc_gaussian_entropy(np.array([[1.0, np.nan], [np.nan, 1.0]]), 10_000, seed=0)
+    with pytest.raises(NotPositiveDefiniteError):  # no entropy, no std error
+        mc_gaussian_entropy(np.zeros((0, 0)), 10_000, seed=0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        mc_gaussian_entropy(np.eye(2), 1000.0, seed=0)
+
+
+@st.composite
+def spd_covariances(draw):
+    """D C D with C = L L^T for a unit lower-triangular L: SPD, with
+    diagonal scales 1e-4..1e4 and kappa = prod(diag) / det up to ~190."""
+    k = draw(st.integers(1, 3))
+    lower = np.eye(k)
+    for i in range(k):
+        for j in range(i):
+            lower[i, j] = draw(st.floats(-3.0, 3.0))
+    d = 10.0 ** np.array([draw(st.floats(-4.0, 4.0)) for _ in range(k)])
+    cov = d[:, None] * (lower @ lower.T) * d[None, :]
+    return 0.5 * (cov + cov.T)  # exactly symmetric
+
+
+@settings(max_examples=200, deadline=None)
+@given(spd_covariances(), st.integers(1000, 20_000), st.integers(0, 2**32 - 1))
+def test_mc_entropy_matches_solve_oracle(cov, n, seed):
+    # Forward substitution and the general solve round differently, so the
+    # two estimates agree to the rounding scale 64 eps kappa, relative to
+    # max(|value|, 1) because the entropy crosses zero.
+    got = mc_gaussian_entropy(cov, n, seed)
+    want = solve_gaussian_entropy(cov, n, seed)
+    kappa = float(np.prod(np.diag(cov)) / np.linalg.det(cov))
+    tol = 64 * np.finfo(float).eps * max(1.0, kappa)
+    assert (got.sample_count, got.seed) == (want.sample_count, want.seed)
+    for a, b in (
+        (got.value_bits, want.value_bits),
+        (got.std_error_bits, want.std_error_bits),
+    ):
+        assert abs(a - b) <= tol * max(abs(b), 1.0)
+    assert mc_gaussian_entropy(cov, n, seed) == got
+
+
+def test_mc_entropy_memory_peak():
+    cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 3.0]])
+    tracemalloc.start()
+    try:
+        mc_gaussian_entropy(cov, 10**6, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20  # the draw alone is 22.9 MiB
 
 
 def test_grid_maximize_parabola():
@@ -95,6 +151,11 @@ def test_grid_maximize_errors():
         grid_maximize(lambda x: x, 0.0, 1.0, 1)
     with pytest.raises(ValueError):  # raised before the grid is built
         grid_maximize(lambda x: x, 0.0, 1.0, MAX_GRID_STEPS + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing reaches linspace
+        for lo, hi in ((0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(ValueError, match="need finite lo < hi"):
+                grid_maximize(lambda x: x, lo, hi, 11)
 
 
 def test_brute_mi_correlated_bits():
