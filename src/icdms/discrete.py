@@ -22,7 +22,7 @@ and summing; no optimization over distributions is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -57,6 +57,38 @@ STAR = "star"
 
 FULL_AXES = ("q", "w", "x1", "u", "ut", "v", "vt", "x2", "y1", "y2")
 STAR_AXES = ("q", "w", "x1", "u", "v", "vt", "x2", "y1", "y2")
+_AXES = {FULL: FULL_AXES, STAR: STAR_AXES}
+
+
+#: Each family's factorization: (dataclass field, key in the JSON document
+#: form, einsum subscripts with one letter per axis (see ``_AXIS_OF``),
+#: number of leading conditioning axes).  Validation, random draws and the
+#: einsum of :func:`assemble_joint` all take the factors in this order.
+_FACTORS = {
+    FULL: (
+        ("p_q", "q", "q", 0),
+        ("p_wx1", "w_x1", "qwa", 1),
+        ("p_uut", "u_ut", "qwut", 2),
+        ("p_vvt", "v_vt", "qwvs", 2),
+        ("p_x2", "x2", "qwtsx", 4),
+        ("channel", "channel", "axyz", 2),
+    ),
+    STAR: (
+        ("p_q", "q", "q", 0),
+        ("p_wx1", "w_x1", "qwa", 1),
+        ("p_u", "u", "qu", 1),
+        ("p_vvt", "v_vt", "qwvs", 2),
+        ("p_x2", "x2", "qwusx", 4),
+        ("channel", "channel", "axyz", 2),
+    ),
+}
+
+#: Axis name of each einsum subscript letter.
+_AXIS_OF = {
+    "q": "q", "w": "w", "a": "x1", "u": "u", "t": "ut",
+    "v": "v", "s": "vt", "x": "x2", "y": "y1", "z": "y2",
+}
+_LETTER_OF = {axis: letter for letter, axis in _AXIS_OF.items()}
 
 #: Default cap on the number of cells of the materialized joint table.
 CELL_CAP = 10_000_000
@@ -118,8 +150,7 @@ class AlphabetSpec:
         return getattr(self, axis)
 
     def cells(self, family: str) -> int:
-        axes = FULL_AXES if family == FULL else STAR_AXES
-        return math.prod(self.size(a) for a in axes)
+        return math.prod(self.size(a) for a in _AXES[family])
 
 
 def _check_conditional(name: str, table: np.ndarray, cond_ndim: int) -> None:
@@ -141,19 +172,12 @@ def _check_conditional(name: str, table: np.ndarray, cond_ndim: int) -> None:
 class FactoredDistribution:
     """Factor tables of one distribution from the FULL or STAR family.
 
-    Axis orders (conditioning axes first):
-
-    ==========  ======================  =========================
-    factor      FULL shape              STAR shape
-    ==========  ======================  =========================
-    p_q         (q,)                    (q,)
-    p_wx1       (q, w, x1)              (q, w, x1)
-    p_uut       (q, w, u, ut)           --
-    p_u         --                      (q, u)
-    p_vvt       (q, w, v, vt)           (q, w, v, vt)
-    p_x2        (q, w, ut, vt, x2)      (q, w, u, vt, x2)
-    channel     (x1, x2, y1, y2)        (x1, x2, y1, y2)
-    ==========  ======================  =========================
+    The family's row of ``_FACTORS`` gives each factor's axes, conditioning
+    axes first, as einsum letters (``a`` = x1, ``t`` = ut, ``s`` = vt,
+    ``x`` = x2, ``y`` = y1, ``z`` = y2): FULL's ``p_x2``, for example, is
+    (q, w, ut, vt, x2).  Construction checks each factor's rank, that
+    factors sharing an axis agree on its size, and that every conditional
+    slice sums to one.
     """
 
     family: str
@@ -168,48 +192,44 @@ class FactoredDistribution:
     def __post_init__(self):
         if self.family not in (FULL, STAR):
             raise ValueError(f"unknown family {self.family!r}")
-        for name in ("p_q", "p_wx1", "p_vvt", "p_x2", "channel", "p_uut", "p_u"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, np.asarray(value, dtype=float))
-        if self.family == FULL and (self.p_uut is None or self.p_u is not None):
-            raise ValueError("FULL family needs p_uut and no p_u")
-        if self.family == STAR and (self.p_u is None or self.p_uut is not None):
-            raise ValueError("STAR family needs p_u and no p_uut")
-        self.validate()
-
-    def validate(self) -> None:
-        _check_conditional("p_q", self.p_q, 0)
-        _check_conditional("p_wx1", self.p_wx1, 1)
-        if self.family == FULL:
-            _check_conditional("p_uut", self.p_uut, 2)
-        else:
-            _check_conditional("p_u", self.p_u, 1)
-        _check_conditional("p_vvt", self.p_vvt, 2)
-        _check_conditional("p_x2", self.p_x2, 4)
-        _check_conditional("channel", self.channel, 2)
+        factors = _FACTORS[self.family]
+        used = [row[0] for row in factors]
+        given = [f.name for f in fields(self)[1:] if getattr(self, f.name) is not None]
+        if sorted(given) != sorted(used):
+            raise ValueError(f"{self.family.upper()} family needs exactly {', '.join(used)}")
+        first: dict[str, tuple[str, int]] = {}
+        for field_name, key, subscripts, cond_ndim in factors:
+            name = f"factor {field_name!r} (file key {key!r})"
+            try:
+                table = np.asarray(getattr(self, field_name), dtype=float)
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be an array of numbers") from None
+            object.__setattr__(self, field_name, table)
+            axes = [_AXIS_OF[c] for c in subscripts]
+            if table.ndim != len(axes):
+                raise ValueError(
+                    f"{name} must have rank {len(axes)} (axes {', '.join(axes)}), "
+                    f"got rank {table.ndim}"
+                )
+            for axis, size in zip(axes, table.shape):
+                owner, expected = first.setdefault(axis, (field_name, size))
+                if size != expected:
+                    raise ValueError(
+                        f"{name}: axis {axis!r} has {size} entries, but "
+                        f"{owner!r} gives it {expected}"
+                    )
+            _check_conditional(field_name, table, cond_ndim)
 
     @property
     def axes(self) -> tuple[str, ...]:
-        return FULL_AXES if self.family == FULL else STAR_AXES
+        return _AXES[self.family]
 
     def sizes(self) -> dict[str, int]:
-        out = {
-            "q": self.p_q.shape[0],
-            "w": self.p_wx1.shape[1],
-            "x1": self.p_wx1.shape[2],
-            "v": self.p_vvt.shape[2],
-            "vt": self.p_vvt.shape[3],
-            "x2": self.p_x2.shape[4],
-            "y1": self.channel.shape[2],
-            "y2": self.channel.shape[3],
+        return {
+            _AXIS_OF[c]: n
+            for name, _, subscripts, _ in _FACTORS[self.family]
+            for c, n in zip(subscripts, getattr(self, name).shape)
         }
-        if self.family == FULL:
-            out["u"] = self.p_uut.shape[2]
-            out["ut"] = self.p_uut.shape[3]
-        else:
-            out["u"] = self.p_u.shape[1]
-        return out
 
 
 @dataclass(frozen=True)
@@ -250,29 +270,13 @@ def assemble_joint(fd: FactoredDistribution, cell_cap: int = CELL_CAP) -> JointP
         raise CapExceededError(
             f"joint table needs {n_cells} cells, cap is {cell_cap}"
         )
-    if fd.family == FULL:
-        table = np.einsum(
-            "q,qwa,qwut,qwvs,qwtsx,axyz->qwautvsxyz",
-            fd.p_q,
-            fd.p_wx1,
-            fd.p_uut,
-            fd.p_vvt,
-            fd.p_x2,
-            fd.channel,
-            optimize=True,
-        )
-        return JointPmf(table, FULL_AXES)
+    factors = _FACTORS[fd.family]
+    inputs = ",".join(row[2] for row in factors)
+    output = "".join(_LETTER_OF[a] for a in fd.axes)
     table = np.einsum(
-        "q,qwa,qu,qwvs,qwusx,axyz->qwauvsxyz",
-        fd.p_q,
-        fd.p_wx1,
-        fd.p_u,
-        fd.p_vvt,
-        fd.p_x2,
-        fd.channel,
-        optimize=True,
+        f"{inputs}->{output}", *(getattr(fd, row[0]) for row in factors), optimize=True
     )
-    return JointPmf(table, STAR_AXES)
+    return JointPmf(table, fd.axes)
 
 
 def conditional_mi(j: JointPmf, left, right, given=()) -> float:
@@ -412,28 +416,22 @@ def region_suc(fd: FactoredDistribution, paper_literal: bool = False) -> Discret
     return DiscreteRegion("suc", r1, r2, None, constraints, feasible)
 
 
-def _random_conditional(rng: np.random.Generator, shape: tuple[int, ...], cond_ndim: int) -> np.ndarray:
-    """Strictly positive random conditional table, normalized per slice."""
-    table = rng.random(shape) + 0.05
-    sums = table.sum(axis=tuple(range(cond_ndim, len(shape))), keepdims=True)
-    return table / sums
+def _random_distribution(
+    family: str, sizes: AlphabetSpec, rng: np.random.Generator
+) -> FactoredDistribution:
+    """Strictly positive random factors, each normalized per slice, drawn
+    in table order."""
+    tables = {}
+    for name, _, subscripts, cond_ndim in _FACTORS[family]:
+        table = rng.random(tuple(sizes.size(_AXIS_OF[c]) for c in subscripts)) + 0.05
+        sums = table.sum(axis=tuple(range(cond_ndim, table.ndim)), keepdims=True)
+        tables[name] = table / sums
+    return FactoredDistribution(family=family, **tables)
 
 
 def random_full(sizes: AlphabetSpec, rng: np.random.Generator) -> FactoredDistribution:
     """Random strictly positive FULL-family distribution (seeded by ``rng``)."""
-    return FactoredDistribution(
-        family=FULL,
-        p_q=_random_conditional(rng, (sizes.q,), 0),
-        p_wx1=_random_conditional(rng, (sizes.q, sizes.w, sizes.x1), 1),
-        p_uut=_random_conditional(rng, (sizes.q, sizes.w, sizes.u, sizes.ut), 2),
-        p_vvt=_random_conditional(rng, (sizes.q, sizes.w, sizes.v, sizes.vt), 2),
-        p_x2=_random_conditional(
-            rng, (sizes.q, sizes.w, sizes.ut, sizes.vt, sizes.x2), 4
-        ),
-        channel=_random_conditional(
-            rng, (sizes.x1, sizes.x2, sizes.y1, sizes.y2), 2
-        ),
-    )
+    return _random_distribution(FULL, sizes, rng)
 
 
 def random_star(sizes: AlphabetSpec, rng: np.random.Generator) -> FactoredDistribution:
@@ -442,25 +440,7 @@ def random_star(sizes: AlphabetSpec, rng: np.random.Generator) -> FactoredDistri
     Pinning ``sizes.u = 1`` (or ``sizes.v = sizes.vt = 1``) specializes the
     successive-decoding region to its two single-stream special cases.
     """
-    return FactoredDistribution(
-        family=STAR,
-        p_q=_random_conditional(rng, (sizes.q,), 0),
-        p_wx1=_random_conditional(rng, (sizes.q, sizes.w, sizes.x1), 1),
-        p_u=_random_conditional(rng, (sizes.q, sizes.u), 1),
-        p_vvt=_random_conditional(rng, (sizes.q, sizes.w, sizes.v, sizes.vt), 2),
-        p_x2=_random_conditional(
-            rng, (sizes.q, sizes.w, sizes.u, sizes.vt, sizes.x2), 4
-        ),
-        channel=_random_conditional(
-            rng, (sizes.x1, sizes.x2, sizes.y1, sizes.y2), 2
-        ),
-    )
-
-
-_FACTOR_KEYS = {
-    FULL: ("q", "w_x1", "u_ut", "v_vt", "x2", "channel"),
-    STAR: ("q", "w_x1", "u", "v_vt", "x2", "channel"),
-}
+    return _random_distribution(STAR, sizes, rng)
 
 
 def distribution_from_dict(doc: dict) -> FactoredDistribution:
@@ -479,36 +459,14 @@ def distribution_from_dict(doc: dict) -> FactoredDistribution:
     factors = doc.get("factors")
     if not isinstance(factors, dict):
         raise ValueError("missing 'factors' object")
-    missing = [k for k in _FACTOR_KEYS[family] if k not in factors]
+    missing = [key for _, key, _, _ in _FACTORS[family] if key not in factors]
     if missing:
         raise ValueError(f"missing factor tables: {', '.join(missing)}")
-
-    def arr(key: str) -> np.ndarray:
-        return np.asarray(factors[key], dtype=float)
-
-    common = dict(
-        p_q=arr("q"),
-        p_wx1=arr("w_x1"),
-        p_vvt=arr("v_vt"),
-        p_x2=arr("x2"),
-        channel=arr("channel"),
-    )
-    if family == FULL:
-        return FactoredDistribution(family=FULL, p_uut=arr("u_ut"), **common)
-    return FactoredDistribution(family=STAR, p_u=arr("u"), **common)
+    tables = {name: factors[key] for name, key, _, _ in _FACTORS[family]}
+    return FactoredDistribution(family=family, **tables)
 
 
 def distribution_to_dict(fd: FactoredDistribution) -> dict:
     """Inverse of :func:`distribution_from_dict`."""
-    factors = {
-        "q": fd.p_q.tolist(),
-        "w_x1": fd.p_wx1.tolist(),
-        "v_vt": fd.p_vvt.tolist(),
-        "x2": fd.p_x2.tolist(),
-        "channel": fd.channel.tolist(),
-    }
-    if fd.family == FULL:
-        factors["u_ut"] = fd.p_uut.tolist()
-    else:
-        factors["u"] = fd.p_u.tolist()
+    factors = {key: getattr(fd, name).tolist() for name, key, _, _ in _FACTORS[fd.family]}
     return {"family": fd.family, "factors": factors}

@@ -61,6 +61,14 @@ class McEstimate:
     seed: int
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int, or a ``ValueError`` naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def mc_gaussian_entropy(cov, n: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the differential entropy of N(0, cov), bits.
 
@@ -77,10 +85,10 @@ def mc_gaussian_entropy(cov, n: int, seed: int) -> McEstimate:
         raise NotPositiveDefiniteError("covariance entries must be finite")
     if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
         raise NotPositiveDefiniteError("covariance must be symmetric")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, got {n!r}") from None
+    n = _integer("n", n)
+    seed = _integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
     if n > MAX_MC_SAMPLES:
@@ -126,6 +134,7 @@ def grid_maximize(objective, lo: float, hi: float, steps: int) -> tuple[float, f
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("need finite lo < hi")
+    steps = _integer("steps", steps)
     if not 2 <= steps <= MAX_GRID_STEPS:
         raise ValueError(f"need 2 to {MAX_GRID_STEPS} grid points")
     xs = np.linspace(lo, hi, steps)

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from cognitive_outer_bound import outer_bound_excess
 
 from icdms import (
     AlphabetSpec,
@@ -278,3 +279,11 @@ def test_criterion_9_corollary_regression(sweeps):
         f"max |err|={max(errs):.3g}, fig5 frontier at alpha=0.5 r1 = "
         f"{f5.value_at(p_r1):.6f}",
     )
+
+
+@pytest.mark.parametrize("ch", [CH_FIG6, CH_FIG7], ids=["fig6", "fig7"])
+def test_fig6_fig7_frontiers_lie_under_outer_bound(sweeps, ch):
+    """Not a paper criterion: every plotted frontier respects the
+    cognitive-channel converse (see ``cognitive_outer_bound``)."""
+    for which in ("g", "g_sp1", "g_sp2"):
+        assert outer_bound_excess(ch, sweeps(ch, which)) == 0.0, which

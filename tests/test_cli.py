@@ -364,6 +364,28 @@ def test_discrete_command_normalization_error(tmp_path, capsys):
     assert "p_vvt" in err and "(0, 1)" in err
 
 
+@pytest.mark.parametrize(
+    "key, table, needle",
+    [
+        ("q", 1.0, "'p_q' (file key 'q') must have rank 1"),
+        ("w_x1", [[0.25, 0.25], [0.25, 0.25]], "'p_wx1' (file key 'w_x1') must have rank 3"),
+        ("x2", np.full((1, 3, 2, 2, 2), 0.5).tolist(), "'p_x2' (file key 'x2'): axis 'w'"),
+        ("q", [{"a": 1.0}], "'p_q' (file key 'q') must be an array of numbers"),
+        ("u", [[0.5], [0.25, 0.75]], "'p_u' (file key 'u') must be an array of numbers"),
+    ],
+    ids=["scalar_q", "2d_w_x1", "x2_w_axis_3", "object_in_q", "ragged_u"],
+)
+def test_discrete_command_malformed_factor_exits_2(tmp_path, capsys, key, table, needle):
+    fd = random_star(AlphabetSpec(), np.random.default_rng(15))
+    doc = distribution_to_dict(fd)
+    doc["factors"][key] = table
+    dist = tmp_path / "bad.json"
+    dist.write_text(json.dumps(doc))
+    assert main(["discrete", "--distribution", str(dist), "--scheme", "sim"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+
+
 def test_discrete_command_bad_json(tmp_path, capsys):
     dist = tmp_path / "bad.json"
     dist.write_text("{not json")

@@ -6,8 +6,10 @@ mutual-information oracle or with hand-checked probability arithmetic.
 
 import math
 
+import discrete_factor_oracle as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icdms import (
     AlphabetSpec,
@@ -26,6 +28,7 @@ from icdms import (
     region_sim,
     region_suc,
 )
+from icdms.discrete import FULL_AXES
 from icdms.oracle import brute_joint_mi
 
 
@@ -182,6 +185,61 @@ def test_family_field_consistency():
         )
     with pytest.raises(ValueError):
         region_full(fd)
+
+
+FULL_FIELDS = ("p_q", "p_wx1", "p_uut", "p_vvt", "p_x2", "channel")
+STAR_FIELDS = ("p_q", "p_wx1", "p_u", "p_vvt", "p_x2", "channel")
+
+
+@pytest.mark.parametrize(
+    "family, field, table, axis",
+    [
+        ("full", "p_q", np.array(1.0), None),
+        ("full", "p_wx1", np.full((2, 2), 0.25), None),
+        ("full", "p_x2", np.full((2, 3, 2, 2, 2), 0.5), "w"),
+        ("full", "p_uut", np.full((1, 2, 2, 2), 0.25), "q"),
+        ("star", "p_u", np.full((2, 2, 2), 0.5), None),
+        ("star", "p_x2", np.full((2, 2, 3, 2, 2), 0.5), "u"),
+    ],
+    ids=["scalar_q", "2d_w_x1", "x2_w_axis_3", "u_ut_q_axis_1", "3d_u", "star_x2_u_axis_3"],
+)
+def test_malformed_factor_shape_names_factor(family, field, table, axis):
+    """Each table is normalized, so only its rank or one axis size is wrong."""
+    maker, names = (random_full, FULL_FIELDS) if family == "full" else (random_star, STAR_FIELDS)
+    fd = maker(AlphabetSpec(q=2), np.random.default_rng(71))
+    tables = {name: getattr(fd, name) for name in names}
+    tables[field] = table
+    with pytest.raises(ValueError, match=f"factor '{field}'") as err:
+        FactoredDistribution(family=family, **tables)
+    assert not isinstance(err.value, NormalizationError)
+    if axis is None:
+        assert "must have rank" in str(err.value)
+    else:
+        assert f"axis '{axis}'" in str(err.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=len(FULL_AXES), max_size=len(FULL_AXES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_table_matches_hand_written_oracle_bitwise(sizes, seed):
+    """Draws and joint of both families equal the hand-written
+    factorizations of ``discrete_factor_oracle`` bit for bit."""
+    spec = AlphabetSpec(**dict(zip(FULL_AXES, sizes)))
+    for maker, oracle_maker, names in (
+        (random_full, oracle.random_full, FULL_FIELDS),
+        (random_star, oracle.random_star, STAR_FIELDS),
+    ):
+        fd = maker(spec, np.random.default_rng(seed))
+        ref = oracle_maker(spec, np.random.default_rng(seed))
+        for name in names:
+            assert np.array_equal(getattr(fd, name), getattr(ref, name)), name
+        assert fd.sizes() == {a: spec.size(a) for a in fd.axes}
+        j = assemble_joint(fd)
+        table, axes = oracle.joint_table(ref)
+        assert j.axes == axes
+        assert np.array_equal(j.table, table)
 
 
 def test_conditional_mi_correlated_bits():
@@ -425,3 +483,5 @@ def test_distribution_from_dict_errors():
         distribution_from_dict({"family": "star", "factors": {"q": [1.0]}})
     with pytest.raises(ValueError):
         distribution_from_dict([1, 2, 3])
+    with pytest.raises(ValueError, match="family must be"):
+        distribution_from_dict({"family": ["full"], "factors": {}})

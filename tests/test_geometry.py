@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from cognitive_outer_bound import outer_bound_excess
 from g_loop_oracle import loop_sweep_g
 from hypothesis import given, settings, strategies as st
 
@@ -164,6 +165,38 @@ def test_union_order_independent_idempotent_and_above_members(bounds):
         lone = pentagon_frontier(PentagonRegion(*member), step=step)
         assert lone.reach <= f.reach
         assert np.all(lone.r2 <= f.r2[: lone.r2.size])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pentagon_bounds())
+def test_union_is_monotone_in_its_members(bounds):
+    """Adding a pentagon never lowers a sample, the reach or its r2."""
+    a, b, c, step, _ = bounds
+    f = _union_arrays(a, b, c, step, "")
+    for k in range(a.size - 1):
+        g = _union_arrays(a[: k + 1], b[: k + 1], c[: k + 1], step, "")
+        assert np.all(f.r2[: g.r2.size] >= g.r2)
+        assert f.reach >= g.reach
+        assert f.reach > g.reach or f.reach_r2 >= g.reach_r2
+
+
+@settings(max_examples=200, deadline=None)
+@given(pentagon_bounds())
+def test_time_sharing_hull_is_concave_and_dominates(bounds):
+    a, b, c, step, _ = bounds
+    f = _union_arrays(a, b, c, step, "")
+    h = time_sharing_hull(f)
+    assert h.reach == f.reach
+    assert np.all(h.r2 >= f.r2) and h.reach_r2 >= f.reach_r2
+    # Concave through the samples and the exact end point: no point lies
+    # below the chord of its neighbours.
+    xs, ys = h.r1, h.r2
+    if h.reach > xs[-1]:
+        xs, ys = np.append(xs, h.reach), np.append(ys, h.reach_r2)
+    x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
+    y0, y1, y2 = ys[:-2], ys[1:-1], ys[2:]
+    chord = y0 + (y2 - y0) * ((x1 - x0) / (x2 - x0))
+    assert np.all(y1 >= chord - 1e-12 * max(1.0, float(np.max(ys))))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
@@ -380,6 +413,38 @@ def test_sweep_g_matches_loop_oracle_bitwise(case):
     np.testing.assert_array_equal(_bits(got.r2), _bits(want.r2))
     assert _bits(got.reach) == _bits(want.reach)
     assert _bits(got.reach_r2) == _bits(want.reach_r2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ch=st.builds(ChannelParams, _power, _power, st.floats(0.0, 8.0), st.floats(0.0, 8.0)),
+    n_alpha=st.integers(1, 41),
+    n_beta=st.integers(1, 9),
+    step=st.sampled_from([0.005, 0.02, 0.1]),
+)
+def test_one_parameter_frontiers_lie_under_outer_bound(ch, n_alpha, n_beta, step):
+    """g_suc, g_sp1 and g_sp2 respect the cognitive-channel converse."""
+    point = AxisGrid(0.0, None, 1)
+    grid = SweepGrid(
+        AxisGrid(0.0, 1.0, n_alpha), AxisGrid(0.0, 1.0, n_beta), point, point,
+        AxisGrid(0.0, 1.0, n_alpha),
+    )
+    for which in ("g_suc", "g_sp1", "g_sp2"):
+        f = sweep_gaussian(ch, grid, which, r1_step=step)
+        assert outer_bound_excess(ch, f) == 0.0, which
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="g's r1 bound I(U,W;Y1) - I(U;W) ignores R_U >= 0: at c21 = 0 it "
+    "reaches r1 = 0.7297 bits where receiver 1 allows 1/2 log2(1 + p1) = 0.5",
+)
+def test_g_lies_under_outer_bound_at_weak_c21():
+    ch = ChannelParams(p1=1.0, p2=10.0, c12=0.0, c21=0.0)
+    axis, lam = AxisGrid(0.0, 1.0, 5), AxisGrid(0.0, None, 5)
+    grid = SweepGrid(axis, axis, lam, lam, AxisGrid(0.0, 1.0, 21))
+    g = sweep_gaussian(ch, grid, "g", r1_step=0.005)
+    assert outer_bound_excess(ch, g) == 0.0
 
 
 def test_sweep_g_memory_bounded_by_tiles():

@@ -80,6 +80,10 @@ def test_mc_entropy_rejects_bad_inputs():
         mc_gaussian_entropy(np.zeros((0, 0)), 10_000, seed=0)
     with pytest.raises(ValueError, match="n must be an integer"):
         mc_gaussian_entropy(np.eye(2), 1000.0, seed=0)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        mc_gaussian_entropy(np.eye(2), 1000, seed=1.5)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        mc_gaussian_entropy(np.eye(2), 1000, seed=-1)
 
 
 @st.composite
@@ -151,6 +155,8 @@ def test_grid_maximize_errors():
         grid_maximize(lambda x: x, 0.0, 1.0, 1)
     with pytest.raises(ValueError):  # raised before the grid is built
         grid_maximize(lambda x: x, 0.0, 1.0, MAX_GRID_STEPS + 1)
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        grid_maximize(lambda x: x, 0.0, 1.0, 11.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # nothing reaches linspace
         for lo, hi in ((0.0, math.inf), (-math.inf, 0.0)):
