@@ -376,16 +376,16 @@ def _region_g_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pentagon bounds for a batch of (alpha, beta, lambda1, lambda2) tuples.
 
-    The four arguments broadcast against each other, and the outputs have
-    the broadcast shape: equal-length 1-D arrays pair up element by element,
-    while ``beta[:, None, None]``, ``lam1[:, :, None]`` and
-    ``lam2[:, None, :]`` give every (beta, lambda1, lambda2) combination.
-    Terms that involve only lambda1 are computed once per row of the
-    broadcast of (alpha, beta, lam1), and terms that involve only lambda2
-    once per column of (alpha, beta, lam2).  The terms of a pair are
-    evaluated only on rows that pass the lambda1-only checks (lambda1 not
-    divergent, ``i1`` finite, ``i5 - i3 >= -FEAS_TOL``).  A row that fails
-    them is infeasible whatever lambda2 is, so skipping its pairs changes no
+    The four arguments broadcast against each other: equal-length 1-D
+    arrays pair up element by element, while ``beta[:, None, None]``,
+    ``lam1[:, :, None]`` and ``lam2[:, None, :]`` give every (beta,
+    lambda1, lambda2) combination.  Terms that involve only lambda1 are
+    computed once per row of the broadcast of (alpha, beta, lam1), and terms
+    that involve only lambda2 once per column of (alpha, beta, lam2).  The
+    terms of a pair are evaluated only on a block of the rows that pass the
+    lambda1-only checks (lambda1 not divergent, ``i1`` finite,
+    ``i5 - i3 >= -FEAS_TOL``) by the last axis.  A row that fails them is
+    infeasible whatever lambda2 is, so skipping its pairs changes no
     output.  Each tuple still goes through the same floating-point
     operations as when evaluated alone, so the result does not depend on
     how the tuples are batched.
@@ -397,9 +397,10 @@ def _region_g_arrays(
     entropy-term route to 1e-9 relative, or to the rounding error of the
     covariance determinants where a block is ill-conditioned.
 
-    Returns ``(r1_max, r2_max, sum_max, feasible)`` arrays; infeasible
-    entries (constraint violations, divergent bin coefficients or
-    non-finite bounds) carry zero bounds.
+    Returns ``(r1_max, r2_max, sum_max, feasible)``: ``feasible`` is the
+    mask over the broadcast shape, and the three bounds are 1-D, one entry
+    per feasible tuple in C order.  Infeasible tuples are constraint
+    violations, divergent bin coefficients or non-finite bounds.
     """
     p1, p2, c21 = ch.p1, ch.p2, ch.c21
     alpha, beta, lam1, lam2 = (
@@ -425,8 +426,27 @@ def _region_g_arrays(
     y2y2 = s_u + s_v + eta2 * eta2 + 1.0
     det_wy1 = y1y1 - eta1 * eta1  # var(Y1 | W)
 
-    rows, cols = l1.shape, l2.shape
-    shape = np.broadcast_shapes(rows, cols)
+    shape = np.broadcast_shapes(l1.shape, l2.shape)
+    # The tuples as a block of rows x width: along the last axis when the
+    # lambda1-only terms are constant there, else one tuple per row.
+    # ``row`` views a row term as lead + (1,), ``col`` a lambda2 term as
+    # lead + (width,), both without copying.
+    if shape and (l1.ndim == 0 or l1.shape[-1] == 1):
+        lead, width = shape[:-1] or (1,), shape[-1]
+
+        def row(x):
+            return np.broadcast_to(x, lead + (1,))
+
+        def col(x):
+            return np.broadcast_to(x, lead + (width,))
+
+    else:
+        lead, width = shape or (1,), 1
+
+        def row(x):
+            return np.broadcast_to(np.asarray(x)[..., None], lead + (1,))
+
+        col = row
 
     with np.errstate(all="ignore"):
         # lambda1-only terms.  (W, U, Y1) with unit W in the first slot.
@@ -452,49 +472,39 @@ def _region_g_arrays(
         i2_v = _gamma(vv * y2y2 / det_vy2)  # no U stream
         col_ok = ~(~active_v & (lam2 > 0.0))
 
-        # Pair terms, on the tuples of the rows that passed, flattened.
-        take = np.flatnonzero(np.broadcast_to(row_ok, shape))
-
-        def where_in(part):
-            flat = np.arange(math.prod(part)).reshape(part)
-            return np.broadcast_to(flat, shape).ravel()[take]
-
-        at_row, at_col = where_in(rows), where_in(cols)
-
-        def row(x):
-            return np.broadcast_to(x, rows).ravel()[at_row]
-
-        def col(x):
-            return np.broadcast_to(x, cols).ravel()[at_col]
-
-        uu_, uy2_, on_u, i3_ = row(uu), row(uy2), row(active_u), row(i3)
-        vv_, vy2_, on_v, i4_ = col(vv), col(vy2), col(active_v), col(i4)
-        det_vy2_, y2y2_ = col(det_vy2), col(y2y2)
-        uv = row(l1) * col(l2)
+        # Pair terms, on the block of the rows that passed: row terms are
+        # (R, 1), lambda2 terms (R, width), gathered once per passing row.
+        take = np.nonzero(row(row_ok)[..., 0])
+        uu_, uy2_, on_u, i3_, y2y2_ = (
+            row(x)[take] for x in (uu, uy2, active_u, i3, y2y2)
+        )
+        vv_, vy2_, on_v, i4_, det_vy2_ = (
+            col(x)[take] for x in (vv, vy2, active_v, i4, det_vy2)
+        )
+        uv = row(l1)[take] * col(l2)[take]
         det_uv = uu_ * vv_ - uv * uv
         det_uvy2 = (
             uu_ * det_vy2_
             - uv * (uv * y2y2_ - vy2_ * uy2_)
             + uy2_ * (uv * vy2_ - vv_ * uy2_)
         )
-        i2_u_, i2_v_ = row(i2_u), col(i2_v)
         both = on_u & on_v
         i2 = np.where(
             both,
             _gamma(det_uv * y2y2_ / det_uvy2),
-            np.where(on_u, i2_u_, np.where(on_v, i2_v_, 0.0)),
+            np.where(on_u, row(i2_u)[take], np.where(on_v, col(i2_v)[take], 0.0)),
         )
         i6 = np.where(
-            both, _gamma(vv_ * row(det_uy2) / det_uvy2), np.where(on_u, 0.0, i2)
+            both, _gamma(vv_ * row(det_uy2)[take] / det_uvy2), np.where(on_u, 0.0, i2)
         )
         i7 = np.where(
             both, _gamma(uu_ * det_vy2_ / det_uvy2), np.where(on_v, 0.0, i2)
         )
 
         r2 = i2 - i3_ - i4_
-        r_sum = row(i5) + i6 - i3_ - i4_
+        r_sum = row(i5)[take] + i6 - i3_ - i4_
         ok = (
-            col(col_ok)
+            col(col_ok)[take]
             & np.isfinite(r2)
             & np.isfinite(r_sum)
             & (i7 - i3_ >= -FEAS_TOL)
@@ -502,15 +512,15 @@ def _region_g_arrays(
             & (r2 >= -FEAS_TOL)
         )
 
-    hit = take[ok]
-    feasible = np.zeros(shape, dtype=bool)
-    feasible.ravel()[hit] = True
-    bounds = []
-    for value in (row(i1), r2, r_sum):
-        out = np.zeros(shape)
-        out.ravel()[hit] = np.maximum(value[ok], 0.0)
-        bounds.append(out)
-    return bounds[0], bounds[1], bounds[2], feasible
+    feasible = np.zeros(lead + (width,), dtype=bool)
+    feasible[take] = ok
+    r1 = np.broadcast_to(row(i1)[take], ok.shape)[ok]
+    return (
+        np.maximum(r1, 0.0),
+        np.maximum(r2[ok], 0.0),
+        np.maximum(r_sum[ok], 0.0),
+        feasible.reshape(shape),
+    )
 
 
 def region_g(ch: ChannelParams, cp: GaussianCoding) -> PentagonRegion:

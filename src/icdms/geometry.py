@@ -64,12 +64,18 @@ MAX_R1_SAMPLES = 10**6
 #: decay beyond it.
 LAMBDA_SPAN = 3.0
 
-#: Most (beta, lambda1, lambda2) tuples one batched pentagon evaluation of
-#: the four-parameter sweep holds, which bounds its memory whatever the grid
-#: counts are (the default grid needs 41 * 42 * 42 = 72,324 per alpha).
+#: Most tuples one batched pentagon evaluation holds: (beta, lambda1,
+#: lambda2) tuples of the four-parameter sweep, (alpha, beta) tuples of the
+#: others.  With the streaming union this bounds a sweep's memory whatever
+#: the grid counts are (the default ``g`` grid needs 41 * 42 * 42 = 72,324
+#: tuples per alpha).
 PAIR_TILE = 1 << 17
 
 REGION_FAMILIES = ("g", "g_suc", "g_sp1", "g_sp2")
+
+#: Pentagons whose reach lies within this of the union's reach all set its
+#: end point's r2 (``reach_r2``).
+REACH_TIE = 1e-12
 
 
 class EmptyRegionError(ValueError):
@@ -172,32 +178,74 @@ def default_grid(which: str = "g") -> SweepGrid:
 
 
 class _UnionAccumulator:
-    """Collects pentagon bound arrays and reduces them to one frontier."""
+    """Streaming union of pentagon tiles: an exact fold into one frontier.
 
-    def __init__(self):
-        self._r1 = []
-        self._r2 = []
-        self._sum = []
+    The state is the union so far (a :class:`Frontier`) and its reach
+    candidates: the pentagons with ``min(a, c) >= reach - REACH_TIE``, the
+    only ones ``reach_r2`` depends on.  ``add`` drops every pentagon that
+    cannot raise a sample: one whose last sample lies on the running grid,
+    with ``b`` at most the running value there, and that is not a reach
+    candidate.  Each member's boundary is at most ``b`` and the running
+    frontier never increases along r1, so such a pentagon lies under it
+    everywhere.  The rest go through one :func:`_union_arrays` call
+    together with the candidates kept so far, which sets the tile's grid to
+    the running one (or its extension) and gives the candidates the samples
+    a risen reach adds; the result is folded in with a pointwise max.  The
+    union is a pointwise max, which is exact in floating point, so the
+    frontier is bit for bit the one of a single :func:`_union_arrays` call
+    over every pentagon added.  Memory is O(tile + samples).
 
-    def add(self, r1_max, r2_max, sum_max, feasible=None) -> None:
-        r1_max = np.atleast_1d(np.asarray(r1_max, dtype=float)).ravel()
-        r2_max = np.atleast_1d(np.asarray(r2_max, dtype=float)).ravel()
-        sum_max = np.atleast_1d(np.asarray(sum_max, dtype=float)).ravel()
-        if feasible is not None:
-            keep = np.atleast_1d(np.asarray(feasible, dtype=bool)).ravel()
-            r1_max, r2_max, sum_max = r1_max[keep], r2_max[keep], sum_max[keep]
-        if r1_max.size:
-            self._r1.append(r1_max)
-            self._r2.append(r2_max)
-            self._sum.append(sum_max)
+    Every tile is checked whole before pruning, so a bad bound raises
+    ``ValueError`` even where its pentagon would be dropped.
+    """
 
-    def frontier(self, step: float, label: str) -> Frontier:
-        if not self._r1:
+    def __init__(self, step: float, label: str):
+        self._step = step
+        self._label = label
+        self._union: Frontier | None = None
+        self._ends: tuple[np.ndarray, ...] = ()
+
+    def add(self, r1_max, r2_max, sum_max) -> None:
+        a, b, c = (
+            np.asarray(x, dtype=float).ravel() for x in (r1_max, r2_max, sum_max)
+        )
+        _check_bounds(a, b, c)
+        if not a.size:
+            return
+        old = self._union
+        if old is not None:
+            reach_each = np.minimum(a, c)
+            reach = max(old.reach, float(reach_each.max()))
+            # One sample past the running grid tells "beyond it" apart.
+            n = old.r2.size
+            grid = np.arange(n + 1) * self._step
+            last = np.searchsorted(grid, reach_each + 1e-15, side="right") - 1
+            keep = (
+                (last == n)
+                | (b > old.r2[np.minimum(last, n - 1)])
+                | (reach_each >= reach - REACH_TIE)
+            )
+            if not keep.any():
+                return
+            a, b, c = (np.concatenate([end, x[keep]]) for end, x in zip(self._ends, (a, b, c)))
+        new = _union_arrays(a, b, c, self._step, self._label)
+        if old is not None:
+            head = new.r2[: old.r2.size]
+            np.maximum(head, old.r2, out=head)
+        at_end = np.minimum(a, c) >= new.reach - REACH_TIE
+        self._ends = (a[at_end], b[at_end], c[at_end])
+        self._union = new
+
+    def frontier(self) -> Frontier:
+        if self._union is None:
             raise EmptyUnionError("no feasible region in the union")
-        a = np.concatenate(self._r1)
-        b = np.concatenate(self._r2)
-        c = np.concatenate(self._sum)
-        return _union_arrays(a, b, c, step, label)
+        return self._union
+
+
+def _check_bounds(a, b, c) -> None:
+    for name, x in (("r1", a), ("r2", b), ("sum", c)):
+        if not np.all(np.isfinite(x)) or np.any(x < 0.0):
+            raise ValueError(f"{name} bounds must be finite and non-negative")
 
 
 def _union_arrays(a, b, c, step: float, label: str) -> Frontier:
@@ -221,9 +269,7 @@ def _union_arrays(a, b, c, step: float, label: str) -> Frontier:
     :class:`SampleCapError`, before allocating, when the grid would hold
     more than ``MAX_R1_SAMPLES`` samples.
     """
-    for name, x in (("r1", a), ("r2", b), ("sum", c)):
-        if not np.all(np.isfinite(x)) or np.any(x < 0.0):
-            raise ValueError(f"{name} bounds must be finite and non-negative")
+    _check_bounds(a, b, c)
     reach_each = np.minimum(a, c)
     reach = float(reach_each.max())
     span = reach / step + 1e-9
@@ -277,7 +323,7 @@ def _union_arrays(a, b, c, step: float, label: str) -> Frontier:
         width *= 2
     best = np.maximum(flat, tree[size : size + n_samples] - grid)
     best = np.maximum(best, 0.0)
-    at_end = reach_each >= reach - 1e-12
+    at_end = reach_each >= reach - REACH_TIE
     reach_r2 = float(
         np.max(np.maximum(np.minimum(b[at_end], c[at_end] - reach), 0.0))
     )
@@ -307,11 +353,11 @@ def union_frontier(
     Order-independent and idempotent; infeasible members are ignored, and
     an all-infeasible list raises :class:`EmptyUnionError`.
     """
-    acc = _UnionAccumulator()
-    for region in regions:
-        if region.feasible:
-            acc.add(region.r1_max, region.r2_max, region.sum_max)
-    return acc.frontier(step, label)
+    members = [(r.r1_max, r.r2_max, r.sum_max) for r in regions if r.feasible]
+    if not members:
+        raise EmptyUnionError("no feasible region in the union")
+    a, b, c = np.array(members, dtype=float).T
+    return _union_arrays(a, b, c, step, label)
 
 
 def _tiles(n: int, size: int) -> list[slice]:
@@ -330,11 +376,12 @@ def _sweep_binned_pair(
     E{W^2}=p1 scale (with p1 == 0 there is nothing to bin: lambda = 0).
     Each alpha is one batched :func:`_region_g_arrays` call over every
     (beta, lambda1, lambda2) combination, split into tiles of at most
-    ``PAIR_TILE`` tuples so that memory does not grow with the grid
-    counts.  A lambda value may repeat (a grid point equal to the
-    optimum); the union is idempotent, so that costs a duplicate pentagon
-    and changes nothing.  The two boundary faces are added at
-    ``edge_alpha`` resolution (see module docstring), one call per face.
+    ``PAIR_TILE`` tuples, and the (beta, lambda) grids are built per beta
+    tile, so that memory does not grow with the grid counts.  A lambda
+    value may repeat (a grid point equal to the optimum); the union is
+    idempotent, so that costs a duplicate pentagon and changes nothing.
+    The two boundary faces are added at ``edge_alpha`` resolution (see
+    module docstring), one call per face.
     """
     p2 = ch.p2
     rp1 = math.sqrt(ch.p1)
@@ -348,28 +395,31 @@ def _sweep_binned_pair(
         optimum = (s * eta2 / (s + 1.0))[:, None]
         return np.concatenate([points, optimum], axis=1) / rp1
 
+    m1, m2 = (axis.count + 1 if rp1 > 0.0 else 1 for axis in (grid.lambda1, grid.lambda2))
+    n2 = min(m2, PAIR_TILE)
+    n1 = min(m1, max(1, PAIR_TILE // n2))
+    nb = max(1, PAIR_TILE // (n1 * n2))
     for alpha in grid.alpha.points():
         alpha = float(alpha)
         _, eta2 = eta_coefficients(ch, alpha)
         lam_hi = LAMBDA_SPAN * eta2
-        lam1 = stored(grid.lambda1, lam_hi, alpha * betas * p2, eta2)
-        lam2 = stored(grid.lambda2, lam_hi, alpha * (1.0 - betas) * p2, eta2)
-        n2 = min(lam2.shape[1], PAIR_TILE)
-        n1 = min(lam1.shape[1], max(1, PAIR_TILE // n2))
-        nb = max(1, PAIR_TILE // (n1 * n2))
-        for b, j, k in itertools.product(
-            _tiles(betas.size, nb), _tiles(lam1.shape[1], n1), _tiles(lam2.shape[1], n2)
-        ):
-            beta = betas[b, None, None]
-            acc.add(*_region_g_arrays(ch, alpha, beta, lam1[b, j, None], lam2[b, None, k]))
+        for b in _tiles(betas.size, nb):
+            beta = betas[b]
+            lam1 = stored(grid.lambda1, lam_hi, alpha * beta * p2, eta2)
+            lam2 = stored(grid.lambda2, lam_hi, alpha * (1.0 - beta) * p2, eta2)
+            for j, k in itertools.product(_tiles(m1, n1), _tiles(m2, n2)):
+                bounds = _region_g_arrays(
+                    ch, alpha, beta[:, None, None], lam1[:, j, None], lam2[:, None, k]
+                )
+                acc.add(*bounds[:3])
 
     alphas = grid.edge_alpha.points()
     s_v = alphas * p2  # beta = 0: the V stream has all of alpha * p2
     _, eta2 = _eta_arrays(ch, alphas)
     lam2 = s_v * eta2 / (s_v + 1.0) / rp1 if rp1 > 0.0 else np.zeros_like(alphas)
     for t in _tiles(alphas.size, PAIR_TILE):
-        acc.add(*_region_g_arrays(ch, alphas[t], 0.0, 0.0, lam2[t]))
-        acc.add(*_region_g_arrays(ch, alphas[t], 1.0, 0.0, 0.0))
+        acc.add(*_region_g_arrays(ch, alphas[t], 0.0, 0.0, lam2[t])[:3])
+        acc.add(*_region_g_arrays(ch, alphas[t], 1.0, 0.0, 0.0)[:3])
 
 
 def sweep_gaussian(
@@ -382,25 +432,27 @@ def sweep_gaussian(
 
     ``which`` selects the family: ``g`` (binned pair, four parameters),
     ``g_suc`` (successive decoding over alpha and beta), ``g_sp1`` /
-    ``g_sp2`` (its beta = 0 / beta = 1 one-parameter slices).  Raises
-    :class:`EmptyUnionError` when no grid tuple is feasible.
+    ``g_sp2`` (its beta = 0 / beta = 1 one-parameter slices).  Every family
+    is evaluated in tiles of at most ``PAIR_TILE`` tuples, each folded into
+    the union as it comes.  Raises :class:`EmptyUnionError` when no grid
+    tuple is feasible.
     """
     if which not in REGION_FAMILIES:
         raise ValueError(f"unknown region family {which!r}")
-    acc = _UnionAccumulator()
+    acc = _UnionAccumulator(r1_step, which)
     if which == "g":
         _sweep_binned_pair(ch, grid, acc)
     else:
-        if which == "g_sp1":
-            alphas, betas = grid.alpha.points(), np.array([0.0])
-        elif which == "g_sp2":
-            alphas, betas = grid.alpha.points(), np.array([1.0])
-        else:
-            alphas, betas = grid.alpha.points(), grid.beta.points()
-        mesh_a, mesh_b = np.meshgrid(alphas, betas, indexing="ij")
-        r1, r2 = _region_g_suc_values(ch, mesh_a.ravel(), mesh_b.ravel())
-        acc.add(r1, r2, r1 + r2)
-    return acc.frontier(r1_step, which)
+        alphas = grid.alpha.points()
+        betas = {"g_sp1": np.array([0.0]), "g_sp2": np.array([1.0])}.get(
+            which, grid.beta.points()
+        )
+        nb = min(betas.size, PAIR_TILE)
+        na = max(1, PAIR_TILE // nb)
+        for i, j in itertools.product(_tiles(alphas.size, na), _tiles(betas.size, nb)):
+            r1, r2 = _region_g_suc_values(ch, alphas[i, None], betas[j])
+            acc.add(r1, r2, r1 + r2)
+    return acc.frontier()
 
 
 def inclusion_gap(inner: Frontier, outer: Frontier) -> float:

@@ -5,7 +5,9 @@ per (alpha, beta), each on the ``meshgrid`` of the deduplicated
 (``np.unique``) bin-coefficient grids, with the zero-power streams handled
 by scalar ``active_u`` / ``active_v`` branches.  The batched
 ``_region_g_arrays`` and ``sweep_gaussian(..., "g")`` must match it bit for
-bit.
+bit.  The sweep collects every feasible pentagon and takes one
+``_union_arrays`` call, so the streaming fold of the sweep is not shared
+with the code under test.
 """
 
 import math
@@ -19,7 +21,13 @@ from icdms.gaussian import (
     dpc_lambda_star,
     eta_coefficients,
 )
-from icdms.geometry import LAMBDA_SPAN, Frontier, SweepGrid, _UnionAccumulator
+from icdms.geometry import (
+    LAMBDA_SPAN,
+    EmptyUnionError,
+    Frontier,
+    SweepGrid,
+    _union_arrays,
+)
 
 
 def loop_region_g_arrays(
@@ -136,7 +144,7 @@ def loop_region_g_arrays(
 
 def loop_sweep_g(ch: ChannelParams, grid: SweepGrid, r1_step: float) -> Frontier:
     """Frontier of the four-parameter family, one call per (alpha, beta)."""
-    acc = _UnionAccumulator()
+    members = []
     p1, p2 = ch.p1, ch.p2
     rp1 = math.sqrt(p1)
 
@@ -156,8 +164,8 @@ def loop_sweep_g(ch: ChannelParams, grid: SweepGrid, r1_step: float) -> Frontier
             lam1 = to_stored(np.unique(lam1_unit))
             lam2 = to_stored(np.unique(lam2_unit))
             mesh1, mesh2 = np.meshgrid(lam1, lam2, indexing="ij")
-            acc.add(
-                *loop_region_g_arrays(
+            members.append(
+                loop_region_g_arrays(
                     ch, float(alpha), float(beta), mesh1.ravel(), mesh2.ravel()
                 )
             )
@@ -166,6 +174,15 @@ def loop_sweep_g(ch: ChannelParams, grid: SweepGrid, r1_step: float) -> Frontier
         alpha = float(alpha)
         lam2_unit, _ = dpc_lambda_star(ch, alpha, 0.0)
         lam2 = lam2_unit / rp1 if rp1 > 0.0 else 0.0
-        acc.add(*loop_region_g_arrays(ch, alpha, 0.0, np.array([0.0]), np.array([lam2])))
-        acc.add(*loop_region_g_arrays(ch, alpha, 1.0, np.array([0.0]), np.array([0.0])))
-    return acc.frontier(r1_step, "g")
+        members.append(
+            loop_region_g_arrays(ch, alpha, 0.0, np.array([0.0]), np.array([lam2]))
+        )
+        members.append(
+            loop_region_g_arrays(ch, alpha, 1.0, np.array([0.0]), np.array([0.0]))
+        )
+    a, b, c = (
+        np.concatenate([bounds[k][bounds[3]] for bounds in members]) for k in range(3)
+    )
+    if not a.size:
+        raise EmptyUnionError("no feasible region in the union")
+    return _union_arrays(a, b, c, r1_step, "g")

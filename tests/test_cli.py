@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,11 @@ SMALL_CONFIG = {
     "grid": {"alpha": {"lo": 0.0, "hi": 1.0, "count": 41}},
     "r1_step": 0.01,
 }
+
+
+#: Reference outputs of the figure presets at the benchmark's seed, read
+#: here and never written.
+FIGURE_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "figures"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -232,6 +238,17 @@ def test_figure_fig4(tmp_path):
     meta = json.loads((tmp_path / "fig4.meta.json").read_text())
     assert meta["preset"] == "fig4"
     assert meta["channel"]["c21"] == 0.3 and meta["channel"]["c12"] == 0.0
+
+
+def test_figures_match_bench_references(tmp_path):
+    # Every output byte of figs. 4-7 is pinned: a change that moves one
+    # fails here, not only in the benchmark.
+    refs = sorted(FIGURE_REFS.iterdir())
+    assert len(refs) == 12
+    for fig in ("fig4", "fig5", "fig6", "fig7"):
+        assert main(["figure", fig, "--out", str(tmp_path)]) == 0
+    for ref in refs:
+        assert (tmp_path / ref.name).read_bytes() == ref.read_bytes(), ref.name
 
 
 def test_figure_fig5_includes_half_alpha_point(tmp_path):

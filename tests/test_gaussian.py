@@ -321,12 +321,23 @@ def test_region_g_oracle_substitution():
     assert abs((i5 + i6 - i3 - i4) - region.sum_max) <= 0.02
 
 
+def _dense(out):
+    """``_region_g_arrays`` bounds spread over its feasible mask, zero elsewhere."""
+    *bounds, ok = out
+    dense = []
+    for x in bounds:
+        full = np.zeros(ok.shape)
+        full[ok] = x
+        dense.append(full)
+    return (*dense, ok)
+
+
 def test_region_g_batch_matches_scalar():
     rng = np.random.default_rng(4096)
     ch = CH_HIGH
     lam1 = rng.uniform(0, 1.5, size=16)
     lam2 = rng.uniform(0, 1.5, size=16)
-    r1, r2, rsum, ok = _region_g_arrays(ch, 0.5, 0.4, lam1, lam2)
+    r1, r2, rsum, ok = _dense(_region_g_arrays(ch, 0.5, 0.4, lam1, lam2))
     for k in range(16):
         scalar = region_g(ch, GaussianCoding(0.5, 0.4, lam1[k], lam2[k]))
         assert scalar.feasible == bool(ok[k])
@@ -383,9 +394,9 @@ def test_region_g_arrays_match_loop_oracle_bitwise(case):
     flat = [[], [], [], []]
     expected = [[], [], [], []]
     for alpha, lam1, lam2 in grids:
-        got = _region_g_arrays(
+        got = _dense(_region_g_arrays(
             ch, alpha, betas[:, None, None], lam1[:, :, None], lam2[:, None, :]
-        )
+        ))
         for b, beta in enumerate(betas):
             mesh1, mesh2 = np.meshgrid(lam1[b], lam2[b], indexing="ij")
             with np.errstate(all="ignore"):
@@ -397,7 +408,7 @@ def test_region_g_arrays_match_loop_oracle_bitwise(case):
                 acc.append(ref)
             for acc, x in zip(flat, (alpha, beta, mesh1.ravel(), mesh2.ravel())):
                 acc.append(np.broadcast_to(x, mesh1.size))
-    got = _region_g_arrays(ch, *(np.concatenate(x) for x in flat))
+    got = _dense(_region_g_arrays(ch, *(np.concatenate(x) for x in flat)))
     for out, ref in zip(got, expected):
         np.testing.assert_array_equal(_bits(out), _bits(np.concatenate(ref)))
 
@@ -442,7 +453,9 @@ def test_region_g_arrays_match_entropy_route(p1, p2, c12, c21, alpha, beta, f1, 
         mi.i5 - mi.i3, mi.i7 - mi.i3, mi.i6 - mi.i4, mi.i2 - mi.i3 - mi.i4
     )
     feasible = all(r >= -FEAS_TOL for r in residuals)
-    r1, r2, rsum, ok = _region_g_arrays(ch, alpha, beta, cp.lambda1, cp.lambda2)
+    r1, r2, rsum, ok = _dense(
+        _region_g_arrays(ch, alpha, beta, cp.lambda1, cp.lambda2)
+    )
     if all(abs(r + FEAS_TOL) > tol * max(abs(r), 1.0) for r in residuals):
         assert bool(ok) == feasible
     if ok and feasible:

@@ -27,7 +27,13 @@ from icdms import (
     time_sharing_hull,
     union_frontier,
 )
-from icdms.geometry import MAX_R1_SAMPLES, SampleCapError, _union_arrays
+from icdms.geometry import (
+    MAX_R1_SAMPLES,
+    REACH_TIE,
+    SampleCapError,
+    _UnionAccumulator,
+    _union_arrays,
+)
 
 FIG4 = ChannelParams(p1=6.0, p2=6.0, c12=0.0, c21=0.3)
 
@@ -178,6 +184,77 @@ def test_union_is_monotone_in_its_members(bounds):
         assert np.all(f.r2[: g.r2.size] >= g.r2)
         assert f.reach >= g.reach
         assert f.reach > g.reach or f.reach_r2 >= g.reach_r2
+
+
+@st.composite
+def tiled_pentagons(draw):
+    """(a, b, c, step, cuts): pentagon_bounds plus reach ties and a tiling.
+
+    Up to three members get a reach within 2 * REACH_TIE of the largest and
+    a few get b = 0.  A copy of the members may follow, either shrunken
+    (under the union, so pruned to nothing) or with each bound scaled by a
+    factor near 1 (on both sides of the pruning rule).  The cuts split the
+    members into consecutive tiles, empty and one-pentagon tiles included.
+    """
+    a, b, c, step, perm = draw(pentagon_bounds())
+    a, b, c = a[perm], b[perm], c[perm]
+    top = float(np.minimum(a, c).max())
+    for i in draw(st.lists(st.integers(0, a.size - 1), max_size=3)):
+        gap = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) * REACH_TIE
+        a[i] = max(top - gap, 0.0)
+        c[i] = max(c[i], a[i])
+    for i in draw(st.lists(st.integers(0, a.size - 1), max_size=2)):
+        b[i] = 0.0
+    copy = draw(st.sampled_from(["none", "shrunken", "nudged"]))
+    if copy == "shrunken":
+        a, b, c = (np.concatenate([x, 0.5 * x]) for x in (np.minimum(a, c), b, c))
+    elif copy == "nudged":
+        factor = st.sampled_from([1.0 - 1e-3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-3])
+        a, b, c = (
+            np.concatenate([x, x * draw(st.lists(factor, min_size=x.size, max_size=x.size))])
+            for x in (a, b, c)
+        )
+    n = a.size
+    if draw(st.booleans()):
+        cuts = list(range(n + 1))
+    else:
+        cuts = [0, *sorted(draw(st.lists(st.integers(0, n), max_size=n + 1))), n]
+    return a, b, c, step, cuts
+
+
+@settings(max_examples=400, deadline=None)
+@given(tiled_pentagons())
+def test_union_fold_of_any_tiling_equals_one_call(case):
+    a, b, c, step, cuts = case
+    acc = _UnionAccumulator(step, "")
+    for lo, hi in zip(cuts, cuts[1:]):
+        acc.add(a[lo:hi], b[lo:hi], c[lo:hi])
+    got, want = acc.frontier(), _union_arrays(a, b, c, step, "")
+    np.testing.assert_array_equal(_bits(got.r2), _bits(want.r2))
+    assert _bits(got.reach) == _bits(want.reach)
+    assert _bits(got.reach_r2) == _bits(want.reach_r2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+@pytest.mark.parametrize("column", range(3))
+def test_union_fold_checks_a_later_tile_whole(column, bad):
+    # The second member of the later tile lies under the running frontier
+    # and would be pruned; its bad bound still raises.
+    acc = _UnionAccumulator(0.1, "")
+    acc.add([1.0], [1.0], [2.0])
+    tile = [np.array([1.0, 0.5]), np.array([0.2, 0.5]), np.array([1.2, 1.0])]
+    tile[column][1] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        acc.add(*tile)
+
+
+def test_union_fold_sample_cap():
+    acc = _UnionAccumulator(1.0 / MAX_R1_SAMPLES, "")
+    acc.add([0.5], [1.0], [1.0])
+    with pytest.raises(SampleCapError):
+        acc.add([0.2, 1.0], [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(EmptyUnionError):
+        _UnionAccumulator(0.1, "").frontier()
 
 
 @settings(max_examples=200, deadline=None)
@@ -469,3 +546,20 @@ def test_sweep_g_memory_bounded_by_tiles():
     assert f.reach > 0.0
     assert peak < 64 * 2**20
 
+
+def test_g_sweep_memory_at_81_points():
+    # 81 points on each of the alpha, beta and lambda axes is 81 * 82 * 82
+    # tuples per alpha, 43.6 M in all, of which every feasible pentagon used
+    # to be kept until the end (a 372 MiB traced peak).  Folded tile by
+    # tile, the peak is bounded by the tile and the samples.
+    axis, lam = AxisGrid(0.0, 1.0, 81), AxisGrid(0.0, None, 81)
+    grid = SweepGrid(axis, axis, lam, lam, AxisGrid(0.0, 1.0, 201))
+    ch = ChannelParams(p1=6.0, p2=6.0, c12=0.3, c21=0.5)
+    tracemalloc.start()
+    try:
+        f = sweep_gaussian(ch, grid, "g")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.reach > 0.0
+    assert peak < 32 * 2**20
