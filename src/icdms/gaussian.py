@@ -465,6 +465,8 @@ def _region_g_arrays(
             & np.isfinite(i1)
             & (i5 - i3 >= -FEAS_TOL)
         )
+        # R1 <= I(W; Y1, U), and R_U >= 0 in R1 + R_U <= I(U, W; Y1) - I(U; W).
+        r1 = np.minimum(i1, i5 - i3)
 
         # lambda2-only terms.
         i4 = np.where(active_v, _gamma(1.0 + l2 * l2 / s_v), 0.0)
@@ -514,9 +516,8 @@ def _region_g_arrays(
 
     feasible = np.zeros(lead + (width,), dtype=bool)
     feasible[take] = ok
-    r1 = np.broadcast_to(row(i1)[take], ok.shape)[ok]
     return (
-        np.maximum(r1, 0.0),
+        np.maximum(np.broadcast_to(row(r1)[take], ok.shape)[ok], 0.0),
         np.maximum(r2[ok], 0.0),
         np.maximum(r_sum[ok], 0.0),
         feasible.reshape(shape),
@@ -526,7 +527,9 @@ def _region_g_arrays(
 def region_g(ch: ChannelParams, cp: GaussianCoding) -> PentagonRegion:
     """Pentagon achieved by one coding choice of the binned-pair family.
 
-    Feasibility requires the four non-negativity constraints on the bin
+    ``r1_max`` is the smaller of I(W; Y1, U) and I(U, W; Y1) - I(U; W):
+    the second is the sum bound at receiver 1 with the U stream's rate at
+    0.  Feasibility requires the four non-negativity constraints on the bin
     rates; violating tuples (and divergent ones, see
     :class:`DegenerateError`) come back as ``feasible=False`` with zero
     bounds.  Zero-power limits are evaluated exactly.

@@ -136,7 +136,7 @@ def loop_region_g_arrays(
         & (i6 - i4 >= -FEAS_TOL)
         & (r2 >= -FEAS_TOL)
     )
-    r1_max = np.where(feasible, np.maximum(i1, 0.0), 0.0)
+    r1_max = np.where(feasible, np.maximum(np.minimum(i1, i5 - i3), 0.0), 0.0)
     r2_max = np.where(feasible, np.maximum(r2, 0.0), 0.0)
     sum_max = np.where(feasible, np.maximum(r_sum, 0.0), 0.0)
     return r1_max, r2_max, sum_max, feasible

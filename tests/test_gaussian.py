@@ -249,7 +249,9 @@ def test_region_g_matches_mi_terms_interior():
         )
         assert region.feasible == feasible
         if feasible:
-            assert region.r1_max == pytest.approx(max(mi.i1, 0.0), abs=1e-12)
+            assert region.r1_max == pytest.approx(
+                max(min(mi.i1, mi.i5 - mi.i3), 0.0), abs=1e-12
+            )
             assert region.r2_max == pytest.approx(
                 max(mi.i2 - mi.i3 - mi.i4, 0.0), abs=1e-12
             )
@@ -460,7 +462,7 @@ def test_region_g_arrays_match_entropy_route(p1, p2, c12, c21, alpha, beta, f1, 
         assert bool(ok) == feasible
     if ok and feasible:
         for got, want in (
-            (r1, max(mi.i1, 0.0)),
+            (r1, max(min(mi.i1, mi.i5 - mi.i3), 0.0)),
             (r2, max(mi.i2 - mi.i3 - mi.i4, 0.0)),
             (rsum, max(mi.i5 + mi.i6 - mi.i3 - mi.i4, 0.0)),
         ):

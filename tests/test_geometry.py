@@ -497,26 +497,25 @@ def test_sweep_g_matches_loop_oracle_bitwise(case):
     ch=st.builds(ChannelParams, _power, _power, st.floats(0.0, 8.0), st.floats(0.0, 8.0)),
     n_alpha=st.integers(1, 41),
     n_beta=st.integers(1, 9),
+    n_lambda=st.integers(1, 5),
     step=st.sampled_from([0.005, 0.02, 0.1]),
 )
-def test_one_parameter_frontiers_lie_under_outer_bound(ch, n_alpha, n_beta, step):
-    """g_suc, g_sp1 and g_sp2 respect the cognitive-channel converse."""
-    point = AxisGrid(0.0, None, 1)
+def test_swept_frontiers_lie_under_outer_bound(ch, n_alpha, n_beta, n_lambda, step):
+    """g, g_suc, g_sp1 and g_sp2 respect the cognitive-channel converse."""
+    lam = AxisGrid(0.0, None, n_lambda)
     grid = SweepGrid(
-        AxisGrid(0.0, 1.0, n_alpha), AxisGrid(0.0, 1.0, n_beta), point, point,
+        AxisGrid(0.0, 1.0, n_alpha), AxisGrid(0.0, 1.0, n_beta), lam, lam,
         AxisGrid(0.0, 1.0, n_alpha),
     )
-    for which in ("g_suc", "g_sp1", "g_sp2"):
+    for which in ("g", "g_suc", "g_sp1", "g_sp2"):
         f = sweep_gaussian(ch, grid, which, r1_step=step)
         assert outer_bound_excess(ch, f) == 0.0, which
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="g's r1 bound I(U,W;Y1) - I(U;W) ignores R_U >= 0: at c21 = 0 it "
-    "reaches r1 = 0.7297 bits where receiver 1 allows 1/2 log2(1 + p1) = 0.5",
-)
 def test_g_lies_under_outer_bound_at_weak_c21():
+    # Receiver 1 hears only X1, so R1 <= 1/2 log2(1 + p1) = 0.5 bits.  An r1
+    # bound of I(W; Y1, U) alone reached 0.7297 bits here; R_U >= 0 caps it
+    # at I(U, W; Y1) - I(U; W).
     ch = ChannelParams(p1=1.0, p2=10.0, c12=0.0, c21=0.0)
     axis, lam = AxisGrid(0.0, 1.0, 5), AxisGrid(0.0, None, 5)
     grid = SweepGrid(axis, axis, lam, lam, AxisGrid(0.0, 1.0, 21))
