@@ -53,6 +53,7 @@ from .geometry import (
     AxisGrid,
     EmptyUnionError,
     Frontier,
+    MAX_AXIS_POINTS,
     REGION_FAMILIES,
     SampleCapError,
     SweepGrid,
@@ -130,7 +131,7 @@ def _axis_from_doc(doc, raw: str, key: str, fallback: AxisGrid) -> AxisGrid:
         axis = AxisGrid(
             lo=float(doc.get("lo", fallback.lo)),
             hi=None if hi is None else float(hi),
-            count=int(doc.get("count", fallback.count)),
+            count=doc.get("count", fallback.count),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid.{key}: {exc}", _line_of(raw, key)) from exc
@@ -556,7 +557,7 @@ _FLAGS = {
         "derivation-consistent receiver-2 form",
     ),
     "--grid-steps": dict(
-        type=_number(int, 1),
+        type=_number(int, 1, MAX_AXIS_POINTS),
         default=None,
         help="override the per-parameter grid point count",
     ),

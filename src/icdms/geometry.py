@@ -39,6 +39,7 @@ __all__ = [
     "EmptyUnionError",
     "GridMismatchError",
     "MAX_R1_SAMPLES",
+    "MAX_AXIS_POINTS",
     "SampleCapError",
     "Frontier",
     "AxisGrid",
@@ -58,6 +59,10 @@ DEFAULT_R1_STEP = 0.005
 #: Most r1 samples one frontier may hold, so that a tiny ``step`` cannot ask
 #: for an unbounded grid (the default step needs a few hundred).
 MAX_R1_SAMPLES = 10**6
+
+#: Most points one swept parameter axis may hold.  Sweeps run in tiles, so
+#: this bounds the memory of an axis's own points, not the tuple count.
+MAX_AXIS_POINTS = 10**6
 
 #: The bin-coefficient grids span [0, LAMBDA_SPAN * eta2] (unit-W scale);
 #: the dirty-paper optimum sits at s*eta2/(s+1) < eta2, and the rate terms
@@ -126,7 +131,8 @@ class AxisGrid:
 
     ``hi=None`` asks for the automatic upper end (used by the bin
     coefficients, whose natural span depends on the channel).  A count of
-    one collapses the axis to ``lo``.
+    one collapses the axis to ``lo``.  The count must be an integer (not a
+    bool) in [1, ``MAX_AXIS_POINTS``].
     """
 
     lo: float
@@ -134,8 +140,16 @@ class AxisGrid:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        count = self.count
+        if (
+            isinstance(count, bool)
+            or not isinstance(count, (int, np.integer))
+            or not 1 <= count <= MAX_AXIS_POINTS
+        ):
+            raise ValueError(
+                f"count must be an integer in [1, {MAX_AXIS_POINTS}], got {count!r}"
+            )
+        object.__setattr__(self, "count", int(count))
         if self.hi is not None and self.hi < self.lo:
             raise ValueError("need hi >= lo")
 
@@ -227,7 +241,9 @@ class _UnionAccumulator:
             )
             if not keep.any():
                 return
-            a, b, c = (np.concatenate([end, x[keep]]) for end, x in zip(self._ends, (a, b, c)))
+            a, b, c = (
+                np.concatenate([end, x[keep]]) for end, x in zip(self._ends, (a, b, c))
+            )
         new = _union_arrays(a, b, c, self._step, self._label)
         if old is not None:
             head = new.r2[: old.r2.size]
@@ -395,7 +411,10 @@ def _sweep_binned_pair(
         optimum = (s * eta2 / (s + 1.0))[:, None]
         return np.concatenate([points, optimum], axis=1) / rp1
 
-    m1, m2 = (axis.count + 1 if rp1 > 0.0 else 1 for axis in (grid.lambda1, grid.lambda2))
+    # lambda columns per beta: the axis points and the optimum, or one 0.
+    m1, m2 = (
+        axis.count + 1 if rp1 > 0.0 else 1 for axis in (grid.lambda1, grid.lambda2)
+    )
     n2 = min(m2, PAIR_TILE)
     n1 = min(m1, max(1, PAIR_TILE // n2))
     nb = max(1, PAIR_TILE // (n1 * n2))

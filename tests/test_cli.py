@@ -149,6 +149,19 @@ def test_region_power_split_axis_outside_unit_interval(tmp_path, capsys, key, ax
     assert f"line {line}: grid.{key} must lie in [0, 1]" in err
 
 
+@pytest.mark.parametrize("count", [2.7, True, 10**12, "5"])
+def test_region_config_bad_grid_count_exits_2(tmp_path, capsys, count):
+    # A fractional or boolean count used to be truncated (2.7 ran with 2
+    # points, true with 1), and 10**12 ended in a numpy memory traceback.
+    doc = dict(SMALL_CONFIG, grid={"lambda1": {"count": count}})
+    config = write_config(tmp_path, dict(doc, regions=["g"]))
+    assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    lines = config.read_text().splitlines()
+    line = next(n for n, text in enumerate(lines, 1) if '"lambda1"' in text)
+    assert f"line {line}: grid.lambda1: count must be an integer in [1, 1000000]" in err
+
+
 def test_region_config_seed_recorded(tmp_path):
     config = write_config(tmp_path, dict(SMALL_CONFIG, seed=7))
     out = tmp_path / "seeded"
@@ -218,6 +231,7 @@ _DPC = ["dpc-lambda", "--p1", "6", "--p2", "6", "--alpha", "1", "--beta", "0"]
         (["oracle-check", "--seed", "-1"], "--seed"),
         (_DPC + ["--check", str(10**7 + 1)], "--check"),
         (["oracle-check", "--samples", str(10**7 + 1)], "--samples"),
+        (["figure", "fig4", "--grid-steps", str(10**6 + 1)], "--grid-steps"),
     ],
 )
 def test_bad_numeric_argument_exits_2_naming_it(argv, flag, capsys):

@@ -210,10 +210,9 @@ def tiled_pentagons(draw):
         a, b, c = (np.concatenate([x, 0.5 * x]) for x in (np.minimum(a, c), b, c))
     elif copy == "nudged":
         factor = st.sampled_from([1.0 - 1e-3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-3])
-        a, b, c = (
-            np.concatenate([x, x * draw(st.lists(factor, min_size=x.size, max_size=x.size))])
-            for x in (a, b, c)
-        )
+        k = a.size
+        scales = [np.array(draw(st.lists(factor, min_size=k, max_size=k))) for _ in "abc"]
+        a, b, c = (np.concatenate([x, x * f]) for x, f in zip((a, b, c), scales))
     n = a.size
     if draw(st.booleans()):
         cuts = list(range(n + 1))
@@ -351,6 +350,10 @@ def test_axis_grid_points():
         AxisGrid(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         AxisGrid(1.0, 0.5, 2)
+    for count in (2.7, True, "5", 10**6 + 1, 10**12):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            AxisGrid(0.0, 1.0, count)
+    assert type(AxisGrid(0.0, 1.0, np.int64(3)).count) is int
 
 
 def test_inclusion_gap_trivial_cases():
