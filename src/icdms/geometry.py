@@ -463,9 +463,10 @@ def sweep_gaussian(
         _sweep_binned_pair(ch, grid, acc)
     else:
         alphas = grid.alpha.points()
-        betas = {"g_sp1": np.array([0.0]), "g_sp2": np.array([1.0])}.get(
-            which, grid.beta.points()
-        )
+        if which == "g_suc":
+            betas = grid.beta.points()
+        else:
+            betas = np.array([0.0 if which == "g_sp1" else 1.0])
         nb = min(betas.size, PAIR_TILE)
         na = max(1, PAIR_TILE // nb)
         for i, j in itertools.product(_tiles(alphas.size, na), _tiles(betas.size, nb)):

@@ -551,7 +551,7 @@ def test_sweep_g_memory_bounded_by_tiles():
 
 def test_g_sweep_memory_at_81_points():
     # 81 points on each of the alpha, beta and lambda axes is 81 * 82 * 82
-    # tuples per alpha, 43.6 M in all, of which every feasible pentagon used
+    # tuples per alpha, 44.1 M in all, of which every feasible pentagon used
     # to be kept until the end (a 372 MiB traced peak).  Folded tile by
     # tile, the peak is bounded by the tile and the samples.
     axis, lam = AxisGrid(0.0, 1.0, 81), AxisGrid(0.0, None, 81)
