@@ -117,6 +117,21 @@ def _line_of(raw: str, key: str) -> int | None:
     return raw.count("\n", 0, match.start()) + 1
 
 
+def _json_number(value, name: str, line: int | None) -> float:
+    """``value`` as a float if it is a finite JSON number: an int or a float
+    (not a bool or a string) within the float range."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{name} must be a finite JSON number, got {value!r}", line)
+
+
+def _json_bool(doc: dict, key: str, raw: str) -> bool:
+    value = doc.get(key, False)
+    if type(value) is not bool:
+        raise ConfigError(f"{key} must be true or false, got {value!r}", _line_of(raw, key))
+    return value
+
+
 #: Power-split axes: fractions of a power, so their grids must lie in [0, 1].
 _UNIT_AXES = ("alpha", "beta", "edge_alpha")
 
@@ -124,20 +139,20 @@ _UNIT_AXES = ("alpha", "beta", "edge_alpha")
 def _axis_from_doc(doc, raw: str, key: str, fallback: AxisGrid) -> AxisGrid:
     if doc is None:
         return fallback
+    line = _line_of(raw, key)
     if not isinstance(doc, dict):
-        raise ConfigError(f"grid.{key} must be an object", _line_of(raw, key))
+        raise ConfigError(f"grid.{key} must be an object", line)
+    lo = _json_number(doc.get("lo", fallback.lo), f"grid.{key}.lo", line)
+    hi = doc.get("hi", fallback.hi)
+    if hi is not None:
+        hi = _json_number(hi, f"grid.{key}.hi", line)
     try:
-        hi = doc.get("hi", fallback.hi)
-        axis = AxisGrid(
-            lo=float(doc.get("lo", fallback.lo)),
-            hi=None if hi is None else float(hi),
-            count=doc.get("count", fallback.count),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid.{key}: {exc}", _line_of(raw, key)) from exc
+        axis = AxisGrid(lo=lo, hi=hi, count=doc.get("count", fallback.count))
+    except ValueError as exc:
+        raise ConfigError(f"grid.{key}: {exc}", line) from exc
     in_unit = axis.hi is not None and 0.0 <= axis.lo <= axis.hi <= 1.0
     if key in _UNIT_AXES and not in_unit:
-        raise ConfigError(f"grid.{key} must lie in [0, 1]", _line_of(raw, key))
+        raise ConfigError(f"grid.{key} must lie in [0, 1]", line)
     return axis
 
 
@@ -147,6 +162,8 @@ def load_config(path: Path, overrides: argparse.Namespace) -> RunConfig:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+    except ValueError as exc:  # an integer too long to convert
+        raise ConfigError(f"invalid JSON: {exc}") from exc
     return config_from_doc(doc, raw, overrides)
 
 
@@ -158,14 +175,13 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
     ch_doc = doc.get("channel")
     if not isinstance(ch_doc, dict):
         raise ConfigError("missing 'channel' object", _line_of(raw, "channel"))
+    values = {
+        name: _json_number(ch_doc.get(name, 0.0), f"channel.{name}", _line_of(raw, name))
+        for name in ("p1", "p2", "c12", "c21")
+    }
     try:
-        channel = ChannelParams(
-            p1=float(ch_doc.get("p1", 0.0)),
-            p2=float(ch_doc.get("p2", 0.0)),
-            c12=float(ch_doc.get("c12", 0.0)),
-            c21=float(ch_doc.get("c21", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
+        channel = ChannelParams(**values)
+    except ValueError as exc:
         raise ConfigError(f"channel: {exc}", _line_of(raw, "channel")) from exc
 
     regions = doc.get("regions", doc.get("region", []))
@@ -200,12 +216,10 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
             ),
         )
 
-    try:
-        r1_step = float(doc.get("r1_step", DEFAULT_R1_STEP))
-        if not 0.0 < r1_step < 1.0:
-            raise ValueError("r1_step must be in (0, 1)")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"r1_step: {exc}", _line_of(raw, "r1_step")) from exc
+    line = _line_of(raw, "r1_step")
+    r1_step = _json_number(doc.get("r1_step", DEFAULT_R1_STEP), "r1_step", line)
+    if not 0.0 < r1_step < 1.0:
+        raise ConfigError("r1_step: r1_step must be in (0, 1)", line)
 
     seed = overrides.seed
     if seed is None:
@@ -218,8 +232,8 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
         regions=tuple(regions),
         grids=grids,
         r1_step=r1_step,
-        convex_hull=bool(doc.get("convex_hull", False)) or overrides.convex_hull,
-        paper_literal=bool(doc.get("paper_literal", False)) or overrides.paper_literal,
+        convex_hull=_json_bool(doc, "convex_hull", raw) or overrides.convex_hull,
+        paper_literal=_json_bool(doc, "paper_literal", raw) or overrides.paper_literal,
         seed=seed,
     )
 
@@ -244,13 +258,6 @@ def _apply_steps(grid: SweepGrid, which: str, steps: int) -> SweepGrid:
         lambda2=grid.lambda2,
         edge_alpha=sized(grid.edge_alpha, steps),
     )
-
-
-def _frontier_rows(frontier: Frontier, label: str):
-    rows = [(float(r1), float(r2), label) for r1, r2 in zip(frontier.r1, frontier.r2)]
-    if frontier.reach > float(frontier.r1[-1]) + 1e-12:
-        rows.append((frontier.reach, frontier.reach_r2, label))
-    return rows
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -294,7 +301,7 @@ def _run(config: RunConfig, out: str | None, stem: str, extra: dict):
         if config.convex_hull:
             frontier = time_sharing_hull(frontier)
         frontiers[name] = frontier
-        rows.extend(_frontier_rows(frontier, name))
+        rows += [(float(r1), float(r2), name) for r1, r2 in zip(*frontier.points())]
     csv_path = out_dir / f"{stem}.csv"
     _write_csv(csv_path, rows)
     _write_meta(out_dir / f"{stem}.meta.json", config, extra)
@@ -424,8 +431,7 @@ def _svg_plot(frontiers: dict[str, Frontier], title: str) -> str:
     )
     for k, (name, f) in enumerate(frontiers.items()):
         color = _SVG_COLORS[k % len(_SVG_COLORS)]
-        points = [(r1, r2) for r1, r2, _ in _frontier_rows(f, name)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(*f.points()))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6" '
             f'points="{coords}"/>'

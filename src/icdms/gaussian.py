@@ -126,8 +126,6 @@ class GaussianCoding:
     streams (the rest cooperates), ``beta`` splits the private power
     between the two streams, and ``lambda1`` / ``lambda2`` are the bin
     coefficients of the two streams against ``W`` (``E{W^2} = p1`` scale).
-    For the successive-decoding family only ``(alpha, beta)`` matter and
-    ``lambda2`` plays the role of the single bin coefficient.
     """
 
     alpha: float
@@ -233,9 +231,15 @@ def eta_coefficients(ch: ChannelParams, alpha: float) -> tuple[float, float]:
     ``eta2 = sqrt((1-alpha) * p2) + sqrt(c12 * p1)`` is its amplitude at
     receiver 2, where it acts as known interference.
     """
+    eta1, eta2 = _eta_arrays(ch, alpha)
+    return float(eta1), float(eta2)
+
+
+def _eta_arrays(ch: ChannelParams, alpha):
+    """:func:`eta_coefficients` elementwise over an array of ``alpha``."""
     abar = 1.0 - alpha
-    eta1 = math.sqrt(ch.p1) + math.sqrt(ch.c21 * abar * ch.p2)
-    eta2 = math.sqrt(abar * ch.p2) + math.sqrt(ch.c12 * ch.p1)
+    eta1 = math.sqrt(ch.p1) + np.sqrt(ch.c21 * abar * ch.p2)
+    eta2 = np.sqrt(abar * ch.p2) + math.sqrt(ch.c12 * ch.p1)
     return eta1, eta2
 
 
@@ -363,32 +367,26 @@ def mi_terms(ch: ChannelParams, cp: GaussianCoding) -> MiTerms:
     )
 
 
-def _eta_arrays(ch: ChannelParams, alpha):
-    """:func:`eta_coefficients` elementwise over an array of ``alpha``."""
-    abar = 1.0 - alpha
-    eta1 = math.sqrt(ch.p1) + np.sqrt(ch.c21 * abar * ch.p2)
-    eta2 = np.sqrt(abar * ch.p2) + math.sqrt(ch.c12 * ch.p1)
-    return eta1, eta2
-
-
 def _region_g_arrays(
     ch: ChannelParams, alpha, beta, lam1, lam2
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pentagon bounds for a batch of (alpha, beta, lambda1, lambda2) tuples.
 
-    The four arguments broadcast against each other: equal-length 1-D
-    arrays pair up element by element, while ``beta[:, None, None]``,
-    ``lam1[:, :, None]`` and ``lam2[:, None, :]`` give every (beta,
-    lambda1, lambda2) combination.  Terms that involve only lambda1 are
-    computed once per row of the broadcast of (alpha, beta, lam1), and terms
+    The four arguments broadcast against each other and against ``(1, 1)``
+    into a block of rows x lambda2: the last axis is lambda2's, and
+    ``alpha``, ``beta`` and ``lam1`` have size 1 on it (``ValueError``
+    otherwise).  So ``beta[:, None, None]``, ``lam1[:, :, None]`` and
+    ``lam2[:, None, :]`` give every (beta, lambda1, lambda2) combination,
+    and ``x[:, None]`` columns pair 1-D arrays up element by element.
+    Terms that involve only lambda1 are computed once per row, and terms
     that involve only lambda2 once per column of (alpha, beta, lam2).  The
-    terms of a pair are evaluated only on a block of the rows that pass the
+    terms of a pair are evaluated only on the rows that pass the
     lambda1-only checks (lambda1 not divergent, ``i1`` finite,
-    ``i5 - i3 >= -FEAS_TOL``) by the last axis.  A row that fails them is
-    infeasible whatever lambda2 is, so skipping its pairs changes no
-    output.  Each tuple still goes through the same floating-point
-    operations as when evaluated alone, so the result does not depend on
-    how the tuples are batched.
+    ``i5 - i3 >= -FEAS_TOL``).  A row that fails them is infeasible
+    whatever lambda2 is, so skipping its pairs changes no output.  Each
+    tuple still goes through the same floating-point operations as when
+    evaluated alone, so the result does not depend on how the tuples are
+    batched.
 
     Works on the unit-variance-W parameterization internally, which keeps
     the zero-power limits (p1 == 0, or a stream with zero power and zero
@@ -398,9 +396,10 @@ def _region_g_arrays(
     covariance determinants where a block is ill-conditioned.
 
     Returns ``(r1_max, r2_max, sum_max, feasible)``: ``feasible`` is the
-    mask over the broadcast shape, and the three bounds are 1-D, one entry
-    per feasible tuple in C order.  Infeasible tuples are constraint
-    violations, divergent bin coefficients or non-finite bounds.
+    mask over the broadcast shape, which is at least 2-D, and the three
+    bounds are 1-D, one entry per feasible tuple in C order.  Infeasible
+    tuples are constraint violations, divergent bin coefficients or
+    non-finite bounds.
     """
     p1, p2, c21 = ch.p1, ch.p2, ch.c21
     alpha, beta, lam1, lam2 = (
@@ -426,27 +425,17 @@ def _region_g_arrays(
     y2y2 = s_u + s_v + eta2 * eta2 + 1.0
     det_wy1 = y1y1 - eta1 * eta1  # var(Y1 | W)
 
-    shape = np.broadcast_shapes(l1.shape, l2.shape)
-    # The tuples as a block of rows x width: along the last axis when the
-    # lambda1-only terms are constant there, else one tuple per row.
-    # ``row`` views a row term as lead + (1,), ``col`` a lambda2 term as
-    # lead + (width,), both without copying.
-    if shape and (l1.ndim == 0 or l1.shape[-1] == 1):
-        lead, width = shape[:-1] or (1,), shape[-1]
+    if l1.ndim and l1.shape[-1] != 1:
+        raise ValueError("alpha, beta and lambda1 must have size 1 on the last axis")
+    shape = np.broadcast_shapes(l1.shape, l2.shape, (1, 1))
 
-        def row(x):
-            return np.broadcast_to(x, lead + (1,))
+    # ``row`` views a row term as one column, ``col`` a lambda2 term as the
+    # whole block, both without copying.
+    def row(x):
+        return np.broadcast_to(x, shape[:-1] + (1,))
 
-        def col(x):
-            return np.broadcast_to(x, lead + (width,))
-
-    else:
-        lead, width = shape or (1,), 1
-
-        def row(x):
-            return np.broadcast_to(np.asarray(x)[..., None], lead + (1,))
-
-        col = row
+    def col(x):
+        return np.broadcast_to(x, shape)
 
     with np.errstate(all="ignore"):
         # lambda1-only terms.  (W, U, Y1) with unit W in the first slot.
@@ -514,13 +503,13 @@ def _region_g_arrays(
             & (r2 >= -FEAS_TOL)
         )
 
-    feasible = np.zeros(lead + (width,), dtype=bool)
+    feasible = np.zeros(shape, dtype=bool)
     feasible[take] = ok
     return (
         np.maximum(np.broadcast_to(row(r1)[take], ok.shape)[ok], 0.0),
         np.maximum(r2[ok], 0.0),
         np.maximum(r_sum[ok], 0.0),
-        feasible.reshape(shape),
+        feasible,
     )
 
 
@@ -534,10 +523,8 @@ def region_g(ch: ChannelParams, cp: GaussianCoding) -> PentagonRegion:
     :class:`DegenerateError`) come back as ``feasible=False`` with zero
     bounds.  Zero-power limits are evaluated exactly.
     """
-    r1, r2, rsum, ok = _region_g_arrays(
-        ch, cp.alpha, cp.beta, np.array([cp.lambda1]), np.array([cp.lambda2])
-    )
-    if not bool(ok[0]):
+    r1, r2, rsum, ok = _region_g_arrays(ch, cp.alpha, cp.beta, cp.lambda1, cp.lambda2)
+    if not ok.item():
         return PentagonRegion(0.0, 0.0, 0.0, feasible=False)
     return PentagonRegion(float(r1[0]), float(r2[0]), float(rsum[0]), feasible=True)
 

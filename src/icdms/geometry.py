@@ -111,11 +111,17 @@ class Frontier:
     r2: np.ndarray
     reach: float
     reach_r2: float
-    label: str = ""
 
     @property
     def r1(self) -> np.ndarray:
         return np.arange(self.r2.size) * self.step
+
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """(r1, r2) of the samples, then the exact end point where it lies
+        beyond the last sample."""
+        if self.reach > self.r1[-1] + 1e-12:
+            return np.append(self.r1, self.reach), np.append(self.r2, self.reach_r2)
+        return self.r1, self.r2
 
     def value_at(self, r1: float) -> float:
         """Frontier sample at the last grid point <= r1."""
@@ -213,9 +219,8 @@ class _UnionAccumulator:
     ``ValueError`` even where its pentagon would be dropped.
     """
 
-    def __init__(self, step: float, label: str):
+    def __init__(self, step: float):
         self._step = step
-        self._label = label
         self._union: Frontier | None = None
         self._ends: tuple[np.ndarray, ...] = ()
 
@@ -232,8 +237,7 @@ class _UnionAccumulator:
             reach = max(old.reach, float(reach_each.max()))
             # One sample past the running grid tells "beyond it" apart.
             n = old.r2.size
-            grid = np.arange(n + 1) * self._step
-            last = np.searchsorted(grid, reach_each + 1e-15, side="right") - 1
+            last = _last_sample(np.arange(n + 1) * self._step, reach_each)
             keep = (
                 (last == n)
                 | (b > old.r2[np.minimum(last, n - 1)])
@@ -244,7 +248,7 @@ class _UnionAccumulator:
             a, b, c = (
                 np.concatenate([end, x[keep]]) for end, x in zip(self._ends, (a, b, c))
             )
-        new = _union_arrays(a, b, c, self._step, self._label)
+        new = _union_arrays(a, b, c, self._step)
         if old is not None:
             head = new.r2[: old.r2.size]
             np.maximum(head, old.r2, out=head)
@@ -264,7 +268,12 @@ def _check_bounds(a, b, c) -> None:
             raise ValueError(f"{name} bounds must be finite and non-negative")
 
 
-def _union_arrays(a, b, c, step: float, label: str) -> Frontier:
+def _last_sample(grid: np.ndarray, reach_each: np.ndarray) -> np.ndarray:
+    """Index of each pentagon's last sample: the last grid point <= its reach."""
+    return np.searchsorted(grid, reach_each + 1e-15, side="right") - 1
+
+
+def _union_arrays(a, b, c, step: float) -> Frontier:
     """Frontier of the union of pentagons {r1<=a, r2<=b, r1+r2<=c}.
 
     A pentagon reaches r1 = min(a, c) (beyond that, even r2 = 0 violates
@@ -294,7 +303,7 @@ def _union_arrays(a, b, c, step: float, label: str) -> Frontier:
     n_samples = int(math.floor(span)) + 1
     grid = np.arange(n_samples) * step
 
-    last = np.searchsorted(grid, reach_each + 1e-15, side="right") - 1
+    last = _last_sample(grid, reach_each)
     # c - b rounds differently from c - grid[k], so step back to the exact
     # test.  No step forward is needed: no float lies strictly between
     # fl(c - b) and c - b, so a later sample has c - grid[k] <= b, and
@@ -343,27 +352,17 @@ def _union_arrays(a, b, c, step: float, label: str) -> Frontier:
     reach_r2 = float(
         np.max(np.maximum(np.minimum(b[at_end], c[at_end] - reach), 0.0))
     )
-    return Frontier(step, best, reach, reach_r2, label)
+    return Frontier(step, best, reach, reach_r2)
 
 
-def pentagon_frontier(
-    region: PentagonRegion, step: float = DEFAULT_R1_STEP, label: str = ""
-) -> Frontier:
+def pentagon_frontier(region: PentagonRegion, step: float = DEFAULT_R1_STEP) -> Frontier:
     """Pareto frontier of a single pentagon on a uniform r1 grid."""
     if not region.feasible:
         raise EmptyRegionError("infeasible region has no frontier")
-    return _union_arrays(
-        np.array([region.r1_max]),
-        np.array([region.r2_max]),
-        np.array([region.sum_max]),
-        step,
-        label,
-    )
+    return union_frontier([region], step)
 
 
-def union_frontier(
-    regions, step: float = DEFAULT_R1_STEP, label: str = "union"
-) -> Frontier:
+def union_frontier(regions, step: float = DEFAULT_R1_STEP) -> Frontier:
     """Pointwise-max frontier of several pentagons on a shared grid.
 
     Order-independent and idempotent; infeasible members are ignored, and
@@ -373,12 +372,21 @@ def union_frontier(
     if not members:
         raise EmptyUnionError("no feasible region in the union")
     a, b, c = np.array(members, dtype=float).T
-    return _union_arrays(a, b, c, step, label)
+    return _union_arrays(a, b, c, step)
 
 
 def _tiles(n: int, size: int) -> list[slice]:
     """Consecutive slices of at most ``size`` covering range(n)."""
     return [slice(i, min(i + size, n)) for i in range(0, n, size)]
+
+
+def _tile_sizes(*counts: int) -> tuple[int, ...]:
+    """Tile size along each axis of a grid with ``counts`` points per axis:
+    at most ``PAIR_TILE`` tuples per tile, filled from the last axis."""
+    sizes: list[int] = []
+    for n in reversed(counts):
+        sizes.insert(0, min(n, PAIR_TILE // math.prod(sizes)))
+    return tuple(sizes)
 
 
 def _sweep_binned_pair(
@@ -403,29 +411,29 @@ def _sweep_binned_pair(
     rp1 = math.sqrt(ch.p1)
     betas = grid.beta.points()
 
-    def stored(axis: AxisGrid, lam_hi: float, s, eta2: float) -> np.ndarray:
-        """(beta, lambda) grid: the axis points plus each beta's optimum."""
+    def stored(points: np.ndarray, s, eta2) -> np.ndarray:
+        """Stored-scale lambda rows, one per stream power in ``s``: unit-W
+        ``points`` plus the dirty-paper optimum, or one 0 when p1 == 0."""
         if rp1 == 0.0:
             return np.zeros((s.size, 1))
-        points = np.broadcast_to(axis.points(lam_hi), (s.size, axis.count))
+        points = np.broadcast_to(points, (s.size, points.size))
         optimum = (s * eta2 / (s + 1.0))[:, None]
         return np.concatenate([points, optimum], axis=1) / rp1
 
-    # lambda columns per beta: the axis points and the optimum, or one 0.
+    # lambda columns per beta, as ``stored`` lays them out.
     m1, m2 = (
-        axis.count + 1 if rp1 > 0.0 else 1 for axis in (grid.lambda1, grid.lambda2)
+        stored(np.zeros(axis.count), np.zeros(1), 0.0).shape[1]
+        for axis in (grid.lambda1, grid.lambda2)
     )
-    n2 = min(m2, PAIR_TILE)
-    n1 = min(m1, max(1, PAIR_TILE // n2))
-    nb = max(1, PAIR_TILE // (n1 * n2))
+    nb, n1, n2 = _tile_sizes(betas.size, m1, m2)
     for alpha in grid.alpha.points():
         alpha = float(alpha)
         _, eta2 = eta_coefficients(ch, alpha)
         lam_hi = LAMBDA_SPAN * eta2
         for b in _tiles(betas.size, nb):
             beta = betas[b]
-            lam1 = stored(grid.lambda1, lam_hi, alpha * beta * p2, eta2)
-            lam2 = stored(grid.lambda2, lam_hi, alpha * (1.0 - beta) * p2, eta2)
+            lam1 = stored(grid.lambda1.points(lam_hi), alpha * beta * p2, eta2)
+            lam2 = stored(grid.lambda2.points(lam_hi), alpha * (1.0 - beta) * p2, eta2)
             for j, k in itertools.product(_tiles(m1, n1), _tiles(m2, n2)):
                 bounds = _region_g_arrays(
                     ch, alpha, beta[:, None, None], lam1[:, j, None], lam2[:, None, k]
@@ -433,12 +441,11 @@ def _sweep_binned_pair(
                 acc.add(*bounds[:3])
 
     alphas = grid.edge_alpha.points()
-    s_v = alphas * p2  # beta = 0: the V stream has all of alpha * p2
     _, eta2 = _eta_arrays(ch, alphas)
-    lam2 = s_v * eta2 / (s_v + 1.0) / rp1 if rp1 > 0.0 else np.zeros_like(alphas)
+    lam2 = stored(np.empty(0), alphas * p2, eta2)[:, -1]  # beta = 0: V has alpha * p2
     for t in _tiles(alphas.size, PAIR_TILE):
-        acc.add(*_region_g_arrays(ch, alphas[t], 0.0, 0.0, lam2[t])[:3])
-        acc.add(*_region_g_arrays(ch, alphas[t], 1.0, 0.0, 0.0)[:3])
+        acc.add(*_region_g_arrays(ch, alphas[t, None], 0.0, 0.0, lam2[t, None])[:3])
+        acc.add(*_region_g_arrays(ch, alphas[t, None], 1.0, 0.0, 0.0)[:3])
 
 
 def sweep_gaussian(
@@ -458,7 +465,7 @@ def sweep_gaussian(
     """
     if which not in REGION_FAMILIES:
         raise ValueError(f"unknown region family {which!r}")
-    acc = _UnionAccumulator(r1_step, which)
+    acc = _UnionAccumulator(r1_step)
     if which == "g":
         _sweep_binned_pair(ch, grid, acc)
     else:
@@ -467,8 +474,7 @@ def sweep_gaussian(
             betas = grid.beta.points()
         else:
             betas = np.array([0.0 if which == "g_sp1" else 1.0])
-        nb = min(betas.size, PAIR_TILE)
-        na = max(1, PAIR_TILE // nb)
+        na, nb = _tile_sizes(alphas.size, betas.size)
         for i, j in itertools.product(_tiles(alphas.size, na), _tiles(betas.size, nb)):
             r1, r2 = _region_g_suc_values(ch, alphas[i, None], betas[j])
             acc.add(r1, r2, r1 + r2)
@@ -517,10 +523,7 @@ def time_sharing_hull(f: Frontier) -> Frontier:
     points and the exact endpoint; the down-closed region under the result
     is the convex hull of the one under the input.
     """
-    xs, ys = f.r1, f.r2
-    if f.reach > xs[-1] + 1e-12:
-        xs = np.append(xs, f.reach)
-        ys = np.append(ys, f.reach_r2)
+    xs, ys = f.points()
     hull_x: list[float] = []
     hull_y: list[float] = []
     for x, y in zip(xs, ys):

@@ -185,4 +185,4 @@ def loop_sweep_g(ch: ChannelParams, grid: SweepGrid, r1_step: float) -> Frontier
     )
     if not a.size:
         raise EmptyUnionError("no feasible region in the union")
-    return _union_arrays(a, b, c, r1_step, "g")
+    return _union_arrays(a, b, c, r1_step)

@@ -1,7 +1,9 @@
 """Tests for the command-line surface: exit codes, file outputs, determinism."""
 
+import importlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +22,10 @@ SMALL_CONFIG = {
 }
 
 
-#: Reference outputs of the figure presets at the benchmark's seed, read
-#: here and never written.
-FIGURE_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "figures"
+#: The benchmark's directory.  Its reference outputs at the benchmark's
+#: seed, and the inputs that produce them, are read here and never written.
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+FIGURE_REFS = BENCH / "refs" / "figures"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -162,6 +165,54 @@ def test_region_config_bad_grid_count_exits_2(tmp_path, capsys, count):
     assert f"line {line}: grid.lambda1: count must be an integer in [1, 1000000]" in err
 
 
+_CHANNEL = SMALL_CONFIG["channel"]
+_NOT_A_NUMBER = "must be a finite JSON number, got"
+
+
+@pytest.mark.parametrize(
+    "patch, key, needle",
+    [
+        ({"channel": dict(_CHANNEL, p1="6")}, "p1", f"channel.p1 {_NOT_A_NUMBER} '6'"),
+        ({"channel": dict(_CHANNEL, p1=True)}, "p1", f"channel.p1 {_NOT_A_NUMBER} True"),
+        ({"channel": dict(_CHANNEL, c21=10**400)}, "c21", f"channel.c21 {_NOT_A_NUMBER}"),
+        ({"r1_step": "0.05"}, "r1_step", f"r1_step {_NOT_A_NUMBER} '0.05'"),
+        ({"grid": {"alpha": {"lo": "0"}}}, "alpha", f"grid.alpha.lo {_NOT_A_NUMBER} '0'"),
+        ({"grid": {"lambda1": {"hi": "2"}}}, "lambda1", f"grid.lambda1.hi {_NOT_A_NUMBER} '2'"),
+        ({"grid": {"lambda1": {"lo": math.nan}}}, "lambda1", f"grid.lambda1.lo {_NOT_A_NUMBER} nan"),
+        ({"convex_hull": "false"}, "convex_hull", "convex_hull must be true or false, got 'false'"),
+        ({"paper_literal": 1}, "paper_literal", "paper_literal must be true or false, got 1"),
+    ],
+)
+def test_region_config_value_of_wrong_json_type_exits_2(tmp_path, capsys, patch, key, needle):
+    # A string or a bool is rejected, not converted: "false" would apply the
+    # hull and record true, and true would run with p1 = 1.
+    config = write_config(tmp_path, dict(SMALL_CONFIG, **patch))
+    assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    lines = config.read_text().splitlines()
+    line = next(n for n, text in enumerate(lines, 1) if f'"{key}"' in text)
+    assert f"line {line}: {needle}" in err
+
+
+def test_region_config_with_an_overlong_integer_exits_2(tmp_path, capsys):
+    config = tmp_path / "long.json"
+    config.write_text('{"channel": {"p1": 1%s}, "regions": ["g_sp1"]}' % ("0" * 5000))
+    assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
+    # Python's digit limit on int conversion makes this invalid JSON; without
+    # the limit the value is out of the float range.  Either exits 2.
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_region_config_integer_values_are_numbers(tmp_path):
+    ints = dict(SMALL_CONFIG, channel={"p1": 6, "p2": 6, "c12": 0, "c21": 0.3})
+    ints["grid"] = {"alpha": {"lo": 0, "hi": 1, "count": 41}}
+    for name, doc in (("ints", ints), ("floats", SMALL_CONFIG)):
+        config = write_config(tmp_path, doc, f"{name}.json")
+        assert main(["region", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    csv = [(tmp_path / name / "frontier.csv").read_bytes() for name in ("ints", "floats")]
+    assert csv[0] == csv[1]
+
+
 def test_region_config_seed_recorded(tmp_path):
     config = write_config(tmp_path, dict(SMALL_CONFIG, seed=7))
     out = tmp_path / "seeded"
@@ -263,6 +314,40 @@ def test_figures_match_bench_references(tmp_path):
         assert main(["figure", fig, "--out", str(tmp_path)]) == 0
     for ref in refs:
         assert (tmp_path / ref.name).read_bytes() == ref.read_bytes(), ref.name
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``bench/workloads.py``, imported without writing bytecode, so that the
+    inputs and references cannot drift from the benchmark's."""
+    sys.path.insert(0, str(BENCH))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(BENCH))
+
+
+def test_fine_region_matches_bench_reference(tmp_path, workloads):
+    config = write_config(tmp_path, workloads.fine_region_config(workloads.DEFAULT_SEED, False))
+    assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 0
+    digest = workloads.sha256((tmp_path / "frontier.csv").read_bytes())
+    assert digest == workloads.load_refs()["fine-region"]
+
+
+def test_oracle_check_matches_bench_reference(capsys, workloads):
+    seed, samples = workloads.DEFAULT_SEED, workloads.ORACLE_SAMPLES
+    argv = ["oracle-check", "--draws", "1", "--samples", str(samples), "--seed", str(seed)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == workloads.load_refs()["oracle"]
+
+
+def test_discrete_op_0_matches_bench_reference(tmp_path, workloads):
+    evaluate = dict(workloads._EVALUATORS)
+    calls = workloads.Discrete(tmp_path, workloads.DEFAULT_SEED, False).inputs(0)
+    text = workloads.region_text([evaluate[scheme](fd) for scheme, fd in calls])
+    assert workloads.sha256(text.encode()) == workloads.load_refs()["discrete"][0]
 
 
 def test_figure_fig5_includes_half_alpha_point(tmp_path):

@@ -339,13 +339,36 @@ def test_region_g_batch_matches_scalar():
     ch = CH_HIGH
     lam1 = rng.uniform(0, 1.5, size=16)
     lam2 = rng.uniform(0, 1.5, size=16)
-    r1, r2, rsum, ok = _dense(_region_g_arrays(ch, 0.5, 0.4, lam1, lam2))
+    out = _region_g_arrays(ch, 0.5, 0.4, lam1[:, None], lam2[:, None])
+    r1, r2, rsum, ok = (x[:, 0] for x in _dense(out))
     for k in range(16):
         scalar = region_g(ch, GaussianCoding(0.5, 0.4, lam1[k], lam2[k]))
         assert scalar.feasible == bool(ok[k])
         assert scalar.r1_max == pytest.approx(r1[k], abs=1e-14)
         assert scalar.r2_max == pytest.approx(r2[k], abs=1e-14)
         assert scalar.sum_max == pytest.approx(rsum[k], abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, lam1",
+    [
+        (0.5, 0.4, np.array([0.1, 0.2])),
+        (np.array([0.3, 0.5]), 0.4, 0.1),
+        (0.5, np.array([[0.2, 0.4]]), np.zeros((2, 1))),
+    ],
+)
+def test_region_g_arrays_rejects_row_terms_along_the_last_axis(alpha, beta, lam1):
+    # The last axis is lambda2's; 1-D arrays no longer pair up element by
+    # element unless passed as columns.
+    with pytest.raises(ValueError, match="size 1 on the last axis"):
+        _region_g_arrays(CH_HIGH, alpha, beta, lam1, np.array([0.0, 0.5]))
+
+
+def test_region_g_arrays_scalar_call_has_a_one_by_one_mask():
+    r1, _, _, ok = _region_g_arrays(CH_HIGH, 0.5, 0.4, 0.1, 0.2)
+    region = region_g(CH_HIGH, GaussianCoding(0.5, 0.4, 0.1, 0.2))
+    assert ok.shape == (1, 1) and ok.item() == region.feasible
+    assert r1.tolist() == ([region.r1_max] if region.feasible else [])
 
 
 def _bits(x):
@@ -410,9 +433,9 @@ def test_region_g_arrays_match_loop_oracle_bitwise(case):
                 acc.append(ref)
             for acc, x in zip(flat, (alpha, beta, mesh1.ravel(), mesh2.ravel())):
                 acc.append(np.broadcast_to(x, mesh1.size))
-    got = _dense(_region_g_arrays(ch, *(np.concatenate(x) for x in flat)))
+    got = _dense(_region_g_arrays(ch, *(np.concatenate(x)[:, None] for x in flat)))
     for out, ref in zip(got, expected):
-        np.testing.assert_array_equal(_bits(out), _bits(np.concatenate(ref)))
+        np.testing.assert_array_equal(_bits(out[:, 0]), _bits(np.concatenate(ref)))
 
 
 def _rounding_scale(ch, cp):
@@ -458,15 +481,16 @@ def test_region_g_arrays_match_entropy_route(p1, p2, c12, c21, alpha, beta, f1, 
     r1, r2, rsum, ok = _dense(
         _region_g_arrays(ch, alpha, beta, cp.lambda1, cp.lambda2)
     )
+    ok = ok.item()
     if all(abs(r + FEAS_TOL) > tol * max(abs(r), 1.0) for r in residuals):
-        assert bool(ok) == feasible
+        assert ok == feasible
     if ok and feasible:
         for got, want in (
             (r1, max(min(mi.i1, mi.i5 - mi.i3), 0.0)),
             (r2, max(mi.i2 - mi.i3 - mi.i4, 0.0)),
             (rsum, max(mi.i5 + mi.i6 - mi.i3 - mi.i4, 0.0)),
         ):
-            assert abs(float(got) - want) <= tol * max(abs(want), 1.0)
+            assert abs(got.item() - want) <= tol * max(abs(want), 1.0)
 
 
 def test_region_g_suc_low_interference_corner():

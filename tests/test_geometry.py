@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,9 +30,11 @@ from icdms import (
 )
 from icdms.geometry import (
     MAX_R1_SAMPLES,
+    PAIR_TILE,
     REACH_TIE,
     SampleCapError,
     _UnionAccumulator,
+    _tile_sizes,
     _union_arrays,
 )
 
@@ -152,7 +155,7 @@ def _bits(x):
 @given(pentagon_bounds())
 def test_union_sweep_matches_dense_oracle(bounds):
     a, b, c, step, _ = bounds
-    f = _union_arrays(a, b, c, step, "")
+    f = _union_arrays(a, b, c, step)
     np.testing.assert_array_equal(_bits(f.r2), _bits(_dense_union_r2(a, b, c, step)))
 
 
@@ -160,10 +163,10 @@ def test_union_sweep_matches_dense_oracle(bounds):
 @given(pentagon_bounds())
 def test_union_order_independent_idempotent_and_above_members(bounds):
     a, b, c, step, perm = bounds
-    f = _union_arrays(a, b, c, step, "")
+    f = _union_arrays(a, b, c, step)
     for other in (
-        _union_arrays(a[perm], b[perm], c[perm], step, ""),
-        _union_arrays(np.tile(a, 2), np.tile(b, 2), np.tile(c, 2), step, ""),
+        _union_arrays(a[perm], b[perm], c[perm], step),
+        _union_arrays(np.tile(a, 2), np.tile(b, 2), np.tile(c, 2), step),
     ):
         np.testing.assert_array_equal(_bits(other.r2), _bits(f.r2))
         assert (other.reach, other.reach_r2) == (f.reach, f.reach_r2)
@@ -178,9 +181,9 @@ def test_union_order_independent_idempotent_and_above_members(bounds):
 def test_union_is_monotone_in_its_members(bounds):
     """Adding a pentagon never lowers a sample, the reach or its r2."""
     a, b, c, step, _ = bounds
-    f = _union_arrays(a, b, c, step, "")
+    f = _union_arrays(a, b, c, step)
     for k in range(a.size - 1):
-        g = _union_arrays(a[: k + 1], b[: k + 1], c[: k + 1], step, "")
+        g = _union_arrays(a[: k + 1], b[: k + 1], c[: k + 1], step)
         assert np.all(f.r2[: g.r2.size] >= g.r2)
         assert f.reach >= g.reach
         assert f.reach > g.reach or f.reach_r2 >= g.reach_r2
@@ -225,10 +228,10 @@ def tiled_pentagons(draw):
 @given(tiled_pentagons())
 def test_union_fold_of_any_tiling_equals_one_call(case):
     a, b, c, step, cuts = case
-    acc = _UnionAccumulator(step, "")
+    acc = _UnionAccumulator(step)
     for lo, hi in zip(cuts, cuts[1:]):
         acc.add(a[lo:hi], b[lo:hi], c[lo:hi])
-    got, want = acc.frontier(), _union_arrays(a, b, c, step, "")
+    got, want = acc.frontier(), _union_arrays(a, b, c, step)
     np.testing.assert_array_equal(_bits(got.r2), _bits(want.r2))
     assert _bits(got.reach) == _bits(want.reach)
     assert _bits(got.reach_r2) == _bits(want.reach_r2)
@@ -239,7 +242,7 @@ def test_union_fold_of_any_tiling_equals_one_call(case):
 def test_union_fold_checks_a_later_tile_whole(column, bad):
     # The second member of the later tile lies under the running frontier
     # and would be pruned; its bad bound still raises.
-    acc = _UnionAccumulator(0.1, "")
+    acc = _UnionAccumulator(0.1)
     acc.add([1.0], [1.0], [2.0])
     tile = [np.array([1.0, 0.5]), np.array([0.2, 0.5]), np.array([1.2, 1.0])]
     tile[column][1] = bad
@@ -248,27 +251,25 @@ def test_union_fold_checks_a_later_tile_whole(column, bad):
 
 
 def test_union_fold_sample_cap():
-    acc = _UnionAccumulator(1.0 / MAX_R1_SAMPLES, "")
+    acc = _UnionAccumulator(1.0 / MAX_R1_SAMPLES)
     acc.add([0.5], [1.0], [1.0])
     with pytest.raises(SampleCapError):
         acc.add([0.2, 1.0], [1.0, 1.0], [1.0, 1.0])
     with pytest.raises(EmptyUnionError):
-        _UnionAccumulator(0.1, "").frontier()
+        _UnionAccumulator(0.1).frontier()
 
 
 @settings(max_examples=200, deadline=None)
 @given(pentagon_bounds())
 def test_time_sharing_hull_is_concave_and_dominates(bounds):
     a, b, c, step, _ = bounds
-    f = _union_arrays(a, b, c, step, "")
+    f = _union_arrays(a, b, c, step)
     h = time_sharing_hull(f)
     assert h.reach == f.reach
     assert np.all(h.r2 >= f.r2) and h.reach_r2 >= f.reach_r2
     # Concave through the samples and the exact end point: no point lies
     # below the chord of its neighbours.
-    xs, ys = h.r1, h.r2
-    if h.reach > xs[-1]:
-        xs, ys = np.append(xs, h.reach), np.append(ys, h.reach_r2)
+    xs, ys = h.points()
     x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
     y0, y1, y2 = ys[:-2], ys[1:-1], ys[2:]
     chord = y0 + (y2 - y0) * ((x1 - x0) / (x2 - x0))
@@ -281,18 +282,18 @@ def test_union_rejects_non_finite_or_negative_bounds(column, bad):
     bounds = [np.array([1.0, 0.5]), np.array([0.5, 1.0]), np.array([1.2, 1.2])]
     bounds[column][1] = bad
     with pytest.raises(ValueError, match="finite and non-negative"):
-        _union_arrays(*bounds, 0.1, "")
+        _union_arrays(*bounds, 0.1)
 
 
 def test_union_sample_cap():
     one = np.array([1.0])
-    f = _union_arrays(one, one, one, 1.0 / (MAX_R1_SAMPLES - 1), "")
+    f = _union_arrays(one, one, one, 1.0 / (MAX_R1_SAMPLES - 1))
     assert f.r2.size == MAX_R1_SAMPLES
     with pytest.raises(SampleCapError):
-        _union_arrays(one, one, one, 1.0 / MAX_R1_SAMPLES, "")
+        _union_arrays(one, one, one, 1.0 / MAX_R1_SAMPLES)
     # The check runs before allocating, so an absurd step costs nothing.
     with pytest.raises(SampleCapError):
-        _union_arrays(one, one, one, 5e-324, "")
+        _union_arrays(one, one, one, 5e-324)
 
 
 def test_frontier_monotone_and_value_at():
@@ -398,6 +399,44 @@ def test_convexity_defect_staircase_positive():
 def test_convexity_defect_needs_three_samples():
     with pytest.raises(ValueError):
         convexity_defect(Frontier(0.1, np.array([1.0, 0.5]), 0.1, 0.5))
+
+
+def test_frontier_points_append_the_end_point_past_the_tolerance():
+    f = Frontier(0.1, np.array([1.0, 0.8, 0.5]), 0.2, 0.5)
+    edge = f.r1[-1] + 1e-12
+    for reach, appended in (
+        (0.2, False), (edge, False), (np.nextafter(edge, 1.0), True), (0.25, True)
+    ):
+        r1, r2 = replace(f, reach=float(reach), reach_r2=0.3).points()
+        if appended:
+            assert r1.tolist() == [*f.r1.tolist(), reach]
+            assert r2.tolist() == [1.0, 0.8, 0.5, 0.3]
+        else:
+            assert r1.tolist() == f.r1.tolist() and r2.tolist() == f.r2.tolist()
+
+
+_count = st.integers(1, 4 * PAIR_TILE) | st.sampled_from(
+    [1, 2, PAIR_TILE - 1, PAIR_TILE, PAIR_TILE + 1]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count, _count, _count)
+def test_tile_sizes_match_the_formulas_they_replace(n0, n1, n2):
+    # The (beta, lambda1, lambda2) tiling: a beta tile larger than the beta
+    # count is the same single tile.
+    t2 = min(n2, PAIR_TILE)
+    t1 = min(n1, max(1, PAIR_TILE // t2))
+    t0 = max(1, PAIR_TILE // (t1 * t2))
+    sizes = _tile_sizes(n0, n1, n2)
+    assert sizes == (min(t0, n0), t1, t2)
+    assert math.prod(sizes) <= PAIR_TILE
+    # The (alpha, beta) tiling.
+    tb = min(n1, PAIR_TILE)
+    ta = max(1, PAIR_TILE // tb)
+    sizes = _tile_sizes(n0, n1)
+    assert sizes == (min(ta, n0), tb)
+    assert math.prod(sizes) <= PAIR_TILE
 
 
 def test_time_sharing_hull():
