@@ -231,6 +231,8 @@ def eta_coefficients(ch: ChannelParams, alpha: float) -> tuple[float, float]:
     ``eta2 = sqrt((1-alpha) * p2) + sqrt(c12 * p1)`` is its amplitude at
     receiver 2, where it acts as known interference.
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
     eta1, eta2 = _eta_arrays(ch, alpha)
     return float(eta1), float(eta2)
 

@@ -118,10 +118,11 @@ class Frontier:
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """(r1, r2) of the samples, then the exact end point where it lies
-        beyond the last sample."""
+        beyond the last sample.  An end point within 1e-12 of the last
+        sample merges into it: that sample takes the larger r2."""
         if self.reach > self.r1[-1] + 1e-12:
             return np.append(self.r1, self.reach), np.append(self.r2, self.reach_r2)
-        return self.r1, self.r2
+        return self.r1, np.append(self.r2[:-1], max(self.r2[-1], self.reach_r2))
 
     def value_at(self, r1: float) -> float:
         """Frontier sample at the last grid point <= r1."""
@@ -420,10 +421,9 @@ def _sweep_binned_pair(
         optimum = (s * eta2 / (s + 1.0))[:, None]
         return np.concatenate([points, optimum], axis=1) / rp1
 
-    # lambda columns per beta, as ``stored`` lays them out.
+    # lambda columns per row of ``stored``: the axis points and the optimum, or one 0.
     m1, m2 = (
-        stored(np.zeros(axis.count), np.zeros(1), 0.0).shape[1]
-        for axis in (grid.lambda1, grid.lambda2)
+        axis.count + 1 if rp1 > 0.0 else 1 for axis in (grid.lambda1, grid.lambda2)
     )
     nb, n1, n2 = _tile_sizes(betas.size, m1, m2)
     for alpha in grid.alpha.points():

@@ -133,6 +133,12 @@ def test_entropy_eta_fields():
     assert h.xi == XI
 
 
+@pytest.mark.parametrize("alpha", [-0.1, math.nextafter(1.0, 2.0), math.nan])
+def test_eta_coefficients_reject_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+        eta_coefficients(CH_HIGH, alpha)
+
+
 def test_entropy_h_c_matches_monte_carlo():
     cp = GaussianCoding(1.0, 0.5, 0.0, 0.0)
     h = entropy_terms(CH_LOW, cp)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from cognitive_outer_bound import outer_bound_excess
 from g_loop_oracle import loop_sweep_g
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from icdms import (
     AxisGrid,
@@ -261,6 +261,16 @@ def test_union_fold_sample_cap():
 
 @settings(max_examples=200, deadline=None)
 @given(pentagon_bounds())
+# The end point lies 4e-13 past the last sample, 0.25 above it.
+@example(
+    (
+        np.array([2.25, 2.0 - 4e-13]),
+        np.array([0.0, 2.0]),
+        np.array([2.0 + 4e-13, 2.25]),
+        0.25,
+        np.array([0, 1]),
+    )
+)
 def test_time_sharing_hull_is_concave_and_dominates(bounds):
     a, b, c, step, _ = bounds
     f = _union_arrays(a, b, c, step)
@@ -269,7 +279,9 @@ def test_time_sharing_hull_is_concave_and_dominates(bounds):
     assert np.all(h.r2 >= f.r2) and h.reach_r2 >= f.reach_r2
     # Concave through the samples and the exact end point: no point lies
     # below the chord of its neighbours.
-    xs, ys = h.points()
+    xs, ys = h.r1, h.r2
+    if h.reach > xs[-1]:
+        xs, ys = np.append(xs, h.reach), np.append(ys, h.reach_r2)
     x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
     y0, y1, y2 = ys[:-2], ys[1:-1], ys[2:]
     chord = y0 + (y2 - y0) * ((x1 - x0) / (x2 - x0))
@@ -413,6 +425,10 @@ def test_frontier_points_append_the_end_point_past_the_tolerance():
             assert r2.tolist() == [1.0, 0.8, 0.5, 0.3]
         else:
             assert r1.tolist() == f.r1.tolist() and r2.tolist() == f.r2.tolist()
+            # Within the tolerance a higher end point lifts the last sample.
+            r1, r2 = replace(f, reach=float(reach), reach_r2=0.7).points()
+            assert r1.tolist() == f.r1.tolist() and r2.tolist() == [1.0, 0.8, 0.7]
+    assert f.r2.tolist() == [1.0, 0.8, 0.5]
 
 
 _count = st.integers(1, 4 * PAIR_TILE) | st.sampled_from(
