@@ -9,7 +9,8 @@ figure        run a figure preset (fig4..fig7): CSV plus an SVG overlay plot
 dpc-lambda    closed-form bin coefficient and gain, optionally grid-checked
 oracle-check  run the Monte Carlo / brute-force self-checks
 
-Exit codes: 0 ok, 2 configuration or input-file error, 3 empty union.
+Exit codes: 0 ok, 2 configuration, input-file or output-directory error,
+3 empty union.  Only :func:`main` turns an error into an exit code.
 
 Config and distribution files are JSON; schemas are documented in the
 project README.  Identical config and seed produce byte-identical CSV.
@@ -156,15 +157,23 @@ def _axis_from_doc(doc, raw: str, key: str, fallback: AxisGrid) -> AxisGrid:
     return axis
 
 
-def load_config(path: Path, overrides: argparse.Namespace) -> RunConfig:
-    raw = path.read_text()
+def _read_json(path: Path) -> tuple[object, str]:
+    """Parse a JSON input file; return the document and its text, which
+    config checks search for line numbers."""
     try:
-        doc = json.loads(raw)
+        raw = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    try:
+        return json.loads(raw), raw
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
     except ValueError as exc:  # an integer too long to convert
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    return config_from_doc(doc, raw, overrides)
+
+
+def load_config(path: Path, overrides: argparse.Namespace) -> RunConfig:
+    return config_from_doc(*_read_json(path), overrides)
 
 
 def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
@@ -206,15 +215,10 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
         base = default_grid(name)
         if overrides.grid_steps is not None:
             base = _apply_steps(base, name, overrides.grid_steps)
-        grids[name] = SweepGrid(
-            alpha=_axis_from_doc(grid_doc.get("alpha"), raw, "alpha", base.alpha),
-            beta=_axis_from_doc(grid_doc.get("beta"), raw, "beta", base.beta),
-            lambda1=_axis_from_doc(grid_doc.get("lambda1"), raw, "lambda1", base.lambda1),
-            lambda2=_axis_from_doc(grid_doc.get("lambda2"), raw, "lambda2", base.lambda2),
-            edge_alpha=_axis_from_doc(
-                grid_doc.get("edge_alpha"), raw, "edge_alpha", base.edge_alpha
-            ),
-        )
+        grids[name] = SweepGrid(**{
+            axis: _axis_from_doc(grid_doc.get(axis), raw, axis, getattr(base, axis))
+            for axis in (field.name for field in dataclasses.fields(SweepGrid))
+        })
 
     line = _line_of(raw, "r1_step")
     r1_step = _json_number(doc.get("r1_step", DEFAULT_R1_STEP), "r1_step", line)
@@ -266,27 +270,14 @@ def _write_csv(path: Path, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _grid_meta(grid: SweepGrid) -> dict:
-    return {
-        name: dataclasses.asdict(getattr(grid, name))
-        for name in ("alpha", "beta", "lambda1", "lambda2", "edge_alpha")
-    }
+def _write_json(path: Path, doc: dict) -> None:
+    """Write ``doc`` with the tool's name and version as sorted, indented JSON."""
+    doc = {**doc, "tool": "icdms", "version": __version__}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_meta(path: Path, config: RunConfig, extra: dict) -> None:
-    meta = {
-        "tool": "icdms",
-        "version": __version__,
-        "channel": dataclasses.asdict(config.channel),
-        "regions": list(config.regions),
-        "grids": {name: _grid_meta(g) for name, g in config.grids.items()},
-        "r1_step": config.r1_step,
-        "convex_hull": config.convex_hull,
-        "paper_literal": config.paper_literal,
-        "seed": config.seed,
-    }
-    meta.update(extra)
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_json(path, {**dataclasses.asdict(config), **extra})
 
 
 def _run(config: RunConfig, out: str | None, stem: str, extra: dict):
@@ -333,26 +324,17 @@ def _format_report(region) -> list[str]:
 
 
 def cmd_discrete(args: argparse.Namespace) -> int:
+    doc, _ = _read_json(Path(args.distribution))
     try:
-        fd = distribution_from_dict(json.loads(Path(args.distribution).read_text()))
+        fd = distribution_from_dict(doc)
         if args.scheme == "full":
             region = region_full(fd)
         else:
             evaluate = region_sim if args.scheme == "sim" else region_suc
             region = evaluate(fd, paper_literal=args.paper_literal)
-    except json.JSONDecodeError as exc:
-        print(f"error: line {exc.lineno}: invalid JSON: {exc.msg}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from exc
 
-    lines = _format_report(region)
-    if args.scheme in ("sim", "suc"):
-        active = "v_margin_y1" if args.paper_literal else "v_margin_y2"
-        lines.append(f"active sign constraint: {active}")
-    report = "\n".join(lines)
-    print(report)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -364,12 +346,12 @@ def cmd_discrete(args: argparse.Namespace) -> int:
             "constraints": region.constraints,
             "feasible": region.feasible,
             "paper_literal": args.paper_literal,
-            "tool": "icdms",
-            "version": __version__,
         }
-        (out_dir / "discrete_report.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        _write_json(out_dir / "discrete_report.json", payload)
+    lines = _format_report(region)
+    if args.scheme in ("sim", "suc"):
+        lines.append(f"active sign constraint: {', '.join(region.active)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -460,7 +442,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_dpc_lambda(args: argparse.Namespace) -> int:
-    channel = ChannelParams(p1=args.p1, p2=args.p2, c12=args.c12, c21=args.c21)
+    try:
+        channel = ChannelParams(p1=args.p1, p2=args.p2, c12=args.c12, c21=args.c21)
+    except ValueError as exc:
+        raise ConfigError(f"channel: {exc}") from exc
     lam, gain = dpc_lambda_star(channel, args.alpha, args.beta)
     print(f"lambda_star = {lam:.12g}")
     print(f"gain_bits   = {gain:.12g}")
@@ -646,12 +631,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EmptyUnionError as exc:
+    except (EmptyUnionError, ConfigError, SampleCapError, OSError) as exc:
+        # A bare ValueError is a broken internal invariant, not a bad input,
+        # so it keeps its traceback.
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except (ConfigError, SampleCapError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_EMPTY if isinstance(exc, EmptyUnionError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -319,8 +319,9 @@ class DiscreteRegion:
 
     ``sum_bound`` is ``None`` for the successive-decoding region, which has
     no sum inequality.  ``constraints`` maps residual names to values;
-    residuals are reported even when negative, and ``feasible`` reflects
-    the active constraint set only.
+    residuals are reported even when negative.  ``active`` names the
+    residuals that decide ``feasible``: all four for FULL, the one sign
+    constraint that ``paper_literal`` selects for STAR.
     """
 
     scheme: str
@@ -329,6 +330,14 @@ class DiscreteRegion:
     sum_bound: float | None
     constraints: dict[str, float] = field(default_factory=dict)
     feasible: bool = True
+    active: tuple[str, ...] = ()
+
+
+def _region(scheme, r1, r2, rsum, constraints, active) -> DiscreteRegion:
+    """A :class:`DiscreteRegion`, feasible when every ``active`` residual
+    is at least ``-DISCRETE_FEAS_TOL``."""
+    feasible = all(constraints[name] >= -DISCRETE_FEAS_TOL for name in active)
+    return DiscreteRegion(scheme, r1, r2, rsum, constraints, feasible, active)
 
 
 def _require_family(fd: FactoredDistribution, family: str) -> None:
@@ -359,15 +368,14 @@ def region_full(fd: FactoredDistribution) -> DiscreteRegion:
         "v_at_y2": i_v_y2u - i_vw,
         "r2_total": r2,
     }
-    feasible = all(v >= -DISCRETE_FEAS_TOL for v in constraints.values())
-    return DiscreteRegion(FULL, r1, r2, rsum, constraints, feasible)
+    return _region(FULL, r1, r2, rsum, constraints, tuple(constraints))
 
 
 def _star_core(fd: FactoredDistribution, paper_literal: bool):
     """The terms both STAR regions share.
 
     Returns the joint, I(V;W|Q), I(V;Y2|U,Q), the R1 bound I(W;Y1|U,Q),
-    the two sign-constraint residuals and whether the active one holds.
+    the two sign-constraint residuals and the name of the active one.
     """
     _require_family(fd, STAR)
     j = assemble_joint(fd)
@@ -378,9 +386,8 @@ def _star_core(fd: FactoredDistribution, paper_literal: bool):
         "v_margin_y2": i_v_y2 - i_vw,
         "v_margin_y1": conditional_mi(j, ("v",), ("y1",), _UQ) - i_vw,
     }
-    active = "v_margin_y1" if paper_literal else "v_margin_y2"
-    feasible = constraints[active] >= -DISCRETE_FEAS_TOL
-    return j, i_vw, i_v_y2, r1, constraints, feasible
+    active = ("v_margin_y1",) if paper_literal else ("v_margin_y2",)
+    return j, i_vw, i_v_y2, r1, constraints, active
 
 
 def region_sim(fd: FactoredDistribution, paper_literal: bool = False) -> DiscreteRegion:
@@ -394,10 +401,10 @@ def region_sim(fd: FactoredDistribution, paper_literal: bool = False) -> Discret
     ``paper_literal=True`` the as-printed receiver-1 form decides
     feasibility instead.  Both residuals are always reported.
     """
-    j, i_vw, i_v_y2, r1, constraints, feasible = _star_core(fd, paper_literal)
+    j, i_vw, i_v_y2, r1, constraints, active = _star_core(fd, paper_literal)
     r2 = conditional_mi(j, ("u", "v"), ("y2",), _Q) - i_vw
     rsum = conditional_mi(j, ("w", "u"), ("y1",), _Q) + i_v_y2 - i_vw
-    return DiscreteRegion("sim", r1, r2, rsum, constraints, feasible)
+    return _region("sim", r1, r2, rsum, constraints, active)
 
 
 def region_suc(fd: FactoredDistribution, paper_literal: bool = False) -> DiscreteRegion:
@@ -408,12 +415,12 @@ def region_suc(fd: FactoredDistribution, paper_literal: bool = False) -> Discret
     I(V;W|Q), with R1 <= I(W;Y1|U,Q) and no sum bound.  The constraint
     handling matches :func:`region_sim`.
     """
-    j, i_vw, i_v_y2, r1, constraints, feasible = _star_core(fd, paper_literal)
+    j, i_vw, i_v_y2, r1, constraints, active = _star_core(fd, paper_literal)
     u_rate = min(
         conditional_mi(j, ("u",), ("y1",), _Q), conditional_mi(j, ("u",), ("y2",), _Q)
     )
     r2 = u_rate + i_v_y2 - i_vw
-    return DiscreteRegion("suc", r1, r2, None, constraints, feasible)
+    return _region("suc", r1, r2, None, constraints, active)
 
 
 def _random_distribution(

@@ -54,6 +54,7 @@ __all__ = [
     "XI",
     "FEAS_TOL",
     "DET_REL_TOL",
+    "MAX_POWER",
     "DegenerateError",
     "ChannelParams",
     "GaussianCoding",
@@ -81,6 +82,11 @@ FEAS_TOL = 1e-9
 
 #: A covariance block is singular when det <= DET_REL_TOL * prod(diagonal).
 DET_REL_TOL = 1e-12
+
+#: Largest transmit or received power (p1, p2, c12 * p1, c21 * p2) a channel
+#: may have.  The ``g`` determinants are cubic in the received power, and
+#: with lambda up to 3 * eta2 they stay near 5e303, below the float maximum.
+MAX_POWER = 1e100
 
 
 class DegenerateError(ValueError):
@@ -116,6 +122,14 @@ class ChannelParams:
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
             object.__setattr__(self, name, value)
+        for name, power in (
+            ("p1", self.p1),
+            ("p2", self.p2),
+            ("c12 * p1", self.c12 * self.p1),
+            ("c21 * p2", self.c21 * self.p2),
+        ):
+            if power > MAX_POWER:
+                raise ValueError(f"{name} must be <= {MAX_POWER:g}, got {power!r}")
 
 
 @dataclass(frozen=True)
@@ -425,7 +439,7 @@ def _region_g_arrays(
     vy2 = s_v + l2 * eta2
     y1y1 = eta1 * eta1 + c21 * (s_u + s_v) + 1.0
     y2y2 = s_u + s_v + eta2 * eta2 + 1.0
-    det_wy1 = y1y1 - eta1 * eta1  # var(Y1 | W)
+    det_wy1 = c21 * (s_u + s_v) + 1.0  # var(Y1 | W), without cancelling eta1^2
 
     if l1.ndim and l1.shape[-1] != 1:
         raise ValueError("alpha, beta and lambda1 must have size 1 on the last axis")
@@ -588,15 +602,25 @@ def dpc_lambda_star(
     ``log2(1 + s) / 2``, as if the interference were absent.  Zero stream
     power gives ``(0, 0)``.
     """
-    if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
-        raise ValueError("alpha and beta must lie in [0, 1]")
-    s = alpha * (1.0 - beta) * ch.p2
+    s, eta2 = _dpc_split(ch, alpha, beta)
     if s == 0.0:
         return 0.0, 0.0
-    _, eta2 = eta_coefficients(ch, alpha)
-    lam = s * eta2 / (s + 1.0)
-    gain = 0.5 * math.log2(1.0 + s)
-    return lam, gain
+    return _dpc_optimum(s, eta2), 0.5 * math.log2(1.0 + s)
+
+
+def _dpc_split(ch: ChannelParams, alpha: float, beta: float) -> tuple[float, float]:
+    """The V stream's power ``alpha * (1-beta) * p2`` and ``eta2``, for a
+    split checked to lie in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
+        raise ValueError("alpha and beta must lie in [0, 1]")
+    return alpha * (1.0 - beta) * ch.p2, eta_coefficients(ch, alpha)[1]
+
+
+def _dpc_optimum(s, eta2):
+    """Dirty-paper bin coefficient ``s * eta2 / (s + 1)`` (unit-variance
+    ``W``) of a stream of power ``s`` against interference amplitude
+    ``eta2``; elementwise over arrays."""
+    return s * eta2 / (s + 1.0)
 
 
 def dpc_gain_objective(ch: ChannelParams, alpha: float, beta: float):
@@ -607,10 +631,9 @@ def dpc_gain_objective(ch: ChannelParams, alpha: float, beta: float):
     closed-form optimum in :func:`dpc_lambda_star`.  Accepts scalars or
     arrays of the coefficient ``lam`` (unit-variance-W scale).
     """
-    s = alpha * (1.0 - beta) * ch.p2
-    if s <= 0.0:
+    s, eta2 = _dpc_split(ch, alpha, beta)
+    if s == 0.0:
         raise ValueError("zero stream power: the objective is identically 0")
-    _, eta2 = eta_coefficients(ch, alpha)
     a = s + eta2 * eta2 + 1.0
 
     def objective(lam):

@@ -25,6 +25,7 @@ import numpy as np
 
 from .gaussian import (
     ChannelParams,
+    _dpc_optimum,
     _eta_arrays,
     _region_g_arrays,
     _region_g_suc_values,
@@ -418,7 +419,7 @@ def _sweep_binned_pair(
         if rp1 == 0.0:
             return np.zeros((s.size, 1))
         points = np.broadcast_to(points, (s.size, points.size))
-        optimum = (s * eta2 / (s + 1.0))[:, None]
+        optimum = _dpc_optimum(s, eta2)[:, None]
         return np.concatenate([points, optimum], axis=1) / rp1
 
     # lambda columns per row of ``stored``: the axis points and the optimum, or one 0.

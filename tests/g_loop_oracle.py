@@ -70,7 +70,7 @@ def loop_region_g_arrays(
     vy2 = s_v + l2 * eta2
     y1y1 = eta1 * eta1 + c21 * (s_u + s_v) + 1.0
     y2y2 = s_u + s_v + eta2 * eta2 + 1.0
-    det_wy1 = y1y1 - eta1 * eta1  # var(Y1 | W)
+    det_wy1 = c21 * (s_u + s_v) + 1.0  # var(Y1 | W), without cancelling eta1^2
 
     active_u = s_u > 0.0
     active_v = s_v > 0.0

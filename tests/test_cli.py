@@ -86,6 +86,58 @@ def test_region_command_missing_config(tmp_path):
     assert main(["region", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "--config", "{dir}"],
+        ["discrete", "--distribution", "{dir}"],
+        ["region", "--config", "{latin1}"],
+        ["region", "--config", "{config}", "--out", "{file}"],
+        ["figure", "fig4", "--out", "{file}"],
+        ["discrete", "--distribution", "{dist}", "--scheme", "sim", "--out", "{file}"],
+    ],
+    ids=[
+        "config_is_dir", "distribution_is_dir", "config_not_utf8",
+        "region_out_is_file", "figure_out_is_file", "discrete_out_is_file",
+    ],
+)
+def test_unreadable_input_or_output_path_exits_2(tmp_path, capsys, argv):
+    # Each of these ended in an OSError or UnicodeDecodeError traceback.
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"channel": {"p1": 6}, "note": "é"}'.encode("latin-1"))
+    dist = tmp_path / "dist.json"
+    fd = random_star(AlphabetSpec(), np.random.default_rng(16))
+    dist.write_text(json.dumps(distribution_to_dict(fd)))
+    file = tmp_path / "file"
+    file.write_text("")
+    paths = {
+        "dir": tmp_path, "latin1": latin1, "dist": dist, "file": file,
+        "config": write_config(tmp_path, SMALL_CONFIG),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""  # no report is printed before the error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "--config", "{config}", "--out", "{out}"],
+        ["dpc-lambda", "--p1", "1e308", "--p2", "1e308", "--alpha", "0.5", "--beta", "0"],
+    ],
+    ids=["region_c21_p2_overflows", "dpc_lambda_p2_overflows"],
+)
+def test_channel_beyond_the_power_cap_exits_2(tmp_path, capsys, argv):
+    # The region ended in a ValueError traceback (c21 * p2 overflowed in the
+    # g_suc bounds); dpc-lambda printed lambda_star = inf.
+    doc = dict(SMALL_CONFIG, channel={"p1": 1, "p2": 1e200, "c21": 1e200})
+    config = write_config(tmp_path, doc)
+    assert main([arg.format(config=config, out=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be <= 1e+100" in err
+
+
 def test_region_command_empty_union_exit_code(tmp_path, monkeypatch, capsys):
     from icdms.geometry import EmptyUnionError
 

@@ -308,6 +308,7 @@ def test_region_full_unit_square():
         (1.0, 1.0, 2.0), abs=1e-12
     )
     assert region.feasible
+    assert region.active == tuple(region.constraints)
 
 
 def test_region_full_all_outputs_constant():
@@ -445,6 +446,7 @@ def test_paper_literal_flag_switches_active_constraint():
         assert literal.feasible == (
             literal.constraints["v_margin_y1"] >= -1e-12
         )
+        assert (default.active, literal.active) == (("v_margin_y2",), ("v_margin_y1",))
 
 
 def test_information_identity_on_full_draws():

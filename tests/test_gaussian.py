@@ -46,6 +46,15 @@ def test_channel_params_validation():
         ChannelParams(-1.0, 6.0, 0.3, 0.3)
     with pytest.raises(ValueError):
         ChannelParams(math.inf, 6.0, 0.3, 0.3)
+    # Received powers beyond MAX_POWER overflow the g determinants.
+    for args, name in (
+        ((2e100, 6.0, 0.0, 0.3), "p1"),
+        ((6.0, 2e100, 0.3, 0.0), "p2"),
+        ((1e99, 6.0, 20.0, 0.3), r"c12 \* p1"),
+        ((6.0, 1e99, 0.3, 20.0), r"c21 \* p2"),
+    ):
+        with pytest.raises(ValueError, match=rf"{name} must be <= 1e\+100"):
+            ChannelParams(*args)
     with pytest.raises(ValueError):
         GaussianCoding(alpha=1.2, beta=0.0)
     with pytest.raises(ValueError):
@@ -587,6 +596,15 @@ def test_dpc_lambda_star_edge_cases():
     assert lam == 0.0 and gain == pytest.approx(0.5 * math.log2(7.0), abs=1e-12)
     assert dpc_lambda_star(CH_LOW, 0.7, 1.0) == (0.0, 0.0)
     assert dpc_lambda_star(CH_LOW, 0.0, 0.3) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, -1.0), (0.5, 2.0), (1.5, 0.0), (math.nan, 0.0)])
+def test_dpc_split_outside_the_unit_interval_is_rejected(alpha, beta):
+    # dpc_gain_objective used to return an objective for beta = -1 (a stream
+    # power of 2 * alpha * p2) and call beta = 2 a zero stream power.
+    for dpc in (dpc_lambda_star, dpc_gain_objective):
+        with pytest.raises(ValueError, match=r"alpha and beta must lie in \[0, 1\]"):
+            dpc(CH_LOW, alpha, beta)
 
 
 def test_pentagon_contains():

@@ -28,8 +28,10 @@ from icdms import (
     time_sharing_hull,
     union_frontier,
 )
+from icdms.gaussian import MAX_POWER
 from icdms.geometry import (
     MAX_R1_SAMPLES,
+    REGION_FAMILIES,
     PAIR_TILE,
     REACH_TIE,
     SampleCapError,
@@ -568,6 +570,42 @@ def test_swept_frontiers_lie_under_outer_bound(ch, n_alpha, n_beta, n_lambda, st
     for which in ("g", "g_suc", "g_sp1", "g_sp2"):
         f = sweep_gaussian(ch, grid, which, r1_step=step)
         assert outer_bound_excess(ch, f) == 0.0, which
+
+
+_capped_power = st.just(0.0) | st.floats(0.0, MAX_POWER)
+
+
+@st.composite
+def capped_channels(draw):
+    """Channels up to the power cap: each received power c * p at most
+    ``MAX_POWER``, with a gain up to 1e300 when its power is small."""
+    p1, p2 = draw(_capped_power), draw(_capped_power)
+
+    def gain(power):
+        hi = 1e300 if power == 0.0 else min(1e300, MAX_POWER / power * (1.0 - 1e-12))
+        return draw(st.floats(0.0, hi))
+
+    return ChannelParams(p1, p2, gain(p1), gain(p2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(capped_channels())
+@example(ChannelParams(1e100, 1e100, 1.0, 1.0))
+@example(ChannelParams(0.0, 1e100, 0.0, 1.0))
+@example(ChannelParams(1e100, 1e-200, 1e-100, 1e300))
+@example(ChannelParams(2.0**54, 0.0, 0.0, 0.0))
+def test_sweeps_are_finite_up_to_the_power_cap(ch):
+    # Beyond the cap, c21 * p2 overflowed inside the g_suc bounds (a
+    # ValueError from the bound check) and every g tuple overflowed (an
+    # empty union reported as "no feasible region").  Below it, with p2 = 0
+    # and p1 >= 2**53, var(Y1 | W) = (p1 + 1) - p1 rounded to 0 and emptied
+    # the g union too.
+    axis, lam = AxisGrid(0.0, 1.0, 4), AxisGrid(0.0, None, 3)
+    grid = SweepGrid(axis, axis, lam, lam, AxisGrid(0.0, 1.0, 9))
+    for which in REGION_FAMILIES:
+        f = sweep_gaussian(ch, grid, which, r1_step=0.5)
+        assert np.all(np.isfinite(f.r2)), which
+        assert math.isfinite(f.reach) and math.isfinite(f.reach_r2), which
 
 
 def test_g_lies_under_outer_bound_at_weak_c21():
