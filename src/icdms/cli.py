@@ -193,19 +193,24 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"channel: {exc}", _line_of(raw, "channel")) from exc
 
-    regions = doc.get("regions", doc.get("region", []))
+    key = "regions" if "regions" in doc else "region"
+    regions, line = doc.get(key, []), _line_of(raw, key)
     if isinstance(regions, str):
         regions = [regions]
     if getattr(overrides, "region", None):
-        regions = list(overrides.region)
+        regions, key, line = list(overrides.region), "--region", None
+    if not isinstance(regions, list) or not all(isinstance(name, str) for name in regions):
+        raise ConfigError(f"{key} must be a string or a list of strings, got {regions!r}", line)
     if not regions:
-        raise ConfigError("no region selectors given", _line_of(raw, "regions"))
+        raise ConfigError("no region selectors given", line)
     for name in regions:
         if name not in REGION_FAMILIES:
             raise ConfigError(
                 f"unknown region selector {name!r} (choose from {', '.join(REGION_FAMILIES)})",
                 _line_of(raw, name),
             )
+    if len(set(regions)) < len(regions):
+        raise ConfigError(f"{key} names a region more than once: {regions!r}", line)
 
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict):

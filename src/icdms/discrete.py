@@ -55,11 +55,6 @@ __all__ = [
 FULL = "full"
 STAR = "star"
 
-FULL_AXES = ("q", "w", "x1", "u", "ut", "v", "vt", "x2", "y1", "y2")
-STAR_AXES = ("q", "w", "x1", "u", "v", "vt", "x2", "y1", "y2")
-_AXES = {FULL: FULL_AXES, STAR: STAR_AXES}
-
-
 #: Each family's factorization: (dataclass field, key in the JSON document
 #: form, einsum subscripts with one letter per axis (see ``_AXIS_OF``),
 #: number of leading conditioning axes).  Validation, random draws and the
@@ -89,6 +84,18 @@ _AXIS_OF = {
     "v": "v", "s": "vt", "x": "x2", "y": "y1", "z": "y2",
 }
 _LETTER_OF = {axis: letter for letter, axis in _AXIS_OF.items()}
+
+#: Axes of each family's joint table, in the order their letters first
+#: appear in the family's factor subscripts.
+_AXES = {
+    family: tuple(
+        _AXIS_OF[letter]
+        for letter in dict.fromkeys("".join(subscripts for _, _, subscripts, _ in factors))
+    )
+    for family, factors in _FACTORS.items()
+}
+FULL_AXES = _AXES[FULL]
+STAR_AXES = _AXES[STAR]
 
 #: Default cap on the number of cells of the materialized joint table.
 CELL_CAP = 10_000_000

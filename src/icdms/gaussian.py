@@ -639,8 +639,9 @@ def dpc_gain_objective(ch: ChannelParams, alpha: float, beta: float):
     def objective(lam):
         lam = np.asarray(lam, dtype=float)
         b = s + lam * lam
-        c = s + lam * eta2
-        det = a * b - c * c
+        # a * b - (s + lam * eta2)**2, written without the subtraction,
+        # which cancels at high power.
+        det = s * (lam - eta2) ** 2 + b
         return _gamma(a) + _gamma(b) - _gamma(det) - _gamma(1.0 + lam * lam / s)
 
     return objective

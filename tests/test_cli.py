@@ -166,6 +166,33 @@ def test_region_selector_override(tmp_path):
     assert ",g_sp2" in body and ",g_sp1" not in body
 
 
+@pytest.mark.parametrize(
+    "regions, flags, needle",
+    [
+        (5, [], "regions must be a string or a list of strings, got 5"),
+        ([["g"]], [], "regions must be a string or a list of strings, got [['g']]"),
+        ([None], [], "regions must be a string or a list of strings, got [None]"),
+        ({"g_sp1": 1}, [], "regions must be a string or a list of strings, got {'g_sp1': 1}"),
+        (["g_sp1", "g_sp1"], [], "regions names a region more than once"),
+        (["g_sp1"], ["--region", "g_sp1", "--region", "g_sp1"], "--region names a region more than once"),
+    ],
+    ids=["number", "nested_list", "null_member", "object", "repeated", "repeated_flag"],
+)
+def test_region_selectors_of_a_bad_shape_exit_2(tmp_path, capsys, regions, flags, needle):
+    # A number, a nested list or a null ended in a TypeError traceback, an
+    # object was read as its keys, and a repeated name wrote every row twice.
+    config = write_config(tmp_path, dict(SMALL_CONFIG, regions=regions))
+    assert main(["region", "--config", str(config), "--out", str(tmp_path), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if flags:
+        assert err == f"error: {needle}: ['g_sp1', 'g_sp1']\n"
+    else:
+        lines = config.read_text().splitlines()
+        line = next(n for n, text in enumerate(lines, 1) if '"regions"' in text)
+        assert err.startswith(f"error: line {line}: {needle}")
+
+
 def test_region_collapsed_alpha_single_corner(tmp_path):
     doc = dict(SMALL_CONFIG, grid={"alpha": {"lo": 0.0, "hi": 0.0, "count": 1}})
     config = write_config(tmp_path, doc)
@@ -576,6 +603,16 @@ def test_dpc_lambda_command(capsys):
     assert "lambda_star = 1.14997" in out
     assert "gain_bits   = 1.40367" in out
     assert "grid argmax" in out
+
+
+@pytest.mark.parametrize("p2", ["1e20", "1e30", "1e50", "1e100"])
+def test_dpc_lambda_check_at_high_power(p2, capsys):
+    # The grid check ended in a NonFiniteObjectiveError traceback: the
+    # objective's determinant cancelled to 0 or below.
+    argv = ["dpc-lambda", "--p1", "0", "--p2", p2, "--alpha", "1", "--beta", "0"]
+    assert main([*argv, "--check", "101"]) == 0
+    out = capsys.readouterr().out
+    assert "closed-form minus grid value = 0\n" in out
 
 
 def test_oracle_check_command(capsys):

@@ -28,7 +28,7 @@ from icdms import (
     region_sim,
     region_suc,
 )
-from icdms.discrete import FULL_AXES
+from icdms.discrete import FULL_AXES, STAR_AXES
 from icdms.oracle import brute_joint_mi
 
 
@@ -226,6 +226,8 @@ def test_malformed_factor_shape_names_factor(family, field, table, axis):
 def test_factor_table_matches_hand_written_oracle_bitwise(sizes, seed):
     """Draws and joint of both families equal the hand-written
     factorizations of ``discrete_factor_oracle`` bit for bit."""
+    assert FULL_AXES == ("q", "w", "x1", "u", "ut", "v", "vt", "x2", "y1", "y2")
+    assert STAR_AXES == ("q", "w", "x1", "u", "v", "vt", "x2", "y1", "y2")
     spec = AlphabetSpec(**dict(zip(FULL_AXES, sizes)))
     for maker, oracle_maker, names in (
         (random_full, oracle.random_full, FULL_FIELDS),

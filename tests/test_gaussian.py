@@ -591,6 +591,16 @@ def test_dpc_lambda_star_example():
     assert abs(gain - value) <= local + 1e-12
 
 
+@pytest.mark.parametrize("power", [6.0, 1e6, 1e10, 1e14, 1e100])
+def test_dpc_gain_objective_at_the_optimum_equals_the_gain(power):
+    # The determinant used to be a * b - c * c, which cancelled: at 1e14
+    # the objective read 0.0083 bits below the gain, at 1e100 it was inf.
+    ch = ChannelParams(p1=power, p2=power, c12=0.0, c21=0.0)
+    lam, gain = dpc_lambda_star(ch, 0.5, 0.0)
+    value = float(dpc_gain_objective(ch, 0.5, 0.0)(lam))
+    assert abs(value - gain) <= 1e-12 * max(1.0, gain)
+
+
 def test_dpc_lambda_star_edge_cases():
     lam, gain = dpc_lambda_star(ChannelParams(6.0, 6.0, 0.0, 0.3), 1.0, 0.0)
     assert lam == 0.0 and gain == pytest.approx(0.5 * math.log2(7.0), abs=1e-12)
