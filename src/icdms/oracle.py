@@ -35,12 +35,19 @@ LOG2E = math.log2(math.e)
 #: Fewest samples :func:`mc_gaussian_entropy` accepts.
 MIN_MC_SAMPLES = 1000
 
-#: Most samples :func:`mc_gaussian_entropy` accepts: the draw holds
-#: ``n * k`` floats, so an unbounded ``n`` is an unbounded allocation.
+#: Most samples :func:`mc_gaussian_entropy` accepts: the ``-log2 density``
+#: of every sample is kept for the mean and the standard error, ``8 * n``
+#: bytes, so an unbounded ``n`` is an unbounded allocation.
 MAX_MC_SAMPLES = 10**7
 
-#: Most grid points :func:`grid_maximize` accepts, for the same reason.
+#: Most grid points :func:`grid_maximize` accepts, for the same reason: the
+#: grid itself is ``8 * steps`` bytes.
 MAX_GRID_STEPS = 10**7
+
+#: Rows drawn and substituted at a time by :func:`mc_gaussian_entropy`, and
+#: grid points per objective call in :func:`grid_maximize`; it bounds their
+#: working memory beyond the per-sample values and the grid.
+MC_CHUNK = 2**16
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -77,6 +84,11 @@ def mc_gaussian_entropy(cov, n: int, seed: int) -> McEstimate:
     the sample standard deviation over ``sqrt(n)``.  The density is
     evaluated by forward substitution on a Cholesky factor and ``slogdet``
     rather than any closed-form entropy expression.
+
+    The samples are drawn and evaluated in chunks of :data:`MC_CHUNK` rows,
+    so the working memory is ``8 * n`` bytes plus a few chunk-sized buffers.
+    The result does not depend on ``MC_CHUNK``: it is bit for bit that of
+    one ``(n, k)`` draw evaluated at once.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] == 0:
@@ -103,26 +115,40 @@ def mc_gaussian_entropy(cov, n: int, seed: int) -> McEstimate:
     if sign <= 0:
         raise NotPositiveDefiniteError("non-positive determinant")
 
+    # The draw and the substitution go MC_CHUNK rows at a time through
+    # reused buffers.  Each works row by row, and PCG64 fills the chunks in
+    # the order of one (n, k) draw, so only quad spans all n samples.
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, k))
-    # x = z L^T, held as its transpose L z^T so that each coordinate is a
-    # contiguous row; the draw is released once x exists.
-    x = chol @ z.T
-    del z
-    # quad = x^T cov^{-1} x = |y|^2 with L y = x, by forward substitution in
-    # place: row i of x becomes y_i = (x_i - sum_{j<i} L_ij y_j) / L_ii.
+    rows = min(n, MC_CHUNK)
+    zbuf = np.empty((rows, k))
+    xbuf = np.empty((k, rows))
+    tmp = np.empty(rows)
     quad = np.zeros(n)
-    for i in range(k):
-        y = x[i]
-        for j in range(i):
-            y -= chol[i, j] * x[j]
-        y /= chol[i, i]
-        quad += y * y
-    # quad becomes -log2 density in place.
+    for lo in range(0, n, MC_CHUNK):
+        m = min(MC_CHUNK, n - lo)
+        z = zbuf[:m]
+        rng.standard_normal(out=z)
+        # x = z L^T, held as its transpose L z^T so that each coordinate is
+        # a contiguous row.
+        x = np.matmul(chol, z.T, out=xbuf[:, :m])
+        t = tmp[:m]
+        # quad = x^T cov^{-1} x = |y|^2 with L y = x, by forward substitution
+        # in place: row i of x becomes y_i = (x_i - sum_{j<i} L_ij y_j) / L_ii.
+        q = quad[lo : lo + m]
+        for i in range(k):
+            y = x[i]
+            for j in range(i):
+                y -= np.multiply(x[j], chol[i, j], out=t)
+            y /= chol[i, i]
+            q += np.multiply(y, y, out=t)
+    # quad becomes -log2 density in place, then its squared deviations, so
+    # the standard deviation needs no second n-sized array.
     quad *= 0.5 * LOG2E
     quad += 0.5 * (k * math.log2(2.0 * math.pi) + logdet * LOG2E)
     value = float(np.mean(quad))
-    stderr = float(np.std(quad, ddof=1) / math.sqrt(n))
+    quad -= value
+    quad *= quad
+    stderr = math.sqrt(float(np.sum(quad)) / (n - 1)) / math.sqrt(n)
     return McEstimate(value, stderr, n, seed)
 
 
@@ -130,7 +156,10 @@ def grid_maximize(objective, lo: float, hi: float, steps: int) -> tuple[float, f
     """Argmax of ``objective`` over a uniform grid of ``steps`` points.
 
     Deterministic: ties resolve to the smallest argument.  The objective
-    may be vectorized (called once on the whole grid) or scalar.
+    may be vectorized or scalar.  It is called on consecutive slices of the
+    grid of about :data:`MC_CHUNK` points, never on a single point, so its
+    temporaries are bounded whatever ``steps`` is; the result is that of
+    one call on the whole grid.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("need finite lo < hi")
@@ -138,16 +167,24 @@ def grid_maximize(objective, lo: float, hi: float, steps: int) -> tuple[float, f
     if not 2 <= steps <= MAX_GRID_STEPS:
         raise ValueError(f"need 2 to {MAX_GRID_STEPS} grid points")
     xs = np.linspace(lo, hi, steps)
-    try:
-        values = np.asarray(objective(xs), dtype=float)
-        if values.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        values = np.array([float(objective(x)) for x in xs])
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteObjectiveError("objective is not finite on the grid")
-    best = int(np.argmax(values))  # argmax takes the first, i.e. smallest x
-    return float(xs[best]), float(values[best])
+    # No slice starts at the last point, so the last one may hold
+    # MC_CHUNK + 1 points but never one alone.
+    bounds = [*range(0, steps - 1, MC_CHUNK), steps]
+    best_x = best_value = -math.inf
+    for start, stop in zip(bounds, bounds[1:]):
+        chunk = xs[start:stop]
+        try:
+            values = np.asarray(objective(chunk), dtype=float)
+            if values.shape != chunk.shape:
+                raise TypeError
+        except (TypeError, ValueError):
+            values = np.array([float(objective(x)) for x in chunk])
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteObjectiveError("objective is not finite on the grid")
+        i = int(np.argmax(values))  # argmax takes the first, i.e. smallest x
+        if values[i] > best_value:  # a later tie keeps the smaller x
+            best_x, best_value = float(chunk[i]), float(values[i])
+    return best_x, best_value
 
 
 def brute_joint_mi(j: JointPmf, left, right, given=()) -> float:

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from one_shot_oracle import one_shot_grid_maximize, one_shot_mc_gaussian_entropy
 
 from icdms import (
     XI,
@@ -22,7 +23,14 @@ from icdms import (
     mc_gaussian_entropy,
     random_star,
 )
-from icdms.oracle import MAX_GRID_STEPS, MAX_MC_SAMPLES, AxisError
+from icdms.oracle import MAX_GRID_STEPS, MAX_MC_SAMPLES, MC_CHUNK, AxisError
+
+# The Cholesky factor's sub-diagonal exceeds its diagonal in both, which is
+# where a general solve pivots rows and loses the last bits.
+ILL_CONDITIONED = (
+    np.array([[1e-6, 1e-5, 0.0], [1e-5, 1e6, 0.0], [0.0, 0.0, 1.0]]),
+    np.array([[1e-6, 1.19e-6], [1.19e-6, 1e8]]),
+)
 
 
 def test_mc_entropy_unit_gaussian():
@@ -129,10 +137,8 @@ def exact_entropy(cov, n: int, seed: int) -> tuple[float, float]:
 
 @settings(max_examples=200, deadline=None)
 @given(spd_covariances(), st.integers(0, 2**32 - 1))
-# The Cholesky factor's sub-diagonal exceeds its diagonal in both, which is
-# where a general solve pivots rows and loses the last bits.
-@example(np.array([[1e-6, 1e-5, 0.0], [1e-5, 1e6, 0.0], [0.0, 0.0, 1.0]]), 0)
-@example(np.array([[1e-6, 1.19e-6], [1.19e-6, 1e8]]), 0)
+@example(ILL_CONDITIONED[0], 0)
+@example(ILL_CONDITIONED[1], 0)
 def test_mc_entropy_matches_exact_reference(cov, seed):
     # Forward substitution is within the rounding scale 64 eps kappa of the
     # exact value of the same draw, relative to max(|value|, 1) because the
@@ -147,15 +153,98 @@ def test_mc_entropy_matches_exact_reference(cov, seed):
     assert mc_gaussian_entropy(cov, n, seed) == got
 
 
-def test_mc_entropy_memory_peak():
-    cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 3.0]])
+def bits(*values: float) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=50, deadline=None)
+@given(spd_covariances(), st.integers(0, 2**32 - 1))
+@example(ILL_CONDITIONED[0], 0)
+@example(ILL_CONDITIONED[1], 0)
+def test_mc_entropy_is_one_shot_across_chunk_edges(cov, seed):
+    # The chunked draw and substitution are bit for bit the one-shot ones,
+    # with a short last chunk, none, and a one-row last chunk.
+    for n in (MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 7):
+        got = mc_gaussian_entropy(cov, n, seed)
+        want = one_shot_mc_gaussian_entropy(cov, n, seed)
+        assert bits(got.value_bits, got.std_error_bits) == bits(*want), n
+
+
+GRID_EDGES = (MC_CHUNK - 1, MC_CHUNK + 1, 2 * MC_CHUNK + 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(GRID_EDGES),
+    st.floats(-10.0, 10.0),
+    st.floats(0.01, 20.0),
+    st.floats(0.1, 50.0),
+    st.integers(0, 4),
+)
+def test_grid_maximize_is_one_shot_across_chunk_edges(steps, lo, width, freq, digits):
+    # Rounding the cosine makes its maximum tie across several slices; the
+    # first, smallest x must still win.
+    def objective(x):
+        return np.round(np.cos(freq * x), digits)
+
+    got = grid_maximize(objective, lo, lo + width, steps)
+    assert bits(*got) == bits(*one_shot_grid_maximize(objective, lo, lo + width, steps))
+
+
+@pytest.mark.parametrize("steps", GRID_EDGES)
+@pytest.mark.parametrize(
+    "objective",
+    [
+        lambda x: np.zeros_like(x),  # every point ties
+        lambda x: round(math.cos(7.0 * x), 2),  # scalar only, with ties
+    ],
+    ids=["constant", "scalar"],
+)
+def test_grid_maximize_ties_and_scalars_across_chunk_edges(objective, steps):
+    got = grid_maximize(objective, -1.0, 2.0, steps)
+    assert bits(*got) == bits(*one_shot_grid_maximize(objective, -1.0, 2.0, steps))
+
+
+def test_grid_maximize_slices_hold_at_least_two_points():
+    sizes = []
+
+    def objective(x):
+        sizes.append(x.size)
+        return -x
+
+    for steps in (2, MC_CHUNK, MC_CHUNK + 1, MC_CHUNK + 2):
+        sizes.clear()
+        assert grid_maximize(objective, 0.0, 1.0, steps) == (0.0, -0.0)
+        assert sum(sizes) == steps and min(sizes) >= 2 and max(sizes) <= MC_CHUNK + 1
+
+
+def traced_peak(call) -> int:
+    """Peak traced allocation, in bytes, while ``call()`` runs."""
     tracemalloc.start()
     try:
-        mc_gaussian_entropy(cov, 10**6, seed=3)
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 96 * 2**20  # the draw alone is 22.9 MiB
+    return peak
+
+
+def test_mc_entropy_memory_peak():
+    # Only the per-sample values span all n samples (8 n bytes); the draw
+    # and its factored copy go MC_CHUNK rows at a time.  The one-shot draw
+    # alone was 22.9 MiB at n = 10^6.
+    cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 3.0]])
+    for n in (10**6, 4 * 10**6):
+        peak = traced_peak(lambda: mc_gaussian_entropy(cov, n, seed=3))
+        assert peak < 8 * n + 8 * 2**20, n
+
+
+def test_grid_maximize_memory_peak():
+    # Only the grid spans all points (8 steps bytes); the objective's
+    # temporaries span one slice.
+    steps = 4 * 10**6
+    peak = traced_peak(lambda: grid_maximize(lambda x: -((x - 1.0) ** 2), 0.0, 2.0, steps))
+    assert peak < 8 * steps + 8 * 2**20
 
 
 def test_grid_maximize_parabola():
