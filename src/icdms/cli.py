@@ -43,11 +43,12 @@ from .gaussian import (
     ENTROPY_BLOCKS,
     ChannelParams,
     GaussianCoding,
+    _check_split,
+    _dpc_split,
     build_covariances,
     dpc_gain_objective,
     dpc_lambda_star,
     entropy_terms,
-    eta_coefficients,
 )
 from .geometry import (
     DEFAULT_R1_STEP,
@@ -56,6 +57,7 @@ from .geometry import (
     Frontier,
     MAX_AXIS_POINTS,
     REGION_FAMILIES,
+    SPLIT_AXES,
     SampleCapError,
     SweepGrid,
     default_grid,
@@ -133,10 +135,6 @@ def _json_bool(doc: dict, key: str, raw: str) -> bool:
     return value
 
 
-#: Power-split axes: fractions of a power, so their grids must lie in [0, 1].
-_UNIT_AXES = ("alpha", "beta", "edge_alpha")
-
-
 def _axis_from_doc(doc, raw: str, key: str, fallback: AxisGrid) -> AxisGrid:
     if doc is None:
         return fallback
@@ -151,9 +149,11 @@ def _axis_from_doc(doc, raw: str, key: str, fallback: AxisGrid) -> AxisGrid:
         axis = AxisGrid(lo=lo, hi=hi, count=doc.get("count", fallback.count))
     except ValueError as exc:
         raise ConfigError(f"grid.{key}: {exc}", line) from exc
-    in_unit = axis.hi is not None and 0.0 <= axis.lo <= axis.hi <= 1.0
-    if key in _UNIT_AXES and not in_unit:
-        raise ConfigError(f"grid.{key} must lie in [0, 1]", line)
+    if key in SPLIT_AXES:
+        try:
+            _check_split(f"grid.{key}", axis.lo, axis.hi)
+        except ValueError as exc:
+            raise ConfigError(str(exc), line) from exc
     return axis
 
 
@@ -455,12 +455,11 @@ def cmd_dpc_lambda(args: argparse.Namespace) -> int:
     print(f"lambda_star = {lam:.12g}")
     print(f"gain_bits   = {gain:.12g}")
     if args.check:
-        s = args.alpha * (1.0 - args.beta) * channel.p2
+        s, eta2 = _dpc_split(channel, args.alpha, args.beta)
         if s == 0.0:
             print("check: zero stream power, objective identically 0")
             return 0
         objective = dpc_gain_objective(channel, args.alpha, args.beta)
-        _, eta2 = eta_coefficients(channel, args.alpha)
         arg, value = grid_maximize(objective, 0.0, 3.0 * (eta2 + 1.0), args.check)
         print(f"grid argmax = {arg:.12g}, value = {value:.12g}")
         print(f"closed-form minus grid value = {gain - value:.3g}")
@@ -469,7 +468,11 @@ def cmd_dpc_lambda(args: argparse.Namespace) -> int:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
-    failures = 0
+    verdicts: list[bool] = []
+
+    def verdict(ok: bool) -> str:
+        verdicts.append(ok)
+        return "ok" if ok else "FAIL"
 
     print("entropy terms vs Monte Carlo:")
     for draw in range(args.draws):
@@ -486,10 +489,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             lambda2=float(rng.uniform(0.0, 1.0)),
         )
         worst = _entropy_worst_z(channel, coding, args.samples, args.seed + 1000 * draw)
-        status = "ok" if worst <= 3.0 else "FAIL"
-        if worst > 3.0:
-            failures += 1
-        print(f"  draw {draw}: max |z| = {worst:.2f} {status}")
+        print(f"  draw {draw}: max |z| = {worst:.2f} {verdict(worst <= 3.0)}")
 
     print("discrete mutual information, vectorized vs brute force:")
     worst_diff = 0.0
@@ -505,11 +505,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             a = conditional_mi(j, left, right, given)
             b = brute_joint_mi(j, left, right, given)
             worst_diff = max(worst_diff, abs(a - b))
-    status = "ok" if worst_diff <= 1e-12 else "FAIL"
-    if worst_diff > 1e-12:
-        failures += 1
+    status = verdict(worst_diff <= 1e-12)
     print(f"  max |difference| over {args.draws} draws = {worst_diff:.3g} {status}")
-    return 1 if failures else 0
+    return 0 if all(verdicts) else 1
 
 
 def _entropy_worst_z(channel, coding, samples, seed_base) -> float:

@@ -286,6 +286,19 @@ def assemble_joint(fd: FactoredDistribution, cell_cap: int = CELL_CAP) -> JointP
     return JointPmf(table, fd.axes)
 
 
+def _mi_axes(j: JointPmf, left, right, given) -> tuple[tuple[int, ...], ...]:
+    """Axis positions of an MI query's three variable sets; :class:`AxisError`
+    on a name the joint lacks or on sets that are not disjoint."""
+    groups = tuple(left), tuple(right), tuple(given)
+    all_names = sum(groups, ())
+    for name in all_names:
+        if name not in j.axes:
+            raise AxisError(f"unknown variable {name!r}")
+    if len(set(all_names)) != len(all_names):
+        raise AxisError("left/right/given sets must be disjoint")
+    return tuple(tuple(j.axes.index(n) for n in group) for group in groups)
+
+
 def conditional_mi(j: JointPmf, left, right, given=()) -> float:
     """Exact conditional mutual information I(left; right | given) in bits.
 
@@ -293,21 +306,10 @@ def conditional_mi(j: JointPmf, left, right, given=()) -> float:
     Cells with zero mass contribute zero (0 log 0 = 0); tiny negative
     rounding residue is clamped to 0.
     """
-    left, right, given = tuple(left), tuple(right), tuple(given)
-    index = {name: k for k, name in enumerate(j.axes)}
-    for group in (left, right, given):
-        for name in group:
-            if name not in index:
-                raise AxisError(f"unknown variable {name!r}")
-    all_names = left + right + given
-    if len(set(all_names)) != len(all_names):
-        raise AxisError("left/right/given sets must be disjoint")
-
-    keep = set(all_names)
-    drop = tuple(k for k, a in enumerate(j.axes) if a not in keep)
+    l_ax, r_ax, g_ax = _mi_axes(j, left, right, given)
+    keep = set(l_ax + r_ax + g_ax)
+    drop = tuple(k for k in range(len(j.axes)) if k not in keep)
     p_lrg = j.table.sum(axis=drop, keepdims=True) if drop else j.table
-    l_ax = tuple(index[n] for n in left)
-    r_ax = tuple(index[n] for n in right)
     p_rg = p_lrg.sum(axis=l_ax, keepdims=True)
     p_lg = p_lrg.sum(axis=r_ax, keepdims=True)
     p_g = p_rg.sum(axis=r_ax, keepdims=True)

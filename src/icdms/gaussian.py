@@ -37,6 +37,8 @@ Conventions
   ``W`` of variance ``p1``.  ``dpc_lambda_star`` instead reports the
   coefficient against a unit-variance ``W`` (the successive-decoding
   construction is stated that way); the two scales differ by ``sqrt(p1)``.
+  ``_lambda_rows`` is the one place a unit-W lambda goes to the stored
+  scale, and ``_region_g_arrays`` the one place it comes back.
 * Zero-power limits (``p1 == 0``, or a private stream with zero power and
   zero lambda) are evaluated exactly with the degenerate variable dropped.
   A *positive* lambda on a zero-power stream makes the bin rate diverge:
@@ -107,6 +109,17 @@ def _gamma(x):
     return 0.5 * np.log2(x)
 
 
+def _check_split(name: str, *values) -> None:
+    """The power-split rule: ``ValueError`` unless every value is in [0, 1]."""
+    if not all(v is not None and 0.0 <= v <= 1.0 for v in values):
+        raise ValueError(f"{name} must lie in [0, 1]")
+
+
+def _stream_powers(p2, alpha, beta):
+    """The ``U`` and ``V`` stream powers, elementwise over arrays."""
+    return alpha * beta * p2, alpha * (1.0 - beta) * p2
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Powers and normalized link gains of the standard-form channel."""
@@ -150,8 +163,7 @@ class GaussianCoding:
     def __post_init__(self):
         for name in ("alpha", "beta"):
             value = float(getattr(self, name))
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+            _check_split(name, value)
             object.__setattr__(self, name, value)
         for name in ("lambda1", "lambda2"):
             value = float(getattr(self, name))
@@ -245,8 +257,7 @@ def eta_coefficients(ch: ChannelParams, alpha: float) -> tuple[float, float]:
     ``eta2 = sqrt((1-alpha) * p2) + sqrt(c12 * p1)`` is its amplitude at
     receiver 2, where it acts as known interference.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    _check_split("alpha", alpha)
     eta1, eta2 = _eta_arrays(ch, alpha)
     return float(eta1), float(eta2)
 
@@ -268,12 +279,10 @@ def build_covariances(
     operations decide how to handle them.
     """
     p1, p2 = ch.p1, ch.p2
-    a, b = cp.alpha, cp.beta
-    l1, l2 = cp.lambda1, cp.lambda2
+    a, l1, l2 = cp.alpha, cp.lambda1, cp.lambda2
     eta1, eta2 = eta_coefficients(ch, a)
     rp1 = math.sqrt(p1)
-    s_u = a * b * p2
-    s_v = a * (1.0 - b) * p2
+    s_u, s_v = _stream_powers(p2, a, cp.beta)
 
     mu12 = l1 * p1
     mu13 = eta1 * rp1
@@ -346,26 +355,18 @@ def entropy_terms(ch: ChannelParams, cp: GaussianCoding) -> EntropyTerms:
     )
 
 
-def _check_divergent(ch: ChannelParams, cp: GaussianCoding) -> None:
-    """Reject a positive bin coefficient on a zero-power stream."""
-    s_u = cp.alpha * cp.beta * ch.p2
-    s_v = cp.alpha * (1.0 - cp.beta) * ch.p2
-    if cp.lambda1 > 0.0 and s_u == 0.0:
-        raise DegenerateError("i3", "lambda1 > 0 with zero U-stream power")
-    if cp.lambda2 > 0.0 and s_v == 0.0:
-        raise DegenerateError("i4", "lambda2 > 0 with zero V-stream power")
-
-
 def mi_terms(ch: ChannelParams, cp: GaussianCoding) -> MiTerms:
     """The seven mutual-information combinations, from the entropy terms.
 
     ``i3`` and ``i4`` come from their closed forms, with the convention
     that a zero bin coefficient gives exactly 0 bits.
     """
-    _check_divergent(ch, cp)
+    s_u, s_v = _stream_powers(ch.p2, cp.alpha, cp.beta)
+    if cp.lambda1 > 0.0 and s_u == 0.0:
+        raise DegenerateError("i3", "lambda1 > 0 with zero U-stream power")
+    if cp.lambda2 > 0.0 and s_v == 0.0:
+        raise DegenerateError("i4", "lambda2 > 0 with zero V-stream power")
     h = entropy_terms(ch, cp)
-    s_u = cp.alpha * cp.beta * ch.p2
-    s_v = cp.alpha * (1.0 - cp.beta) * ch.p2
     i3 = 0.0 if cp.lambda1 == 0.0 else 0.5 * math.log2(
         1.0 + cp.lambda1 ** 2 * ch.p1 / s_u
     )
@@ -423,8 +424,7 @@ def _region_g_arrays(
     )
     rp1 = math.sqrt(p1)
     eta1, eta2 = _eta_arrays(ch, alpha)
-    s_u = alpha * beta * p2
-    s_v = alpha * (1.0 - beta) * p2
+    s_u, s_v = _stream_powers(p2, alpha, beta)
     active_u = s_u > 0.0
     active_v = s_v > 0.0
 
@@ -573,8 +573,7 @@ def region_g_suc(ch: ChannelParams, alpha: float, beta: float) -> PentagonRegion
     its rate interference-free.  There is no separate sum constraint:
     ``sum_max = r1_max + r2_max``.
     """
-    if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
-        raise ValueError("alpha and beta must lie in [0, 1]")
+    _check_split("alpha and beta", alpha, beta)
     r1, r2 = _region_g_suc_values(ch, alpha, beta)
     r1 = float(r1)
     r2 = float(r2)
@@ -611,9 +610,8 @@ def dpc_lambda_star(
 def _dpc_split(ch: ChannelParams, alpha: float, beta: float) -> tuple[float, float]:
     """The V stream's power ``alpha * (1-beta) * p2`` and ``eta2``, for a
     split checked to lie in [0, 1]."""
-    if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
-        raise ValueError("alpha and beta must lie in [0, 1]")
-    return alpha * (1.0 - beta) * ch.p2, eta_coefficients(ch, alpha)[1]
+    _check_split("alpha and beta", alpha, beta)
+    return _stream_powers(ch.p2, alpha, beta)[1], eta_coefficients(ch, alpha)[1]
 
 
 def _dpc_optimum(s, eta2):
@@ -621,6 +619,21 @@ def _dpc_optimum(s, eta2):
     ``W``) of a stream of power ``s`` against interference amplitude
     ``eta2``; elementwise over arrays."""
     return s * eta2 / (s + 1.0)
+
+
+def _lambda_rows(ch: ChannelParams, points: np.ndarray, s, eta2) -> np.ndarray:
+    """Stored-scale lambda rows, one per power in ``s``: unit-W ``points``
+    and the dirty-paper optimum over ``sqrt(p1)``; one 0 when p1 == 0."""
+    if ch.p1 == 0.0:
+        return np.zeros((s.size, 1))
+    points = np.broadcast_to(points, (s.size, points.size))
+    optimum = _dpc_optimum(s, eta2)[:, None]
+    return np.concatenate([points, optimum], axis=1) / math.sqrt(ch.p1)
+
+
+def _lambda_columns(ch: ChannelParams, count: int) -> int:
+    """Width of the :func:`_lambda_rows` of ``count`` points."""
+    return 1 if ch.p1 == 0.0 else count + 1
 
 
 def dpc_gain_objective(ch: ChannelParams, alpha: float, beta: float):

@@ -25,10 +25,13 @@ import numpy as np
 
 from .gaussian import (
     ChannelParams,
-    _dpc_optimum,
+    _check_split,
     _eta_arrays,
+    _lambda_columns,
+    _lambda_rows,
     _region_g_arrays,
     _region_g_suc_values,
+    _stream_powers,
     eta_coefficients,
     PentagonRegion,
 )
@@ -78,6 +81,9 @@ LAMBDA_SPAN = 3.0
 PAIR_TILE = 1 << 17
 
 REGION_FAMILIES = ("g", "g_suc", "g_sp1", "g_sp2")
+
+#: The :class:`SweepGrid` axes that are fractions of a power.
+SPLIT_AXES = ("alpha", "beta", "edge_alpha")
 
 #: Pentagons whose reach lies within this of the union's reach all set its
 #: end point's r2 (``reach_r2``).
@@ -176,7 +182,8 @@ class SweepGrid:
 
     ``edge_alpha`` is the fine alpha grid used for the boundary faces of
     the four-parameter sweep; it should match the resolution of the
-    one-parameter sweeps it is compared against.
+    one-parameter sweeps it is compared against.  Each of the ``SPLIT_AXES``
+    needs a set ``hi`` and 0 <= lo <= hi <= 1 (``ValueError`` otherwise).
     """
 
     alpha: AxisGrid
@@ -184,6 +191,11 @@ class SweepGrid:
     lambda1: AxisGrid
     lambda2: AxisGrid
     edge_alpha: AxisGrid
+
+    def __post_init__(self):
+        for name in SPLIT_AXES:
+            axis = getattr(self, name)
+            _check_split(name, axis.lo, axis.hi)
 
 
 def default_grid(which: str = "g") -> SweepGrid:
@@ -388,34 +400,18 @@ def _sweep_binned_pair(ch: ChannelParams, grid: SweepGrid):
 
     The bin-coefficient grids are built in the unit-variance-W scale,
     spanning [0, LAMBDA_SPAN * eta2(alpha)] and always containing the exact
-    dirty-paper optimum of each stream, then converted to the stored
-    E{W^2}=p1 scale (with p1 == 0 there is nothing to bin: lambda = 0).
-    Each alpha is one batched :func:`_region_g_arrays` call over every
-    (beta, lambda1, lambda2) combination, split into tiles of at most
-    ``PAIR_TILE`` tuples, and the (beta, lambda) grids are built per beta
-    tile, so that memory does not grow with the grid counts.  A lambda
+    dirty-paper optimum of each stream (:func:`_lambda_rows`).  Each alpha
+    is one batched :func:`_region_g_arrays` call over every (beta, lambda1,
+    lambda2) combination, split into tiles of at most ``PAIR_TILE`` tuples,
+    and the (beta, lambda) grids are built per beta tile, so that memory
+    does not grow with the grid counts.  A lambda
     value may repeat (a grid point equal to the optimum); the union is
     idempotent, so that costs a duplicate pentagon and changes nothing.
     The two boundary faces follow at ``edge_alpha`` resolution (see module
     docstring), one call per face.
     """
-    p2 = ch.p2
-    rp1 = math.sqrt(ch.p1)
     betas = grid.beta.points()
-
-    def stored(points: np.ndarray, s, eta2) -> np.ndarray:
-        """Stored-scale lambda rows, one per stream power in ``s``: unit-W
-        ``points`` plus the dirty-paper optimum, or one 0 when p1 == 0."""
-        if rp1 == 0.0:
-            return np.zeros((s.size, 1))
-        points = np.broadcast_to(points, (s.size, points.size))
-        optimum = _dpc_optimum(s, eta2)[:, None]
-        return np.concatenate([points, optimum], axis=1) / rp1
-
-    # lambda columns per row of ``stored``: the axis points and the optimum, or one 0.
-    m1, m2 = (
-        axis.count + 1 if rp1 > 0.0 else 1 for axis in (grid.lambda1, grid.lambda2)
-    )
+    m1, m2 = (_lambda_columns(ch, axis.count) for axis in (grid.lambda1, grid.lambda2))
     nb, n1, n2 = _tile_sizes(betas.size, m1, m2)
     for alpha in grid.alpha.points():
         alpha = float(alpha)
@@ -423,8 +419,9 @@ def _sweep_binned_pair(ch: ChannelParams, grid: SweepGrid):
         lam_hi = LAMBDA_SPAN * eta2
         for b in _tiles(betas.size, nb):
             beta = betas[b]
-            lam1 = stored(grid.lambda1.points(lam_hi), alpha * beta * p2, eta2)
-            lam2 = stored(grid.lambda2.points(lam_hi), alpha * (1.0 - beta) * p2, eta2)
+            s_u, s_v = _stream_powers(ch.p2, alpha, beta)
+            lam1 = _lambda_rows(ch, grid.lambda1.points(lam_hi), s_u, eta2)
+            lam2 = _lambda_rows(ch, grid.lambda2.points(lam_hi), s_v, eta2)
             for j, k in itertools.product(_tiles(m1, n1), _tiles(m2, n2)):
                 yield _region_g_arrays(
                     ch, alpha, beta[:, None, None], lam1[:, j, None], lam2[:, None, k]
@@ -432,7 +429,8 @@ def _sweep_binned_pair(ch: ChannelParams, grid: SweepGrid):
 
     alphas = grid.edge_alpha.points()
     _, eta2 = _eta_arrays(ch, alphas)
-    lam2 = stored(np.empty(0), alphas * p2, eta2)[:, -1]  # beta = 0: V has alpha * p2
+    s_v = _stream_powers(ch.p2, alphas, 0.0)[1]
+    lam2 = _lambda_rows(ch, np.empty(0), s_v, eta2)[:, -1]  # beta = 0: the optimum
     for t in _tiles(alphas.size, PAIR_TILE):
         yield _region_g_arrays(ch, alphas[t, None], 0.0, 0.0, lam2[t, None])[:3]
         yield _region_g_arrays(ch, alphas[t, None], 1.0, 0.0, 0.0)[:3]

@@ -5,7 +5,7 @@ check: a Monte Carlo differential-entropy estimator (against the
 closed-form Gaussian entropy terms), a uniform-grid scalar maximizer
 (against the closed-form bin-coefficient optimum), and a loop-based
 conditional mutual-information evaluator (against the vectorized joint
-summation).
+summation; the two share only the check of a query's variable names).
 
 Random sampling uses ``numpy.random.Generator`` seeded with PCG64, so every
 estimate is bit-reproducible from its seed.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import AxisError, JointPmf
+from .discrete import AxisError, JointPmf, _mi_axes
 
 __all__ = [
     "McEstimate",
@@ -193,21 +193,10 @@ def brute_joint_mi(j: JointPmf, left, right, given=()) -> float:
     Second, independently written summation path: loops over every joint
     cell, accumulates the four marginal dictionaries on the fly, and sums
     p * log2(p * p_g / (p_lg * p_rg)).  No marginalization code is shared
-    with the vectorized evaluator.
+    with the vectorized evaluator; only the check of the query's names
+    (unknown or overlapping sets raise :class:`AxisError`) is.
     """
-    left, right, given = tuple(left), tuple(right), tuple(given)
-    position = {name: k for k, name in enumerate(j.axes)}
-    for group in (left, right, given):
-        for name in group:
-            if name not in position:
-                raise AxisError(f"unknown variable {name!r}")
-    all_names = left + right + given
-    if len(set(all_names)) != len(all_names):
-        raise AxisError("left/right/given sets must be disjoint")
-
-    l_pos = [position[n] for n in left]
-    r_pos = [position[n] for n in right]
-    g_pos = [position[n] for n in given]
+    l_pos, r_pos, g_pos = _mi_axes(j, left, right, given)
 
     p_lrg: dict = {}
     p_lg: dict = {}

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from icdms import (
     time_sharing_hull,
     union_frontier,
 )
+from icdms import geometry
 from icdms.gaussian import MAX_POWER
 from icdms.geometry import (
     MAX_R1_SAMPLES,
@@ -367,6 +369,23 @@ def test_axis_grid_points():
     assert type(AxisGrid(0.0, 1.0, np.int64(3)).count) is int
 
 
+@pytest.mark.parametrize("axis", ["alpha", "beta", "edge_alpha"])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-0.5, 1.0), (0.0, 1.5), (math.nan, 1.0), (0.0, None)],
+    ids=["lo-below-0", "hi-above-1", "nan-lo", "hi-none"],
+)
+def test_sweep_grid_rejects_split_axis_outside_unit_interval(axis, lo, hi):
+    # Such grids used to reach the sweep: beta in [-1, 1] built g and g_suc
+    # frontiers from negative stream powers, and alpha up to 2 ended in sqrt
+    # warnings and a misleading "r1 bounds must be finite" error.
+    axes = vars(default_grid("g")) | {axis: AxisGrid(lo, hi, 5)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{axis} must lie in \[0, 1\]$"):
+            SweepGrid(**axes)
+
+
 def test_inclusion_gap_trivial_cases():
     f = sweep_gaussian(FIG4, default_grid("g_sp1"), "g_sp1")
     assert inclusion_gap(f, f) == 0.0
@@ -522,6 +541,42 @@ def test_g_contains_g_sp1_on_fig5_channel():
     sp1 = sweep_gaussian(ch, default_grid("g_sp1"), "g_sp1")
     g = sweep_gaussian(ch, default_grid("g"), "g")
     assert inclusion_gap(sp1, g) <= 1e-12
+
+
+_WIDE_LAMBDA = AxisGrid(0.0, None, 81)
+
+
+@pytest.mark.parametrize(
+    "grid, calls, tuples",
+    [
+        (default_grid("g"), 43, 41 * 41 * 1 * 1 + 2 * 201),
+        # Sized for 82 x 82 lambda columns, the beta tiles would hold 19 rows.
+        (
+            SweepGrid(
+                AxisGrid(0.0, 1.0, 2), AxisGrid(0.0, 1.0, 201),
+                _WIDE_LAMBDA, _WIDE_LAMBDA, AxisGrid(0.0, 1.0, 3),
+            ),
+            2 + 2,
+            2 * 201 + 2 * 3,
+        ),
+    ],
+    ids=["default", "wide-lambda"],
+)
+def test_g_sweep_at_zero_p1_evaluates_one_lambda_column(monkeypatch, grid, calls, tuples):
+    # With p1 = 0 there is nothing to bin: each lambda axis collapses to one
+    # 0, and the beta tiles are sized for that one column.  So each alpha is
+    # one call over every beta, and each boundary face one call.
+    sizes = []
+    inner = geometry._region_g_arrays
+
+    def counted(*args):
+        out = inner(*args)
+        sizes.append(out[3].size)
+        return out
+
+    monkeypatch.setattr(geometry, "_region_g_arrays", counted)
+    sweep_gaussian(ChannelParams(0.0, 6.0, 0.0, 0.5), grid, "g")
+    assert (len(sizes), sum(sizes)) == (calls, tuples)
 
 
 _power = st.just(0.0) | st.floats(0.01, 50.0)
