@@ -43,7 +43,6 @@ from .gaussian import (
     ENTROPY_BLOCKS,
     ChannelParams,
     GaussianCoding,
-    _check_split,
     _dpc_split,
     build_covariances,
     dpc_gain_objective,
@@ -57,9 +56,10 @@ from .geometry import (
     Frontier,
     MAX_AXIS_POINTS,
     REGION_FAMILIES,
-    SPLIT_AXES,
     SampleCapError,
     SweepGrid,
+    _check_axis,
+    _check_r1_step,
     default_grid,
     sweep_gaussian,
     time_sharing_hull,
@@ -149,11 +149,10 @@ def _axis_from_doc(doc, raw: str, key: str, fallback: AxisGrid) -> AxisGrid:
         axis = AxisGrid(lo=lo, hi=hi, count=doc.get("count", fallback.count))
     except ValueError as exc:
         raise ConfigError(f"grid.{key}: {exc}", line) from exc
-    if key in SPLIT_AXES:
-        try:
-            _check_split(f"grid.{key}", axis.lo, axis.hi)
-        except ValueError as exc:
-            raise ConfigError(str(exc), line) from exc
+    try:
+        _check_axis(key, axis)
+    except ValueError as exc:
+        raise ConfigError(f"grid.{exc}", line) from exc
     return axis
 
 
@@ -227,8 +226,10 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
 
     line = _line_of(raw, "r1_step")
     r1_step = _json_number(doc.get("r1_step", DEFAULT_R1_STEP), "r1_step", line)
-    if not 0.0 < r1_step < 1.0:
-        raise ConfigError("r1_step: r1_step must be in (0, 1)", line)
+    try:
+        _check_r1_step(r1_step)
+    except ValueError as exc:
+        raise ConfigError(f"r1_step: {exc}", line) from exc
 
     seed = overrides.seed
     if seed is None:

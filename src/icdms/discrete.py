@@ -97,7 +97,7 @@ _AXES = {
 FULL_AXES = _AXES[FULL]
 STAR_AXES = _AXES[STAR]
 
-#: Default cap on the number of cells of the materialized joint table.
+#: Cap on the number of cells of the materialized joint table.
 CELL_CAP = 10_000_000
 
 #: Tolerance for conditional slices summing to one.
@@ -264,19 +264,17 @@ class JointPmf:
         return out
 
 
-def assemble_joint(fd: FactoredDistribution, cell_cap: int = CELL_CAP) -> JointPmf:
+def assemble_joint(fd: FactoredDistribution) -> JointPmf:
     """Materialize the joint table of a factored distribution.
 
     Raises :class:`CapExceededError` when the joint would exceed
-    ``cell_cap`` cells, and :class:`NormalizationError` (via validation at
+    ``CELL_CAP`` cells, and :class:`NormalizationError` (via validation at
     construction) if any factor slice is off-mass.
     """
     sizes = fd.sizes()
     n_cells = math.prod(sizes[a] for a in fd.axes)
-    if n_cells > cell_cap:
-        raise CapExceededError(
-            f"joint table needs {n_cells} cells, cap is {cell_cap}"
-        )
+    if n_cells > CELL_CAP:
+        raise CapExceededError(f"joint table needs {n_cells} cells, cap is {CELL_CAP}")
     factors = _FACTORS[fd.family]
     inputs = ",".join(row[2] for row in factors)
     output = "".join(_LETTER_OF[a] for a in fd.axes)

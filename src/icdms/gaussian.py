@@ -115,6 +115,14 @@ def _check_split(name: str, *values) -> None:
         raise ValueError(f"{name} must lie in [0, 1]")
 
 
+def _check_nonneg(name: str, value) -> float:
+    """The "finite and >= 0" rule: ``value`` as a float, else ``ValueError``."""
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
 def _stream_powers(p2, alpha, beta):
     """The ``U`` and ``V`` stream powers, elementwise over arrays."""
     return alpha * beta * p2, alpha * (1.0 - beta) * p2
@@ -131,10 +139,7 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("p1", "p2", "c12", "c21"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_nonneg(name, getattr(self, name)))
         for name, power in (
             ("p1", self.p1),
             ("p2", self.p2),
@@ -166,10 +171,7 @@ class GaussianCoding:
             _check_split(name, value)
             object.__setattr__(self, name, value)
         for name in ("lambda1", "lambda2"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_nonneg(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .gaussian import (
     ChannelParams,
+    _check_nonneg,
     _check_split,
     _eta_arrays,
     _lambda_columns,
@@ -182,8 +183,8 @@ class SweepGrid:
 
     ``edge_alpha`` is the fine alpha grid used for the boundary faces of
     the four-parameter sweep; it should match the resolution of the
-    one-parameter sweeps it is compared against.  Each of the ``SPLIT_AXES``
-    needs a set ``hi`` and 0 <= lo <= hi <= 1 (``ValueError`` otherwise).
+    one-parameter sweeps it is compared against.  Every axis must pass
+    :func:`_check_axis`.
     """
 
     alpha: AxisGrid
@@ -193,9 +194,25 @@ class SweepGrid:
     edge_alpha: AxisGrid
 
     def __post_init__(self):
-        for name in SPLIT_AXES:
-            axis = getattr(self, name)
-            _check_split(name, axis.lo, axis.hi)
+        for name, axis in vars(self).items():
+            _check_axis(name, axis)
+
+
+def _check_axis(name: str, axis: AxisGrid) -> None:
+    """The rule of a :class:`SweepGrid` axis: a power split needs a set ``hi``
+    and 0 <= lo <= hi <= 1, a bin coefficient finite lo (and hi) >= 0."""
+    if name in SPLIT_AXES:
+        _check_split(name, axis.lo, axis.hi)
+    else:
+        _check_nonneg(name, axis.lo)
+        if axis.hi is not None:
+            _check_nonneg(name, axis.hi)
+
+
+def _check_r1_step(step: float) -> None:
+    """The r1-step rule: ``ValueError`` unless 0 < step < 1."""
+    if not 0.0 < step < 1.0:
+        raise ValueError("r1_step must be in (0, 1)")
 
 
 def default_grid(which: str = "g") -> SweepGrid:
@@ -232,9 +249,10 @@ def _union_fold(tiles, step: float) -> Frontier:
     O(tile + samples).
 
     Every tile is checked whole before pruning, so a bad bound raises
-    ``ValueError`` even where its pentagon would be dropped.  Raises
-    :class:`EmptyUnionError` when the stream holds no pentagon.
+    ``ValueError`` even where its pentagon would be dropped, as does a
+    ``step`` outside (0, 1).  An empty stream raises :class:`EmptyUnionError`.
     """
+    _check_r1_step(step)
     union: Frontier | None = None
     ends: tuple[np.ndarray, ...] = ()
     # ``tile`` keeps the last tile alive until the next one arrives.  Freed

@@ -219,6 +219,7 @@ def test_region_axis_without_hi_uses_default(tmp_path):
         ("beta", {"lo": -0.5, "hi": 1.0, "count": 5}),
         ("edge_alpha", {"lo": 0.0, "hi": 1.5, "count": 5}),
         ("alpha", {"lo": 0.0, "hi": None, "count": 5}),
+        ("lambda1", {"lo": -1, "count": 5}),
     ],
 )
 def test_region_power_split_axis_outside_unit_interval(tmp_path, capsys, key, axis):
@@ -228,7 +229,8 @@ def test_region_power_split_axis_outside_unit_interval(tmp_path, capsys, key, ax
     err = capsys.readouterr().err
     lines = config.read_text().splitlines()
     line = next(n for n, text in enumerate(lines, 1) if f'"{key}"' in text)
-    assert f"line {line}: grid.{key} must lie in [0, 1]" in err
+    rule = "must be finite and >= 0, got -1.0" if key == "lambda1" else "must lie in [0, 1]"
+    assert f"line {line}: grid.{key} {rule}" in err
 
 
 @pytest.mark.parametrize("count", [2.7, True, 10**12, "5"])
@@ -306,6 +308,14 @@ def test_region_config_seed_must_be_integer(tmp_path, capsys):
         config = write_config(tmp_path, dict(SMALL_CONFIG, seed=seed))
         assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
         assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_region_config_r1_step_outside_unit_interval(tmp_path, capsys):
+    config = write_config(tmp_path, dict(SMALL_CONFIG, r1_step=0))
+    assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
+    lines = config.read_text().splitlines()
+    line = next(n for n, text in enumerate(lines, 1) if '"r1_step"' in text)
+    assert capsys.readouterr().err == f"error: line {line}: r1_step: r1_step must be in (0, 1)\n"
 
 
 def test_region_config_r1_step_over_sample_cap(tmp_path, capsys):

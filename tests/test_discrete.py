@@ -28,6 +28,7 @@ from icdms import (
     region_sim,
     region_suc,
 )
+from icdms import discrete
 from icdms.discrete import FULL_AXES, STAR_AXES
 from icdms.oracle import brute_joint_mi
 
@@ -145,11 +146,12 @@ def test_assemble_marginals_recover_factors():
     )
 
 
-def test_assemble_cell_cap():
+def test_assemble_cell_cap(monkeypatch):
     rng = np.random.default_rng(7)
     fd = random_full(AlphabetSpec(), rng)
+    monkeypatch.setattr(discrete, "CELL_CAP", 100)
     with pytest.raises(CapExceededError):
-        assemble_joint(fd, cell_cap=100)
+        assemble_joint(fd)
 
 
 def test_normalization_error_names_factor_and_slice():

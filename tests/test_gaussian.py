@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from g_loop_oracle import loop_region_g_arrays
+from helpers import bits
 from hypothesis import assume, given, settings, strategies as st
 
 from icdms import (
@@ -386,10 +387,6 @@ def test_region_g_arrays_scalar_call_has_a_one_by_one_mask():
     assert r1.tolist() == ([region.r1_max] if region.feasible else [])
 
 
-def _bits(x):
-    return np.asarray(x, dtype=float).view(np.uint64)
-
-
 _power = st.just(0.0) | st.floats(0.01, 100.0)
 _split = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
@@ -444,13 +441,13 @@ def test_region_g_arrays_match_loop_oracle_bitwise(case):
                     ch, float(alpha), float(beta), mesh1.ravel(), mesh2.ravel()
                 )
             for out, ref, acc in zip(got, want, expected):
-                np.testing.assert_array_equal(_bits(out[b].ravel()), _bits(ref))
+                np.testing.assert_array_equal(bits(out[b].ravel()), bits(ref))
                 acc.append(ref)
             for acc, x in zip(flat, (alpha, beta, mesh1.ravel(), mesh2.ravel())):
                 acc.append(np.broadcast_to(x, mesh1.size))
     got = _dense(_region_g_arrays(ch, *(np.concatenate(x)[:, None] for x in flat)))
     for out, ref in zip(got, expected):
-        np.testing.assert_array_equal(_bits(out[:, 0]), _bits(np.concatenate(ref)))
+        np.testing.assert_array_equal(bits(out[:, 0]), bits(np.concatenate(ref)))
 
 
 def _rounding_scale(ch, cp):

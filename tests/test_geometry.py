@@ -1,7 +1,6 @@
 """Tests for frontier sampling, unions, sweeps, and frontier diagnostics."""
 
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 from cognitive_outer_bound import outer_bound_excess
 from g_loop_oracle import loop_sweep_g
+from helpers import bits, traced_peak
 from hypothesis import example, given, settings, strategies as st
 
 from icdms import (
@@ -36,6 +36,7 @@ from icdms.geometry import (
     REGION_FAMILIES,
     PAIR_TILE,
     REACH_TIE,
+    SPLIT_AXES,
     SampleCapError,
     _tile_sizes,
     _union_arrays,
@@ -151,16 +152,12 @@ def pentagon_bounds(draw):
     return a, b, c, step, perm
 
 
-def _bits(x):
-    return np.asarray(x, dtype=float).view(np.uint64)
-
-
 @settings(max_examples=400, deadline=None)
 @given(pentagon_bounds())
 def test_union_sweep_matches_dense_oracle(bounds):
     a, b, c, step, _ = bounds
     f = _union_arrays(a, b, c, step)
-    np.testing.assert_array_equal(_bits(f.r2), _bits(_dense_union_r2(a, b, c, step)))
+    np.testing.assert_array_equal(bits(f.r2), bits(_dense_union_r2(a, b, c, step)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,7 +169,7 @@ def test_union_order_independent_idempotent_and_above_members(bounds):
         _union_arrays(a[perm], b[perm], c[perm], step),
         _union_arrays(np.tile(a, 2), np.tile(b, 2), np.tile(c, 2), step),
     ):
-        np.testing.assert_array_equal(_bits(other.r2), _bits(f.r2))
+        np.testing.assert_array_equal(bits(other.r2), bits(f.r2))
         assert (other.reach, other.reach_r2) == (f.reach, f.reach_r2)
     for member in zip(a, b, c):
         lone = pentagon_frontier(PentagonRegion(*member), step=step)
@@ -234,9 +231,9 @@ def test_union_fold_of_any_tiling_equals_one_call(case):
     a, b, c, step, cuts = case
     tiles = ((a[lo:hi], b[lo:hi], c[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
     got, want = _union_fold(tiles, step), _union_arrays(a, b, c, step)
-    np.testing.assert_array_equal(_bits(got.r2), _bits(want.r2))
-    assert _bits(got.reach) == _bits(want.reach)
-    assert _bits(got.reach_r2) == _bits(want.reach_r2)
+    np.testing.assert_array_equal(bits(got.r2), bits(want.r2))
+    assert bits(got.reach) == bits(want.reach)
+    assert bits(got.reach_r2) == bits(want.reach_r2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
@@ -369,21 +366,64 @@ def test_axis_grid_points():
     assert type(AxisGrid(0.0, 1.0, np.int64(3)).count) is int
 
 
-@pytest.mark.parametrize("axis", ["alpha", "beta", "edge_alpha"])
+_BAD_AXES = {
+    SPLIT_AXES: {
+        "lo-below-0": (-0.5, 1.0),
+        "hi-above-1": (0.0, 1.5),
+        "nan-lo": (math.nan, 1.0),
+        "hi-none": (0.0, None),
+    },
+    ("lambda1", "lambda2"): {
+        "lo-below-0": (-1.0, None),
+        "nan-lo": (math.nan, None),
+        "inf-lo": (math.inf, None),
+        "nan-hi": (0.0, math.nan),
+        "inf-hi": (0.0, math.inf),
+    },
+}
+
+
 @pytest.mark.parametrize(
-    "lo, hi",
-    [(-0.5, 1.0), (0.0, 1.5), (math.nan, 1.0), (0.0, None)],
-    ids=["lo-below-0", "hi-above-1", "nan-lo", "hi-none"],
+    "axis, lo, hi",
+    [
+        pytest.param(axis, lo, hi, id=f"{case}-{axis}")
+        for axes, cases in _BAD_AXES.items()
+        for case, (lo, hi) in cases.items()
+        for axis in axes
+    ],
 )
 def test_sweep_grid_rejects_split_axis_outside_unit_interval(axis, lo, hi):
     # Such grids used to reach the sweep: beta in [-1, 1] built g and g_suc
     # frontiers from negative stream powers, and alpha up to 2 ended in sqrt
-    # warnings and a misleading "r1 bounds must be finite" error.
+    # warnings and a misleading "r1 bounds must be finite" error.  A lambda1
+    # axis from -1 or NaN was swept into a frontier 0.11 bits off, and one
+    # from inf warned in the pair terms.
     axes = vars(default_grid("g")) | {axis: AxisGrid(lo, hi, 5)}
+    rule = r"must lie in \[0, 1\]$" if axis in SPLIT_AXES else "must be finite and >= 0, got "
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=rf"^{axis} must lie in \[0, 1\]$"):
+        with pytest.raises(ValueError, match=rf"^{axis} {rule}"):
             SweepGrid(**axes)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf, 1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda step: sweep_gaussian(FIG4, default_grid("g_sp1"), "g_sp1", r1_step=step),
+        lambda step: union_frontier([PentagonRegion(1.0, 1.0, 1.5)], step),
+        lambda step: pentagon_frontier(PentagonRegion(1.0, 1.0, 1.5), step),
+    ],
+    ids=["sweep_gaussian", "union_frontier", "pentagon_frontier"],
+)
+def test_frontier_rejects_r1_step_outside_unit_interval(call, step):
+    # Every frontier passes one r1-step check.  A step of 0 used to raise
+    # ZeroDivisionError, -0.01 IndexError and NaN a SampleCapError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^r1_step must be in \(0, 1\)$") as err:
+            call(step)
+    assert type(err.value) is ValueError
 
 
 def test_inclusion_gap_trivial_cases():
@@ -610,9 +650,9 @@ def test_sweep_g_matches_loop_oracle_bitwise(case):
     with np.errstate(all="ignore"):
         want = loop_sweep_g(ch, grid, step)
     got = sweep_gaussian(ch, grid, "g", r1_step=step)
-    np.testing.assert_array_equal(_bits(got.r2), _bits(want.r2))
-    assert _bits(got.reach) == _bits(want.reach)
-    assert _bits(got.reach_r2) == _bits(want.reach_r2)
+    np.testing.assert_array_equal(bits(got.r2), bits(want.r2))
+    assert bits(got.reach) == bits(want.reach)
+    assert bits(got.reach_r2) == bits(want.reach_r2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -695,12 +735,7 @@ def test_sweep_g_memory_bounded_by_tiles():
         edge_alpha=AxisGrid(0.5, 0.5, 1),
     )
     ch = ChannelParams(p1=6.0, p2=6.0, c12=0.3, c21=6.0)
-    tracemalloc.start()
-    try:
-        f = sweep_gaussian(ch, grid, "g")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    f, peak = traced_peak(lambda: sweep_gaussian(ch, grid, "g"))
     assert f.reach > 0.0
     assert peak < 64 * 2**20
 
@@ -713,11 +748,6 @@ def test_g_sweep_memory_at_81_points():
     axis, lam = AxisGrid(0.0, 1.0, 81), AxisGrid(0.0, None, 81)
     grid = SweepGrid(axis, axis, lam, lam, AxisGrid(0.0, 1.0, 201))
     ch = ChannelParams(p1=6.0, p2=6.0, c12=0.3, c21=0.5)
-    tracemalloc.start()
-    try:
-        f = sweep_gaussian(ch, grid, "g")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    f, peak = traced_peak(lambda: sweep_gaussian(ch, grid, "g"))
     assert f.reach > 0.0
     assert peak < 32 * 2**20

@@ -1,12 +1,12 @@
 """Tests for the Monte Carlo, grid-search, and brute-force oracles."""
 
 import math
-import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from helpers import bits, traced_peak
 from hypothesis import example, given, settings, strategies as st
 from one_shot_oracle import one_shot_grid_maximize, one_shot_mc_gaussian_entropy
 
@@ -153,10 +153,6 @@ def test_mc_entropy_matches_exact_reference(cov, seed):
     assert mc_gaussian_entropy(cov, n, seed) == got
 
 
-def bits(*values: float) -> list[str]:
-    return [float(v).hex() for v in values]
-
-
 @settings(max_examples=50, deadline=None)
 @given(spd_covariances(), st.integers(0, 2**32 - 1))
 @example(ILL_CONDITIONED[0], 0)
@@ -167,7 +163,9 @@ def test_mc_entropy_is_one_shot_across_chunk_edges(cov, seed):
     for n in (MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 7):
         got = mc_gaussian_entropy(cov, n, seed)
         want = one_shot_mc_gaussian_entropy(cov, n, seed)
-        assert bits(got.value_bits, got.std_error_bits) == bits(*want), n
+        np.testing.assert_array_equal(
+            bits([got.value_bits, got.std_error_bits]), bits(want), err_msg=str(n)
+        )
 
 
 GRID_EDGES = (MC_CHUNK - 1, MC_CHUNK + 1, 2 * MC_CHUNK + 3)
@@ -188,7 +186,9 @@ def test_grid_maximize_is_one_shot_across_chunk_edges(steps, lo, width, freq, di
         return np.round(np.cos(freq * x), digits)
 
     got = grid_maximize(objective, lo, lo + width, steps)
-    assert bits(*got) == bits(*one_shot_grid_maximize(objective, lo, lo + width, steps))
+    np.testing.assert_array_equal(
+        bits(got), bits(one_shot_grid_maximize(objective, lo, lo + width, steps))
+    )
 
 
 @pytest.mark.parametrize("steps", GRID_EDGES)
@@ -202,7 +202,9 @@ def test_grid_maximize_is_one_shot_across_chunk_edges(steps, lo, width, freq, di
 )
 def test_grid_maximize_ties_and_scalars_across_chunk_edges(objective, steps):
     got = grid_maximize(objective, -1.0, 2.0, steps)
-    assert bits(*got) == bits(*one_shot_grid_maximize(objective, -1.0, 2.0, steps))
+    np.testing.assert_array_equal(
+        bits(got), bits(one_shot_grid_maximize(objective, -1.0, 2.0, steps))
+    )
 
 
 def test_grid_maximize_slices_hold_at_least_two_points():
@@ -218,24 +220,13 @@ def test_grid_maximize_slices_hold_at_least_two_points():
         assert sum(sizes) == steps and min(sizes) >= 2 and max(sizes) <= MC_CHUNK + 1
 
 
-def traced_peak(call) -> int:
-    """Peak traced allocation, in bytes, while ``call()`` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
 def test_mc_entropy_memory_peak():
     # Only the per-sample values span all n samples (8 n bytes); the draw
     # and its factored copy go MC_CHUNK rows at a time.  The one-shot draw
     # alone was 22.9 MiB at n = 10^6.
     cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 3.0]])
     for n in (10**6, 4 * 10**6):
-        peak = traced_peak(lambda: mc_gaussian_entropy(cov, n, seed=3))
+        _, peak = traced_peak(lambda: mc_gaussian_entropy(cov, n, seed=3))
         assert peak < 8 * n + 8 * 2**20, n
 
 
@@ -243,7 +234,7 @@ def test_grid_maximize_memory_peak():
     # Only the grid spans all points (8 steps bytes); the objective's
     # temporaries span one slice.
     steps = 4 * 10**6
-    peak = traced_peak(lambda: grid_maximize(lambda x: -((x - 1.0) ** 2), 0.0, 2.0, steps))
+    _, peak = traced_peak(lambda: grid_maximize(lambda x: -((x - 1.0) ** 2), 0.0, 2.0, steps))
     assert peak < 8 * steps + 8 * 2**20
 
 
