@@ -21,6 +21,7 @@ and summing; no optimization over distributions is attempted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -57,8 +58,9 @@ STAR = "star"
 
 #: Each family's factorization: (dataclass field, key in the JSON document
 #: form, einsum subscripts with one letter per axis (see ``_AXIS_OF``),
-#: number of leading conditioning axes).  Validation, random draws and the
-#: einsum of :func:`assemble_joint` all take the factors in this order.
+#: number of leading conditioning axes).  Validation and random draws take
+#: the factors in this order; :func:`assemble_joint` multiplies them in the
+#: reverse order.
 _FACTORS = {
     FULL: (
         ("p_q", "q", "q", 0),
@@ -83,7 +85,6 @@ _AXIS_OF = {
     "q": "q", "w": "w", "a": "x1", "u": "u", "t": "ut",
     "v": "v", "s": "vt", "x": "x2", "y": "y1", "z": "y2",
 }
-_LETTER_OF = {axis: letter for letter, axis in _AXIS_OF.items()}
 
 #: Axes of each family's joint table, in the order their letters first
 #: appear in the family's factor subscripts.
@@ -96,6 +97,23 @@ _AXES = {
 }
 FULL_AXES = _AXES[FULL]
 STAR_AXES = _AXES[STAR]
+
+
+def _broadcast_plan(family: str) -> tuple[tuple[str, tuple[int, ...], tuple], ...]:
+    """Each factor of ``family`` as :func:`assemble_joint` multiplies it:
+    (dataclass field, transpose into joint-axis order, index that inserts
+    the joint axes it lacks), in reverse ``_FACTORS`` order."""
+    axes = _AXES[family]
+    plan = []
+    for name, _, subscripts, _ in reversed(_FACTORS[family]):
+        positions = [axes.index(_AXIS_OF[c]) for c in subscripts]
+        order = tuple(sorted(range(len(positions)), key=positions.__getitem__))
+        index = tuple(slice(None) if k in positions else None for k in range(len(axes)))
+        plan.append((name, order, index))
+    return tuple(plan)
+
+
+_BROADCAST = {family: _broadcast_plan(family) for family in _FACTORS}
 
 #: Cap on the number of cells of the materialized joint table.
 CELL_CAP = 10_000_000
@@ -241,23 +259,48 @@ class FactoredDistribution:
 
 @dataclass(frozen=True)
 class JointPmf:
-    """Dense joint probability table with named axes."""
+    """Dense joint probability table with named axes.
+
+    ``table`` is stored as a read-only view.  The keepdims marginals that
+    :meth:`marginal` and :func:`conditional_mi` sum out of it are cached by
+    their dropped axes, so queries that keep the same axes share one pass
+    over the table.  The cache lives as long as the joint: a region's joint
+    is freed when the region returns.
+    """
 
     table: np.ndarray
     axes: tuple[str, ...]
+    _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
-        if self.table.ndim != len(self.axes):
+        table = np.asarray(self.table, dtype=float).view()
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "axes", tuple(self.axes))
+        if table.ndim != len(self.axes):
             raise ValueError("table rank does not match axis labels")
-        total = float(self.table.sum())
-        if np.any(self.table < 0.0) or abs(total - 1.0) > NORM_TOL:
+        # A finite total means every entry is finite.
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = float(table.sum())
+        if not math.isfinite(total) or abs(total - 1.0) > NORM_TOL or table.min() < 0.0:
             raise ValueError(f"joint table mass is {total!r}, not 1")
+
+    def _summed(self, drop: tuple[int, ...]) -> np.ndarray:
+        """The table summed over the axes at ``drop`` with ``keepdims``,
+        computed on first use and read-only."""
+        if not drop:
+            return self.table
+        out = self._marginals.get(drop)
+        if out is None:
+            out = self.table.sum(axis=drop, keepdims=True)
+            out.flags.writeable = False
+            self._marginals[drop] = out
+        return out
 
     def marginal(self, names: tuple[str, ...]) -> np.ndarray:
         keep = set(names)
         drop = tuple(k for k, a in enumerate(self.axes) if a not in keep)
-        out = self.table.sum(axis=drop)
+        out = self._summed(drop).squeeze(axis=drop)
         order = tuple(a for a in self.axes if a in keep)
         if order != tuple(names):
             out = np.moveaxis(out, [order.index(n) for n in names], range(len(names)))
@@ -267,34 +310,51 @@ class JointPmf:
 def assemble_joint(fd: FactoredDistribution) -> JointPmf:
     """Materialize the joint table of a factored distribution.
 
+    The factors are multiplied cell by cell in reverse ``_FACTORS`` order,
+    channel first, into one preallocated table: the product, and so every
+    bit, that ``np.einsum(..., optimize=True)`` forms with its one
+    six-operand contraction.
+
     Raises :class:`CapExceededError` when the joint would exceed
     ``CELL_CAP`` cells, and :class:`NormalizationError` (via validation at
     construction) if any factor slice is off-mass.
     """
-    sizes = fd.sizes()
-    n_cells = math.prod(sizes[a] for a in fd.axes)
+    factors = [
+        getattr(fd, name).transpose(order)[index] for name, order, index in _BROADCAST[fd.family]
+    ]
+    shape = np.broadcast(*factors).shape
+    n_cells = math.prod(shape)
     if n_cells > CELL_CAP:
         raise CapExceededError(f"joint table needs {n_cells} cells, cap is {CELL_CAP}")
-    factors = _FACTORS[fd.family]
-    inputs = ",".join(row[2] for row in factors)
-    output = "".join(_LETTER_OF[a] for a in fd.axes)
-    table = np.einsum(
-        f"{inputs}->{output}", *(getattr(fd, row[0]) for row in factors), optimize=True
-    )
+    table = np.multiply(factors[0], factors[1], out=np.empty(shape))
+    for factor in factors[2:]:
+        table *= factor
     return JointPmf(table, fd.axes)
 
 
-def _mi_axes(j: JointPmf, left, right, given) -> tuple[tuple[int, ...], ...]:
-    """Axis positions of an MI query's three variable sets; :class:`AxisError`
-    on a name the joint lacks or on sets that are not disjoint."""
-    groups = tuple(left), tuple(right), tuple(given)
+@functools.lru_cache(maxsize=1024)
+def _mi_plan(axes, left, right, given) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Axis positions of an MI query's three variable sets, and the axes it
+    sums out; :class:`AxisError` on a name ``axes`` lacks or on sets that
+    are not disjoint."""
+    groups = left, right, given
     all_names = sum(groups, ())
     for name in all_names:
-        if name not in j.axes:
+        if name not in axes:
             raise AxisError(f"unknown variable {name!r}")
     if len(set(all_names)) != len(all_names):
         raise AxisError("left/right/given sets must be disjoint")
-    return tuple(tuple(j.axes.index(n) for n in group) for group in groups)
+    positions = tuple(tuple(axes.index(n) for n in group) for group in groups)
+    keep = set(sum(positions, ()))
+    return positions, tuple(k for k in range(len(axes)) if k not in keep)
+
+
+def _mi_axes(j: JointPmf, left, right, given):
+    """:func:`_mi_plan` of a query on ``j``, its three name sets as tuples."""
+    try:
+        return _mi_plan(j.axes, tuple(left), tuple(right), tuple(given))
+    except TypeError:  # an unhashable name names no axis
+        raise AxisError("variable names must be strings") from None
 
 
 def conditional_mi(j: JointPmf, left, right, given=()) -> float:
@@ -304,19 +364,19 @@ def conditional_mi(j: JointPmf, left, right, given=()) -> float:
     Cells with zero mass contribute zero (0 log 0 = 0); tiny negative
     rounding residue is clamped to 0.
     """
-    l_ax, r_ax, g_ax = _mi_axes(j, left, right, given)
-    keep = set(l_ax + r_ax + g_ax)
-    drop = tuple(k for k in range(len(j.axes)) if k not in keep)
-    p_lrg = j.table.sum(axis=drop, keepdims=True) if drop else j.table
-    p_rg = p_lrg.sum(axis=l_ax, keepdims=True)
-    p_lg = p_lrg.sum(axis=r_ax, keepdims=True)
-    p_g = p_rg.sum(axis=r_ax, keepdims=True)
+    (l_ax, r_ax, _), drop = _mi_axes(j, left, right, given)
+    # np.add.reduce is what ndarray.sum and np.sum call, without their
+    # Python wrappers, which cost more than the sum on a small table.
+    p_lrg = j._summed(drop)
+    p_rg = np.add.reduce(p_lrg, axis=l_ax, keepdims=True)
+    p_lg = np.add.reduce(p_lrg, axis=r_ax, keepdims=True)
+    p_g = np.add.reduce(p_rg, axis=r_ax, keepdims=True)
 
     mask = p_lrg > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         num = np.log2(np.where(mask, p_lrg * p_g, 1.0))
         den = np.log2(np.where(mask, p_lg * p_rg, 1.0))
-    value = float(np.sum(p_lrg * (num - den), where=mask))
+    value = float(np.add.reduce(p_lrg * (num - den), axis=None, where=mask))
     return value if value > 0.0 else 0.0
 
 

@@ -196,7 +196,7 @@ def brute_joint_mi(j: JointPmf, left, right, given=()) -> float:
     with the vectorized evaluator; only the check of the query's names
     (unknown or overlapping sets raise :class:`AxisError`) is.
     """
-    l_pos, r_pos, g_pos = _mi_axes(j, left, right, given)
+    (l_pos, r_pos, g_pos), _ = _mi_axes(j, left, right, given)
 
     p_lrg: dict = {}
     p_lg: dict = {}

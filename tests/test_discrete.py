@@ -9,6 +9,7 @@ import math
 import discrete_factor_oracle as oracle
 import numpy as np
 import pytest
+from helpers import bits, traced_peak
 from hypothesis import given, settings, strategies as st
 
 from icdms import (
@@ -222,15 +223,21 @@ def test_malformed_factor_shape_names_factor(family, field, table, axis):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    sizes=st.lists(st.integers(1, 3), min_size=len(FULL_AXES), max_size=len(FULL_AXES)),
+    sizes=st.lists(st.integers(1, 6), min_size=len(FULL_AXES), max_size=len(FULL_AXES)).filter(
+        lambda sizes: math.prod(sizes) <= 100_000
+    ),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_factor_table_matches_hand_written_oracle_bitwise(sizes, seed):
     """Draws and joint of both families equal the hand-written
-    factorizations of ``discrete_factor_oracle`` bit for bit."""
+    factorizations of ``discrete_factor_oracle`` bit for bit.  The joint's
+    broadcast products match the oracle's ``optimize=True`` einsum because
+    that einsum is one six-operand contraction: one product per cell, in
+    reverse factor order."""
     assert FULL_AXES == ("q", "w", "x1", "u", "ut", "v", "vt", "x2", "y1", "y2")
     assert STAR_AXES == ("q", "w", "x1", "u", "v", "vt", "x2", "y1", "y2")
     spec = AlphabetSpec(**dict(zip(FULL_AXES, sizes)))
+    letter_of = {axis: letter for letter, axis in discrete._AXIS_OF.items()}
     for maker, oracle_maker, names in (
         (random_full, oracle.random_full, FULL_FIELDS),
         (random_star, oracle.random_star, STAR_FIELDS),
@@ -240,10 +247,126 @@ def test_factor_table_matches_hand_written_oracle_bitwise(sizes, seed):
         for name in names:
             assert np.array_equal(getattr(fd, name), getattr(ref, name)), name
         assert fd.sizes() == {a: spec.size(a) for a in fd.axes}
+        rows = discrete._FACTORS[fd.family]
+        subscripts = ",".join(row[2] for row in rows) + "->" + "".join(letter_of[a] for a in fd.axes)
+        path, _ = np.einsum_path(subscripts, *(getattr(fd, row[0]) for row in rows), optimize=True)
+        assert path == ["einsum_path", (0, 1, 2, 3, 4, 5)], (fd.family, path)
         j = assemble_joint(fd)
         table, axes = oracle.joint_table(ref)
         assert j.axes == axes
         assert np.array_equal(j.table, table)
+
+
+def test_assemble_joint_peak_is_the_table():
+    """No full-size temporary: the traced peak of a 4,194,304-cell FULL
+    assembly stays within 1 MiB of the table itself."""
+    spec = AlphabetSpec(q=2, w=4, x1=4, u=4, ut=4, v=4, vt=4, x2=8, y1=8, y2=8)
+    fd = random_full(spec, np.random.default_rng(16))
+    j, peak = traced_peak(lambda: assemble_joint(fd))
+    assert j.table.size == 4_194_304
+    assert peak < j.table.nbytes + 2**20
+
+
+def test_joint_table_is_read_only():
+    j = assemble_joint(random_full(AlphabetSpec(), np.random.default_rng(17)))
+    assert not j.table.flags.writeable
+    with pytest.raises(ValueError):
+        j.table[(0,) * j.table.ndim] = 0.5
+    with pytest.raises(ValueError):
+        j.marginal(("u", "q"))[0, 0] = 0.5
+
+
+def _old_marginal(j: JointPmf, names: tuple[str, ...]) -> np.ndarray:
+    """``JointPmf.marginal`` as it was before marginals were cached."""
+    keep = set(names)
+    drop = tuple(k for k, a in enumerate(j.axes) if a not in keep)
+    out = j.table.sum(axis=drop)
+    order = tuple(a for a in j.axes if a in keep)
+    if order != tuple(names):
+        out = np.moveaxis(out, [order.index(n) for n in names], range(len(names)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_marginal_matches_sum_and_moveaxis_bitwise(data, seed):
+    spec = AlphabetSpec(q=2, w=3, u=3, y1=3)
+    j = assemble_joint(random_full(spec, np.random.default_rng(seed)))
+    for _ in range(3):
+        names = tuple(data.draw(st.permutations(FULL_AXES)))[: data.draw(st.integers(0, 10))]
+        out = j.marginal(names)
+        ref = _old_marginal(j, names)
+        assert out.shape == ref.shape
+        assert np.array_equal(bits(out), bits(ref))
+
+
+def _fields(region) -> tuple:
+    values = (region.r1_bound, region.r2_bound, region.sum_bound or 0.0, *region.constraints.values())
+    return region.scheme, tuple(bits(values)), tuple(region.constraints), region.feasible, region.active
+
+
+@pytest.mark.parametrize("evaluate", [region_full, region_sim, region_suc])
+@pytest.mark.parametrize(
+    "spec",
+    [AlphabetSpec(q=2), AlphabetSpec(q=2, w=3, x1=3, u=3, ut=2, v=3, x2=3, y1=3, y2=4)],
+    ids=["binary", "mixed"],
+)
+def test_region_fields_match_fresh_joint_per_query_bitwise(monkeypatch, evaluate, spec):
+    """Shared marginals change no bit: each region equals the one whose
+    every query runs on a fresh copy of the joint."""
+    maker = random_full if evaluate is region_full else random_star
+    rng = np.random.default_rng(18)
+    draws = [maker(spec, rng) for _ in range(4)]
+    shared = [_fields(evaluate(fd)) for fd in draws]
+    inner = discrete.conditional_mi
+
+    def fresh(j, left, right, given=()):
+        return inner(JointPmf(j.table.copy(), j.axes), left, right, given)
+
+    monkeypatch.setattr(discrete, "conditional_mi", fresh)
+    assert shared == [_fields(evaluate(fd)) for fd in draws]
+
+
+@pytest.mark.parametrize(
+    "evaluate, queries, reductions",
+    [(region_full, 7, 4), (region_sim, 6, 4), (region_suc, 6, 6)],
+)
+def test_region_sums_each_distinct_marginal_once(monkeypatch, evaluate, queries, reductions):
+    """Every query still goes through ``conditional_mi``; queries that keep
+    the same axes share one reduction of the table."""
+    maker = random_full if evaluate is region_full else random_star
+    fd = maker(AlphabetSpec(q=2), np.random.default_rng(19))
+    joints, calls = [], []
+    assemble, mi = discrete.assemble_joint, discrete.conditional_mi
+
+    def kept_joint(fd):
+        joints.append(assemble(fd))
+        return joints[-1]
+
+    def counted_mi(*args):
+        calls.append(args)
+        return mi(*args)
+
+    monkeypatch.setattr(discrete, "assemble_joint", kept_joint)
+    monkeypatch.setattr(discrete, "conditional_mi", counted_mi)
+    evaluate(fd)
+    assert (len(joints), len(calls), len(joints[0]._marginals)) == (1, queries, reductions)
+
+
+@pytest.mark.parametrize(
+    "table, axes",
+    [
+        (np.full((2, 2), 0.25), ("x",)),
+        (np.array([[0.75, -0.25], [0.25, 0.25]]), ("x", "y")),
+        (np.full((2, 2), 0.3), ("x", "y")),
+        (np.array([[math.nan, 0.5], [0.25, 0.25]]), ("x", "y")),
+        (np.array([math.inf, -math.inf]), ("x",)),
+    ],
+    ids=["rank", "negative", "mass", "nan", "inf"],
+)
+def test_joint_pmf_rejects_bad_tables(table, axes):
+    with pytest.raises(ValueError):
+        JointPmf(table, axes)
 
 
 def test_conditional_mi_correlated_bits():
@@ -275,12 +398,15 @@ def test_conditional_mi_bsc():
 
 def test_conditional_mi_axis_errors():
     j = JointPmf(np.full((2, 2), 0.25), ("x", "y"))
-    with pytest.raises(AxisError):
-        conditional_mi(j, ("x",), ("z",))
-    with pytest.raises(AxisError):
-        conditional_mi(j, ("x",), ("x",))
-    with pytest.raises(AxisError):
-        conditional_mi(j, ("x",), ("y",), ("y",))
+    for _ in range(2):  # the query plan is cached; an error never is
+        with pytest.raises(AxisError):
+            conditional_mi(j, ("x",), ("z",))
+        with pytest.raises(AxisError):
+            conditional_mi(j, ("x",), ("x",))
+        with pytest.raises(AxisError):
+            conditional_mi(j, ("x",), ("y",), ("y",))
+        with pytest.raises(AxisError):
+            conditional_mi(j, ("x",), (["y"],))
 
 
 def test_conditional_mi_symmetry_and_nonnegativity():

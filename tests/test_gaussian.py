@@ -282,6 +282,21 @@ def test_region_g_divergent_is_infeasible():
     assert region.r1_max == 0.0 and region.r2_max == 0.0 and region.sum_max == 0.0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="det cancellation at p2 = 1e100 lifts r1 to 331.69 bits, past the "
+    "166.10-bit cut-set bound; exact r1 is 165.10 (ROADMAP item 1)",
+)
+def test_region_g_r1_within_cut_set_bound_at_extreme_powers():
+    # Receiver 1 hears only X1 + sqrt(c21) X2, so no coding beats
+    # R1 <= 1/2 log2(1 + (sqrt(p1) + sqrt(c21 p2))^2).  Unit-W lambda1 = 5e49
+    # is 5e199 on the stored E{W^2} = p1 scale.
+    ch = ChannelParams(1e-300, 1e100, 0.0, 1.0)
+    region = region_g(ch, GaussianCoding(1.0, 1.0, 5e199, 0.0))
+    cut_set = 0.5 * math.log2(1.0 + (math.sqrt(ch.p1) + math.sqrt(ch.c21 * ch.p2)) ** 2)
+    assert region.r1_max <= cut_set
+
+
 def test_region_g_p1_zero_cooperative_limit():
     # With p1 = 0 and no binning, receiver 1 sees only the cooperative
     # power: I(W; Y1, U) = I(W; Y1 | U), interference from the remaining
