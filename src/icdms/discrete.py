@@ -15,13 +15,19 @@ are the auxiliaries carrying sender 2's two message parts.  In the STAR
 family ``u`` is independent of everything else given ``q`` and has no
 ``ut`` companion.
 
-Everything is computed by materializing the dense joint probability table
-and summing; no optimization over distributions is attempted.
+Every bound is an exact sum over the joint probability table; no
+optimization over distributions is attempted.  :func:`assemble_joint`
+materializes that table for library users and ``oracle-check``.  The region
+functions materialize it only when it fits in ``BLOCK_CELLS`` cells; a
+larger joint is formed one block at a time, and each block is summed into
+its slice of every marginal the region reads, bit for bit the marginals of
+the dense table (:func:`_block_plan`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -33,6 +39,7 @@ __all__ = [
     "FULL_AXES",
     "STAR_AXES",
     "CELL_CAP",
+    "BLOCK_CELLS",
     "NORM_TOL",
     "DISCRETE_FEAS_TOL",
     "NormalizationError",
@@ -115,8 +122,12 @@ def _broadcast_plan(family: str) -> tuple[tuple[str, tuple[int, ...], tuple], ..
 
 _BROADCAST = {family: _broadcast_plan(family) for family in _FACTORS}
 
-#: Cap on the number of cells of the materialized joint table.
+#: Cap on the number of cells of the joint table.
 CELL_CAP = 10_000_000
+
+#: Most cells of the block in which a region forms a larger joint (4 MiB of
+#: float64); a joint of at most this many cells is materialized whole.
+BLOCK_CELLS = 2**19
 
 #: Tolerance for conditional slices summing to one.
 NORM_TOL = 1e-12
@@ -257,6 +268,18 @@ class FactoredDistribution:
         }
 
 
+def _check_mass(total: float, negative: bool = False) -> None:
+    """The joint-table rule: ``ValueError`` unless the total mass is finite
+    and within ``NORM_TOL`` of one and no entry is negative."""
+    if not math.isfinite(total) or abs(total - 1.0) > NORM_TOL or negative:
+        raise ValueError(f"joint table mass is {total!r}, not 1")
+
+
+def _check_cells(n_cells: int) -> None:
+    if n_cells > CELL_CAP:
+        raise CapExceededError(f"joint table needs {n_cells} cells, cap is {CELL_CAP}")
+
+
 @dataclass(frozen=True)
 class JointPmf:
     """Dense joint probability table with named axes.
@@ -282,8 +305,7 @@ class JointPmf:
         # A finite total means every entry is finite.
         with np.errstate(invalid="ignore", over="ignore"):
             total = float(table.sum())
-        if not math.isfinite(total) or abs(total - 1.0) > NORM_TOL or table.min() < 0.0:
-            raise ValueError(f"joint table mass is {total!r}, not 1")
+        _check_mass(total, table.min() < 0.0)
 
     def _summed(self, drop: tuple[int, ...]) -> np.ndarray:
         """The table summed over the axes at ``drop`` with ``keepdims``,
@@ -319,17 +341,23 @@ def assemble_joint(fd: FactoredDistribution) -> JointPmf:
     ``CELL_CAP`` cells, and :class:`NormalizationError` (via validation at
     construction) if any factor slice is off-mass.
     """
-    factors = [
-        getattr(fd, name).transpose(order)[index] for name, order, index in _BROADCAST[fd.family]
-    ]
+    factors = _broadcast_factors(fd)
     shape = np.broadcast(*factors).shape
-    n_cells = math.prod(shape)
-    if n_cells > CELL_CAP:
-        raise CapExceededError(f"joint table needs {n_cells} cells, cap is {CELL_CAP}")
-    table = np.multiply(factors[0], factors[1], out=np.empty(shape))
+    _check_cells(math.prod(shape))
+    return JointPmf(_multiply(factors, np.empty(shape)), fd.axes)
+
+
+def _broadcast_factors(fd: FactoredDistribution) -> list[np.ndarray]:
+    """``fd``'s factors as joint-rank views, in the order they are multiplied."""
+    return [getattr(fd, name).transpose(order)[index] for name, order, index in _BROADCAST[fd.family]]
+
+
+def _multiply(factors, out: np.ndarray) -> np.ndarray:
+    """The product of ``factors`` broadcast into ``out``, formed left to right."""
+    np.multiply(factors[0], factors[1], out=out)
     for factor in factors[2:]:
-        table *= factor
-    return JointPmf(table, fd.axes)
+        out *= factor
+    return out
 
 
 @functools.lru_cache(maxsize=1024)
@@ -365,9 +393,15 @@ def conditional_mi(j: JointPmf, left, right, given=()) -> float:
     rounding residue is clamped to 0.
     """
     (l_ax, r_ax, _), drop = _mi_axes(j, left, right, given)
+    return _mi_bits(j._summed(drop), l_ax, r_ax)
+
+
+def _mi_bits(p_lrg: np.ndarray, l_ax, r_ax) -> float:
+    """I(left; right | given) in bits from the keepdims marginal ``p_lrg``
+    of (left, right, given), whose left and right axes are at ``l_ax`` and
+    ``r_ax``."""
     # np.add.reduce is what ndarray.sum and np.sum call, without their
     # Python wrappers, which cost more than the sum on a small table.
-    p_lrg = j._summed(drop)
     p_rg = np.add.reduce(p_lrg, axis=l_ax, keepdims=True)
     p_lg = np.add.reduce(p_lrg, axis=r_ax, keepdims=True)
     p_g = np.add.reduce(p_rg, axis=r_ax, keepdims=True)
@@ -378,6 +412,114 @@ def conditional_mi(j: JointPmf, left, right, given=()) -> float:
         den = np.log2(np.where(mask, p_lg * p_rg, 1.0))
     value = float(np.add.reduce(p_lrg * (num - den), axis=None, where=mask))
     return value if value > 0.0 else 0.0
+
+
+@functools.lru_cache(maxsize=256)
+def _block_plan(shape: tuple[int, ...], drops: tuple[tuple[int, ...], ...], block_cells: int):
+    """How :func:`_blocked_marginals` sums the keepdims marginals over the
+    axes in each of ``drops`` out of a joint of ``shape``.
+
+    Returns ``(passes, cells)``: each pass is (its drop sets, its blocks as
+    index tuples into the joint), and ``cells`` is the largest block's size.
+    A pass forms every cell of the joint once, one block at a time, and
+    sums each block into its slice of every marginal of the pass.
+
+    A block is cut only along axes that every member keeps, and never along
+    a member's innermost kept axis of size > 1.  ``np.add.reduce`` sums the
+    trailing run of dropped axes pairwise and adds the outer ones in order;
+    such a cut leaves both the same for every output cell, so each marginal
+    is the dense table's bit for bit.  Cutting the innermost kept axis to
+    one entry would merge the dropped axes on either side of it into one
+    longer run and regroup the pairwise sum.
+
+    Each drop set joins the first pass whose cut, narrowed to the axes it
+    allows, still gives blocks of at most ``block_cells`` cells (or of the
+    fewest cells the drop set allows alone); otherwise it opens a pass.
+    Blocks are cut along the outer axes first.
+    """
+    groups: list[tuple[list, frozenset]] = []
+    for drop in drops:
+        kept = [k for k, n in enumerate(shape) if n > 1 and k not in drop]
+        own = frozenset(kept[:-1])
+        limit = max(block_cells, _uncut_cells(shape, own))
+        for g, (members, cut) in enumerate(groups):
+            narrowed = cut & own
+            if _uncut_cells(shape, narrowed) <= limit:
+                groups[g] = (members + [drop], narrowed)
+                break
+        else:
+            groups.append(([drop], own))
+    passes, cells = [], 0
+    for members, cut in groups:
+        chunk, size = list(shape), math.prod(shape)
+        for k in sorted(cut):
+            if size <= block_cells:
+                break
+            size //= shape[k]
+            chunk[k] = max(1, block_cells // size)
+            size *= chunk[k]
+        blocks = itertools.product(
+            *([slice(i, min(i + c, n)) for i in range(0, n, c)] for n, c in zip(shape, chunk))
+        )
+        passes.append((tuple(members), tuple(blocks)))
+        cells = max(cells, size)
+    return tuple(passes), cells
+
+
+def _uncut_cells(shape: tuple[int, ...], cut) -> int:
+    """Cells of a block that holds one entry of each axis in ``cut``."""
+    return math.prod(n for k, n in enumerate(shape) if k not in cut)
+
+
+def _blocked_marginals(fd: FactoredDistribution, shape: tuple[int, ...], drops) -> dict:
+    """The keepdims marginals of ``fd``'s joint over each of ``drops``, keyed
+    by drop set, summed block by block in one reused buffer as
+    :func:`_block_plan` lays out.  Each block is formed by the products of
+    :func:`assemble_joint`, so its cells are the dense table's."""
+    passes, cells = _block_plan(shape, drops, BLOCK_CELLS)
+    views = [np.broadcast_to(factor, shape) for factor in _broadcast_factors(fd)]
+    buffer = np.empty(cells)
+    marginals = {}
+    for members, blocks in passes:
+        outs = [np.empty([1 if k in drop else n for k, n in enumerate(shape)]) for drop in members]
+        for index in blocks:
+            block_shape = tuple(s.stop - s.start for s in index)
+            block = buffer[: math.prod(block_shape)].reshape(block_shape)
+            _multiply([view[index] for view in views], block)
+            for drop, out in zip(members, outs):
+                out[index] = np.add.reduce(block, axis=drop, keepdims=True)
+        marginals.update(zip(members, outs))
+    return marginals
+
+
+def _terms(fd: FactoredDistribution, family: str, queries) -> list[float]:
+    """I(left; right | given) in bits of each (left, right, given) query on
+    the joint of ``fd``, which must be in ``family``.
+
+    A joint of at most ``BLOCK_CELLS`` cells is assembled and queried with
+    :func:`conditional_mi`.  A larger one is never materialized: the
+    marginals the queries read come from :func:`_blocked_marginals`, bit
+    for bit those of the dense table, and feed the same MI arithmetic.  It
+    raises :class:`CapExceededError` above ``CELL_CAP`` cells, as
+    :func:`assemble_joint` does.  Its total mass is the sum of one
+    marginal, which rounds differently from the dense ``table.sum()`` but
+    is held to the same ``NORM_TOL``.  It needs no check for negative or
+    NaN cells: validated factors are finite, and each entry lies in
+    [0, 1 + NORM_TOL], so every product of them is finite and >= 0.
+    """
+    _require_family(fd, family)
+    sizes = fd.sizes()
+    shape = tuple(sizes[a] for a in fd.axes)
+    n_cells = math.prod(shape)
+    if n_cells <= BLOCK_CELLS:
+        j = assemble_joint(fd)
+        return [conditional_mi(j, *query) for query in queries]
+    _check_cells(n_cells)
+    plans = [_mi_plan(fd.axes, *query) for query in queries]
+    drops = tuple(dict.fromkeys(drop for _, drop in plans))
+    marginals = _blocked_marginals(fd, shape, drops)
+    _check_mass(float(np.add.reduce(marginals[drops[0]], axis=None)))
+    return [_mi_bits(marginals[drop], l_ax, r_ax) for (l_ax, r_ax, _), drop in plans]
 
 
 @dataclass(frozen=True)
@@ -420,41 +562,43 @@ def region_full(fd: FactoredDistribution) -> DiscreteRegion:
     constraints keep the two bin rates and both message-part rates
     non-negative.
     """
-    _require_family(fd, FULL)
-    j = assemble_joint(fd)
-    i_uw = conditional_mi(j, ("u",), ("w",), _Q)
-    i_vw = conditional_mi(j, ("v",), ("w",), _Q)
-    i_uw_y1 = conditional_mi(j, ("u", "w"), ("y1",), _Q)
-    i_v_y2u = conditional_mi(j, ("v",), ("y2", "u"), _Q)
-    r1 = conditional_mi(j, ("w",), ("y1", "u"), _Q)
-    r2 = conditional_mi(j, ("u", "v"), ("y2",), _Q) - i_uw - i_vw
+    i_uw, i_vw, i_uw_y1, i_v_y2u, r1, i_uv_y2, i_u_y2v = _terms(fd, FULL, (
+        (("u",), ("w",), _Q),
+        (("v",), ("w",), _Q),
+        (("u", "w"), ("y1",), _Q),
+        (("v",), ("y2", "u"), _Q),
+        (("w",), ("y1", "u"), _Q),
+        (("u", "v"), ("y2",), _Q),
+        (("u",), ("y2", "v"), _Q),
+    ))
+    r2 = i_uv_y2 - i_uw - i_vw
     rsum = i_uw_y1 + i_v_y2u - i_uw - i_vw
     constraints = {
         "u_at_y1": i_uw_y1 - i_uw,
-        "u_at_y2": conditional_mi(j, ("u",), ("y2", "v"), _Q) - i_uw,
+        "u_at_y2": i_u_y2v - i_uw,
         "v_at_y2": i_v_y2u - i_vw,
         "r2_total": r2,
     }
     return _region(FULL, r1, r2, rsum, constraints, tuple(constraints))
 
 
-def _star_core(fd: FactoredDistribution, paper_literal: bool):
-    """The terms both STAR regions share.
+def _star_core(fd: FactoredDistribution, paper_literal: bool, queries):
+    """The terms both STAR regions share, and those of ``queries``.
 
-    Returns the joint, I(V;W|Q), I(V;Y2|U,Q), the R1 bound I(W;Y1|U,Q),
-    the two sign-constraint residuals and the name of the active one.
+    Returns I(V;W|Q), I(V;Y2|U,Q), the R1 bound I(W;Y1|U,Q), the two
+    sign-constraint residuals, the name of the active one and the list of
+    the ``queries``' values.
     """
-    _require_family(fd, STAR)
-    j = assemble_joint(fd)
-    i_vw = conditional_mi(j, ("v",), ("w",), _Q)
-    i_v_y2 = conditional_mi(j, ("v",), ("y2",), _UQ)
-    r1 = conditional_mi(j, ("w",), ("y1",), _UQ)
-    constraints = {
-        "v_margin_y2": i_v_y2 - i_vw,
-        "v_margin_y1": conditional_mi(j, ("v",), ("y1",), _UQ) - i_vw,
-    }
+    i_vw, i_v_y2, r1, i_v_y1, *rest = _terms(fd, STAR, (
+        (("v",), ("w",), _Q),
+        (("v",), ("y2",), _UQ),
+        (("w",), ("y1",), _UQ),
+        (("v",), ("y1",), _UQ),
+        *queries,
+    ))
+    constraints = {"v_margin_y2": i_v_y2 - i_vw, "v_margin_y1": i_v_y1 - i_vw}
     active = ("v_margin_y1",) if paper_literal else ("v_margin_y2",)
-    return j, i_vw, i_v_y2, r1, constraints, active
+    return i_vw, i_v_y2, r1, constraints, active, rest
 
 
 def region_sim(fd: FactoredDistribution, paper_literal: bool = False) -> DiscreteRegion:
@@ -468,9 +612,11 @@ def region_sim(fd: FactoredDistribution, paper_literal: bool = False) -> Discret
     ``paper_literal=True`` the as-printed receiver-1 form decides
     feasibility instead.  Both residuals are always reported.
     """
-    j, i_vw, i_v_y2, r1, constraints, active = _star_core(fd, paper_literal)
-    r2 = conditional_mi(j, ("u", "v"), ("y2",), _Q) - i_vw
-    rsum = conditional_mi(j, ("w", "u"), ("y1",), _Q) + i_v_y2 - i_vw
+    i_vw, i_v_y2, r1, constraints, active, (i_uv_y2, i_wu_y1) = _star_core(
+        fd, paper_literal, ((("u", "v"), ("y2",), _Q), (("w", "u"), ("y1",), _Q))
+    )
+    r2 = i_uv_y2 - i_vw
+    rsum = i_wu_y1 + i_v_y2 - i_vw
     return _region("sim", r1, r2, rsum, constraints, active)
 
 
@@ -482,11 +628,10 @@ def region_suc(fd: FactoredDistribution, paper_literal: bool = False) -> Discret
     I(V;W|Q), with R1 <= I(W;Y1|U,Q) and no sum bound.  The constraint
     handling matches :func:`region_sim`.
     """
-    j, i_vw, i_v_y2, r1, constraints, active = _star_core(fd, paper_literal)
-    u_rate = min(
-        conditional_mi(j, ("u",), ("y1",), _Q), conditional_mi(j, ("u",), ("y2",), _Q)
+    i_vw, i_v_y2, r1, constraints, active, (i_u_y1, i_u_y2) = _star_core(
+        fd, paper_literal, ((("u",), ("y1",), _Q), (("u",), ("y2",), _Q))
     )
-    r2 = u_rate + i_v_y2 - i_vw
+    r2 = min(i_u_y1, i_u_y2) + i_v_y2 - i_vw
     return _region("suc", r1, r2, None, constraints, active)
 
 

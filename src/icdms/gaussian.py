@@ -88,6 +88,7 @@ DET_REL_TOL = 1e-12
 #: Largest transmit or received power (p1, p2, c12 * p1, c21 * p2) a channel
 #: may have.  The ``g`` determinants are cubic in the received power, and
 #: with lambda up to 3 * eta2 they stay near 5e303, below the float maximum.
+#: ``geometry.MAX_LAMBDA`` holds the lambda axes to that bound.
 MAX_POWER = 1e100
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gaussian import (
+    MAX_POWER,
     ChannelParams,
     _check_nonneg,
     _check_split,
@@ -40,6 +41,7 @@ from .gaussian import (
 __all__ = [
     "DEFAULT_R1_STEP",
     "LAMBDA_SPAN",
+    "MAX_LAMBDA",
     "EmptyRegionError",
     "EmptyUnionError",
     "GridMismatchError",
@@ -73,6 +75,12 @@ MAX_AXIS_POINTS = 10**6
 #: the dirty-paper optimum sits at s*eta2/(s+1) < eta2, and the rate terms
 #: decay beyond it.
 LAMBDA_SPAN = 3.0
+
+#: Largest bin coefficient (unit-W scale) a lambda axis may hold:
+#: ``LAMBDA_SPAN`` times the largest eta2 that powers capped at
+#: ``MAX_POWER`` allow, 2 * sqrt(MAX_POWER).  The automatic span never
+#: exceeds it, and the ``g`` determinants stay finite up to it.
+MAX_LAMBDA = LAMBDA_SPAN * 2.0 * math.sqrt(MAX_POWER)
 
 #: Most tuples one batched pentagon evaluation holds: (beta, lambda1,
 #: lambda2) tuples of the four-parameter sweep, (alpha, beta) tuples of the
@@ -200,13 +208,14 @@ class SweepGrid:
 
 def _check_axis(name: str, axis: AxisGrid) -> None:
     """The rule of a :class:`SweepGrid` axis: a power split needs a set ``hi``
-    and 0 <= lo <= hi <= 1, a bin coefficient finite lo (and hi) >= 0."""
+    and 0 <= lo <= hi <= 1, a bin coefficient finite lo (and hi) in
+    [0, ``MAX_LAMBDA``]."""
     if name in SPLIT_AXES:
         _check_split(name, axis.lo, axis.hi)
-    else:
-        _check_nonneg(name, axis.lo)
-        if axis.hi is not None:
-            _check_nonneg(name, axis.hi)
+        return
+    for value in (axis.lo, axis.hi):
+        if value is not None and (value := _check_nonneg(name, value)) > MAX_LAMBDA:
+            raise ValueError(f"{name} must be <= {MAX_LAMBDA:g}, got {value!r}")
 
 
 def _check_r1_step(step: float) -> None:

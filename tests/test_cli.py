@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,30 @@ def test_region_config_bad_grid_count_exits_2(tmp_path, capsys, count):
     lines = config.read_text().splitlines()
     line = next(n for n, text in enumerate(lines, 1) if '"lambda1"' in text)
     assert f"line {line}: grid.lambda1: count must be an integer in [1, 1000000]" in err
+
+
+@pytest.mark.parametrize("hi, code", [(1e308, 2), (6e50, 0)])
+def test_region_lambda_axis_exits_2_above_its_cap(tmp_path, capsys, hi, code):
+    # fig6's channel with lambda1 up to 1e308 used to print three overflow
+    # RuntimeWarnings from the pentagon terms and exit 0.  The cap itself
+    # still runs, without a warning.
+    doc = {
+        "channel": cli_module.FIGURE_PRESETS["fig6"]["channel"],
+        "regions": ["g"],
+        "grid": {
+            "alpha": {"lo": 0.0, "hi": 1.0, "count": 5},
+            "beta": {"lo": 0.0, "hi": 1.0, "count": 5},
+            "lambda1": {"lo": 0, "hi": hi, "count": 5},
+        },
+    }
+    config = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    lines = config.read_text().splitlines()
+    line = next(n for n, text in enumerate(lines, 1) if '"lambda1"' in text)
+    assert (f"line {line}: grid.lambda1 must be <= 6e+50, got 1e+308" in err) == (code == 2)
 
 
 _CHANNEL = SMALL_CONFIG["channel"]

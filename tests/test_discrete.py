@@ -34,6 +34,12 @@ from icdms.discrete import FULL_AXES, STAR_AXES
 from icdms.oracle import brute_joint_mi
 
 
+#: The benchmark's large tables: 4,194,304 FULL cells and 1,048,576 STAR cells.
+LARGE_FULL = AlphabetSpec(q=2, w=4, x1=4, u=4, ut=4, v=4, vt=4, x2=8, y1=8, y2=8)
+LARGE_STAR = AlphabetSpec(q=2, w=4, x1=4, u=4, ut=1, v=4, vt=4, x2=8, y1=8, y2=8)
+MIXED = AlphabetSpec(q=2, w=3, x1=3, u=3, ut=2, v=3, x2=3, y1=3, y2=4)
+
+
 def identity_channel() -> np.ndarray:
     """p(y1, y2 | x1, x2) with y1 = x1 and y2 = x2, binary."""
     chan = np.zeros((2, 2, 2, 2))
@@ -260,8 +266,7 @@ def test_factor_table_matches_hand_written_oracle_bitwise(sizes, seed):
 def test_assemble_joint_peak_is_the_table():
     """No full-size temporary: the traced peak of a 4,194,304-cell FULL
     assembly stays within 1 MiB of the table itself."""
-    spec = AlphabetSpec(q=2, w=4, x1=4, u=4, ut=4, v=4, vt=4, x2=8, y1=8, y2=8)
-    fd = random_full(spec, np.random.default_rng(16))
+    fd = random_full(LARGE_FULL, np.random.default_rng(16))
     j, peak = traced_peak(lambda: assemble_joint(fd))
     assert j.table.size == 4_194_304
     assert peak < j.table.nbytes + 2**20
@@ -305,52 +310,218 @@ def _fields(region) -> tuple:
     return region.scheme, tuple(bits(values)), tuple(region.constraints), region.feasible, region.active
 
 
+def _dense_fields(evaluate, fd) -> tuple:
+    """``_fields`` of ``evaluate(fd)`` by the region's formulas, each query
+    run with ``conditional_mi`` on a freshly assembled dense joint."""
+
+    def mi(left, right, given=("q",)):
+        return conditional_mi(assemble_joint(fd), left, right, given)
+
+    if evaluate is region_full:
+        i_uw, i_vw = mi(("u",), ("w",)), mi(("v",), ("w",))
+        i_uw_y1, i_v_y2u = mi(("u", "w"), ("y1",)), mi(("v",), ("y2", "u"))
+        r1 = mi(("w",), ("y1", "u"))
+        r2 = mi(("u", "v"), ("y2",)) - i_uw - i_vw
+        rsum = i_uw_y1 + i_v_y2u - i_uw - i_vw
+        constraints = {
+            "u_at_y1": i_uw_y1 - i_uw,
+            "u_at_y2": mi(("u",), ("y2", "v")) - i_uw,
+            "v_at_y2": i_v_y2u - i_vw,
+            "r2_total": r2,
+        }
+        active = tuple(constraints)
+    else:
+        uq = ("u", "q")
+        i_vw, i_v_y2, r1 = mi(("v",), ("w",)), mi(("v",), ("y2",), uq), mi(("w",), ("y1",), uq)
+        constraints = {"v_margin_y2": i_v_y2 - i_vw, "v_margin_y1": mi(("v",), ("y1",), uq) - i_vw}
+        active = ("v_margin_y2",)
+        if evaluate is region_sim:
+            r2 = mi(("u", "v"), ("y2",)) - i_vw
+            rsum = mi(("w", "u"), ("y1",)) + i_v_y2 - i_vw
+        else:
+            r2 = min(mi(("u",), ("y1",)), mi(("u",), ("y2",))) + i_v_y2 - i_vw
+            rsum = None
+    feasible = all(constraints[name] >= -discrete.DISCRETE_FEAS_TOL for name in active)
+    scheme = {region_full: "full", region_sim: "sim", region_suc: "suc"}[evaluate]
+    region = discrete.DiscreteRegion(scheme, r1, r2, rsum, constraints, feasible, active)
+    return _fields(region)
+
+
+def _blocked(monkeypatch, block_cells) -> None:
+    """With ``block_cells`` set, sum joints in blocks of that many cells and
+    let no region assemble or query a dense joint."""
+    if block_cells is None:
+        return
+    monkeypatch.setattr(discrete, "BLOCK_CELLS", block_cells)
+
+    def refuse(*args):
+        raise AssertionError("a blocked region queried a dense joint")
+
+    monkeypatch.setattr(discrete, "assemble_joint", refuse)
+    monkeypatch.setattr(discrete, "conditional_mi", refuse)
+
+
+#: Joints that are one block at the default ``BLOCK_CELLS``, and the same
+#: joints summed in blocks of 64 cells.
+_PLANS = [
+    pytest.param(spec, draws, block_cells, id=name + suffix)
+    for name, spec, draws in (
+        ("binary", AlphabetSpec(q=2), 4),
+        ("mixed", MIXED, 4),
+        ("size_1_axes", AlphabetSpec(q=2, w=1, u=1, y1=4), 2),
+    )
+    for suffix, block_cells in (("", None), ("_blocks", 64))
+]
+
+
 @pytest.mark.parametrize("evaluate", [region_full, region_sim, region_suc])
-@pytest.mark.parametrize(
-    "spec",
-    [AlphabetSpec(q=2), AlphabetSpec(q=2, w=3, x1=3, u=3, ut=2, v=3, x2=3, y1=3, y2=4)],
-    ids=["binary", "mixed"],
-)
-def test_region_fields_match_fresh_joint_per_query_bitwise(monkeypatch, evaluate, spec):
-    """Shared marginals change no bit: each region equals the one whose
-    every query runs on a fresh copy of the joint."""
+@pytest.mark.parametrize("spec, draws, block_cells", _PLANS)
+def test_region_fields_match_fresh_joint_per_query_bitwise(monkeypatch, evaluate, spec, draws, block_cells):
+    """Each region field equals the one its formula gives from
+    ``conditional_mi`` on a fresh dense joint per query, bit for bit, both
+    when the joint is one block and when it is summed in several."""
     maker = random_full if evaluate is region_full else random_star
     rng = np.random.default_rng(18)
-    draws = [maker(spec, rng) for _ in range(4)]
-    shared = [_fields(evaluate(fd)) for fd in draws]
-    inner = discrete.conditional_mi
+    fds = [maker(spec, rng) for _ in range(draws)]
+    dense = [_dense_fields(evaluate, fd) for fd in fds]
+    _blocked(monkeypatch, block_cells)
+    assert [_fields(evaluate(fd)) for fd in fds] == dense
 
-    def fresh(j, left, right, given=()):
-        return inner(JointPmf(j.table.copy(), j.axes), left, right, given)
 
-    monkeypatch.setattr(discrete, "conditional_mi", fresh)
-    assert shared == [_fields(evaluate(fd)) for fd in draws]
+@pytest.mark.parametrize("evaluate", [region_full, region_sim, region_suc])
+def test_large_region_fields_match_dense_joint_bitwise(evaluate):
+    """The benchmark's large tables, several blocks at the default
+    ``BLOCK_CELLS``, give the fields of the dense route bit for bit."""
+    spec, maker = (LARGE_FULL, random_full) if evaluate is region_full else (LARGE_STAR, random_star)
+    fd = maker(spec, np.random.default_rng(20))
+    assert spec.cells(fd.family) > discrete.BLOCK_CELLS
+    assert _fields(evaluate(fd)) == _dense_fields(evaluate, fd)
 
 
 @pytest.mark.parametrize(
-    "evaluate, queries, reductions",
-    [(region_full, 7, 4), (region_sim, 6, 4), (region_suc, 6, 6)],
+    "evaluate, queries, reductions, block_cells",
+    [
+        pytest.param(evaluate, queries, reductions, block_cells, id=f"{evaluate.__name__}-{queries}-{reductions}{suffix}")
+        for evaluate, queries, reductions in ((region_full, 7, 4), (region_sim, 6, 4), (region_suc, 6, 6))
+        for suffix, block_cells in (("", None), ("-blocks", 64))
+    ],
 )
-def test_region_sums_each_distinct_marginal_once(monkeypatch, evaluate, queries, reductions):
-    """Every query still goes through ``conditional_mi``; queries that keep
-    the same axes share one reduction of the table."""
+def test_region_sums_each_distinct_marginal_once(monkeypatch, evaluate, queries, reductions, block_cells):
+    """Queries that keep the same axes share one reduction: of the dense
+    table when the joint is one block, of every block when it is several,
+    where each distinct marginal belongs to exactly one pass."""
     maker = random_full if evaluate is region_full else random_star
     fd = maker(AlphabetSpec(q=2), np.random.default_rng(19))
-    joints, calls = [], []
-    assemble, mi = discrete.assemble_joint, discrete.conditional_mi
+    joints, marginals, calls = [], [], []
+    assemble, blocked, mi_bits = discrete.assemble_joint, discrete._blocked_marginals, discrete._mi_bits
 
     def kept_joint(fd):
         joints.append(assemble(fd))
         return joints[-1]
 
-    def counted_mi(*args):
-        calls.append(args)
-        return mi(*args)
+    def kept_marginals(fd, shape, drops):
+        passes, _ = discrete._block_plan(shape, drops, discrete.BLOCK_CELLS)
+        assert sorted(m for members, _ in passes for m in members) == sorted(drops)
+        marginals.append(blocked(fd, shape, drops))
+        return marginals[-1]
 
-    monkeypatch.setattr(discrete, "assemble_joint", kept_joint)
-    monkeypatch.setattr(discrete, "conditional_mi", counted_mi)
+    def counted_mi_bits(*args):
+        calls.append(args)
+        return mi_bits(*args)
+
+    _blocked(monkeypatch, block_cells)
+    if block_cells is None:
+        monkeypatch.setattr(discrete, "assemble_joint", kept_joint)
+    monkeypatch.setattr(discrete, "_blocked_marginals", kept_marginals)
+    monkeypatch.setattr(discrete, "_mi_bits", counted_mi_bits)
     evaluate(fd)
-    assert (len(joints), len(calls), len(joints[0]._marginals)) == (1, queries, reductions)
+    sums = [len(j._marginals) for j in joints] + [len(m) for m in marginals]
+    assert (sums, len(calls)) == ([reductions], queries)
+
+
+def _innermost_kept(shape, drop):
+    """Position of the innermost axis of size > 1 that ``drop`` keeps."""
+    return max((k for k, n in enumerate(shape) if n > 1 and k not in drop), default=None)
+
+
+def _blocked_sum(table, drop, blocks) -> np.ndarray:
+    """``table``'s keepdims sum over ``drop``, each block summed on its own
+    contiguous copy as the region's buffer holds it."""
+    out = np.empty([1 if k in drop else n for k, n in enumerate(table.shape)])
+    for index in blocks:
+        out[index] = np.add.reduce(np.ascontiguousarray(table[index]), axis=drop, keepdims=True)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_block_rule_reproduces_dense_sum_bitwise(data, seed):
+    """Pins the numpy behaviour the blocked marginals rely on.
+
+    For random shapes (1-4 per axis) and keep sets, the planner's blocks
+    tile the table, cut only axes that every member of the pass keeps and
+    never a member's innermost kept axis of size > 1, and the blocks' sums
+    equal ``np.add.reduce`` of the whole table bit for bit.  So do the
+    finest blocks the rule allows: one entry of every other kept axis."""
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=8)))
+    drop_sets = st.sets(st.integers(0, len(shape) - 1)).map(lambda d: tuple(sorted(d)))
+    drops = tuple(data.draw(st.lists(drop_sets, min_size=1, max_size=4, unique=True)))
+    block_cells = data.draw(st.integers(1, math.prod(shape)))
+    rng = np.random.default_rng(seed)
+    # Entries over six decades, so that the summation order shows in the bits.
+    table = rng.random(shape) * 10.0 ** rng.integers(-3, 3, shape)
+    passes, cells = discrete._block_plan(shape, drops, block_cells)
+    assert sorted(m for members, _ in passes for m in members) == sorted(drops)
+    for members, blocks in passes:
+        cover = np.zeros(shape, dtype=int)
+        for index in blocks:
+            cover[index] += 1
+            assert cover[index].size <= cells
+        assert (cover == 1).all()
+        cut = {k for index in blocks for k, s in enumerate(index) if (s.start, s.stop) != (0, shape[k])}
+        for drop in members:
+            assert not cut & set(drop)
+            assert _innermost_kept(shape, drop) not in cut
+            dense = np.add.reduce(table, axis=drop, keepdims=True)
+            assert np.array_equal(bits(_blocked_sum(table, drop, blocks)), bits(dense))
+            (_, finest), = discrete._block_plan(shape, (drop,), 1)[0]
+            assert np.array_equal(bits(_blocked_sum(table, drop, finest)), bits(dense))
+
+
+def test_region_full_traces_one_block_not_the_table():
+    """The 4,194,304-cell FULL table (32 MiB dense) is summed in one
+    reused block of ``BLOCK_CELLS`` cells (4 MiB)."""
+    fd = random_full(LARGE_FULL, np.random.default_rng(21))
+    _, peak = traced_peak(lambda: region_full(fd))
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("evaluate", [region_sim, region_suc])
+def test_star_regions_trace_one_block(evaluate):
+    """The 1,048,576-cell STAR table is summed in one reused block."""
+    fd = random_star(LARGE_STAR, np.random.default_rng(22))
+    _, peak = traced_peak(lambda: evaluate(fd))
+    assert peak < discrete.BLOCK_CELLS * 8 + 2**20
+
+
+@pytest.mark.parametrize("block_cells", [None, 64], ids=["one_block", "blocks"])
+@pytest.mark.parametrize("evaluate", [region_full, region_sim, region_suc])
+def test_region_rejections_hold_for_every_plan(monkeypatch, evaluate, block_cells):
+    """The cap and the total-mass rule reject the same inputs whether the
+    joint is one block or several.  Each factor scaled by 1 + 0.9e-12
+    passes its own check, but the product's error accumulates."""
+    maker, names = (random_full, FULL_FIELDS) if evaluate is region_full else (random_star, STAR_FIELDS)
+    fd = maker(AlphabetSpec(q=2), np.random.default_rng(1))
+    drifted = FactoredDistribution(family=fd.family, **{n: getattr(fd, n) * (1 + 0.9e-12) for n in names})
+    _blocked(monkeypatch, block_cells)
+    # The blocked total rounds its own way; the dense one is pinned.
+    mass = r"1\.0000000000\d+" if block_cells else "1.0000000000053997"
+    with pytest.raises(ValueError, match=rf"^joint table mass is {mass}, not 1$"):
+        evaluate(drifted)
+    monkeypatch.setattr(discrete, "CELL_CAP", 100)
+    cells = math.prod(fd.sizes().values())
+    with pytest.raises(CapExceededError, match=f"^joint table needs {cells} cells, cap is 100$"):
+        evaluate(fd)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for frontier sampling, unions, sweeps, and frontier diagnostics."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from icdms import (
 from icdms import geometry
 from icdms.gaussian import MAX_POWER
 from icdms.geometry import (
+    MAX_LAMBDA,
     MAX_R1_SAMPLES,
     REGION_FAMILIES,
     PAIR_TILE,
@@ -404,6 +406,22 @@ def test_sweep_grid_rejects_split_axis_outside_unit_interval(axis, lo, hi):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{axis} {rule}"):
             SweepGrid(**axes)
+
+
+@pytest.mark.parametrize("axis", ["lambda1", "lambda2"])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.0, 1e308), (1e51, None), (0.0, math.nextafter(MAX_LAMBDA, math.inf))],
+    ids=["hi-1e308", "lo-1e51", "hi-above-cap"],
+)
+def test_sweep_grid_caps_lambda_axes(axis, lo, hi):
+    # A lambda1 axis up to 1e308 used to overflow in the pentagon terms.
+    # The cap is LAMBDA_SPAN times the largest eta2 that capped powers allow.
+    assert MAX_LAMBDA == geometry.LAMBDA_SPAN * 2.0 * math.sqrt(MAX_POWER)
+    axes = vars(default_grid("g"))
+    with pytest.raises(ValueError, match=rf"^{axis} must be <= 6e\+50, got {re.escape(repr(hi or lo))}$"):
+        SweepGrid(**axes | {axis: AxisGrid(lo, hi, 5)})
+    SweepGrid(**axes | {axis: AxisGrid(0.0, MAX_LAMBDA, 5)})
 
 
 @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf, 1.0])
