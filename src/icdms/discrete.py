@@ -213,7 +213,8 @@ class FactoredDistribution:
     ``x`` = x2, ``y`` = y1, ``z`` = y2): FULL's ``p_x2``, for example, is
     (q, w, ut, vt, x2).  Construction checks each factor's rank, that
     factors sharing an axis agree on its size, and that every conditional
-    slice sums to one.
+    slice sums to one.  It keeps read-only copies of the factors, so what
+    it checked cannot change afterwards.
     """
 
     family: str
@@ -237,9 +238,10 @@ class FactoredDistribution:
         for field_name, key, subscripts, cond_ndim in factors:
             name = f"factor {field_name!r} (file key {key!r})"
             try:
-                table = np.asarray(getattr(self, field_name), dtype=float)
+                table = np.array(getattr(self, field_name), dtype=float)
             except (TypeError, ValueError):
                 raise ValueError(f"{name} must be an array of numbers") from None
+            table.flags.writeable = False
             object.__setattr__(self, field_name, table)
             axes = [_AXIS_OF[c] for c in subscripts]
             if table.ndim != len(axes):
@@ -475,9 +477,17 @@ def _blocked_marginals(fd: FactoredDistribution, shape: tuple[int, ...], drops) 
     """The keepdims marginals of ``fd``'s joint over each of ``drops``, keyed
     by drop set, summed block by block in one reused buffer as
     :func:`_block_plan` lays out.  Each block is formed by the products of
-    :func:`assemble_joint`, so its cells are the dense table's."""
+    :func:`assemble_joint`, so its cells are the dense table's.  A joint of
+    at most ``BLOCK_CELLS`` cells is one block, whose sums are the
+    marginals."""
     passes, cells = _block_plan(shape, drops, BLOCK_CELLS)
-    views = [np.broadcast_to(factor, shape) for factor in _broadcast_factors(fd)]
+    factors = _broadcast_factors(fd)
+    if cells == math.prod(shape):
+        joint = _multiply(factors, np.empty(shape))
+        return {drop: np.add.reduce(joint, axis=drop, keepdims=True) for drop in drops}
+    # Full-size views: a block that starts inside an axis a factor lacks
+    # would slice past that factor's one entry.
+    views = [np.broadcast_to(factor, shape) for factor in factors]
     buffer = np.empty(cells)
     marginals = {}
     for members, blocks in passes:
@@ -496,25 +506,23 @@ def _terms(fd: FactoredDistribution, family: str, queries) -> list[float]:
     """I(left; right | given) in bits of each (left, right, given) query on
     the joint of ``fd``, which must be in ``family``.
 
-    A joint of at most ``BLOCK_CELLS`` cells is assembled and queried with
-    :func:`conditional_mi`.  A larger one is never materialized: the
-    marginals the queries read come from :func:`_blocked_marginals`, bit
-    for bit those of the dense table, and feed the same MI arithmetic.  It
-    raises :class:`CapExceededError` above ``CELL_CAP`` cells, as
+    The joint is never materialized: the marginals the queries read come
+    from :func:`_blocked_marginals`, bit for bit those of the dense table,
+    and feed the MI arithmetic of :func:`conditional_mi`.  A joint of at
+    most ``BLOCK_CELLS`` cells is one block, formed and summed as
+    :func:`assemble_joint` and :class:`JointPmf` would.  It raises
+    :class:`CapExceededError` above ``CELL_CAP`` cells, as
     :func:`assemble_joint` does.  Its total mass is the sum of one
     marginal, which rounds differently from the dense ``table.sum()`` but
     is held to the same ``NORM_TOL``.  It needs no check for negative or
-    NaN cells: validated factors are finite, and each entry lies in
-    [0, 1 + NORM_TOL], so every product of them is finite and >= 0.
+    NaN cells: the factors are validated, read-only copies, finite with
+    entries in [0, 1 + NORM_TOL], so every product of them is finite and
+    >= 0.
     """
     _require_family(fd, family)
     sizes = fd.sizes()
     shape = tuple(sizes[a] for a in fd.axes)
-    n_cells = math.prod(shape)
-    if n_cells <= BLOCK_CELLS:
-        j = assemble_joint(fd)
-        return [conditional_mi(j, *query) for query in queries]
-    _check_cells(n_cells)
+    _check_cells(math.prod(shape))
     plans = [_mi_plan(fd.axes, *query) for query in queries]
     drops = tuple(dict.fromkeys(drop for _, drop in plans))
     marginals = _blocked_marginals(fd, shape, drops)

@@ -118,8 +118,12 @@ def _check_split(name: str, *values) -> None:
 
 def _check_nonneg(name: str, value) -> float:
     """The "finite and >= 0" rule: ``value`` as a float, else ``ValueError``."""
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
+    try:
+        value = float(value)
+        ok = math.isfinite(value) and value >= 0.0
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return value
 

@@ -213,8 +213,8 @@ def _check_axis(name: str, axis: AxisGrid) -> None:
     if name in SPLIT_AXES:
         _check_split(name, axis.lo, axis.hi)
         return
-    for value in (axis.lo, axis.hi):
-        if value is not None and (value := _check_nonneg(name, value)) > MAX_LAMBDA:
+    for value in (axis.lo,) if axis.hi is None else (axis.lo, axis.hi):
+        if (value := _check_nonneg(name, value)) > MAX_LAMBDA:
             raise ValueError(f"{name} must be <= {MAX_LAMBDA:g}, got {value!r}")
 
 

@@ -348,14 +348,13 @@ def _dense_fields(evaluate, fd) -> tuple:
 
 
 def _blocked(monkeypatch, block_cells) -> None:
-    """With ``block_cells`` set, sum joints in blocks of that many cells and
-    let no region assemble or query a dense joint."""
-    if block_cells is None:
-        return
-    monkeypatch.setattr(discrete, "BLOCK_CELLS", block_cells)
+    """Let no region assemble or query a dense joint, and with
+    ``block_cells`` set, sum joints in blocks of that many cells."""
+    if block_cells is not None:
+        monkeypatch.setattr(discrete, "BLOCK_CELLS", block_cells)
 
     def refuse(*args):
-        raise AssertionError("a blocked region queried a dense joint")
+        raise AssertionError("a region queried a dense joint")
 
     monkeypatch.setattr(discrete, "assemble_joint", refuse)
     monkeypatch.setattr(discrete, "conditional_mi", refuse)
@@ -407,17 +406,13 @@ def test_large_region_fields_match_dense_joint_bitwise(evaluate):
     ],
 )
 def test_region_sums_each_distinct_marginal_once(monkeypatch, evaluate, queries, reductions, block_cells):
-    """Queries that keep the same axes share one reduction: of the dense
-    table when the joint is one block, of every block when it is several,
-    where each distinct marginal belongs to exactly one pass."""
+    """Queries that keep the same axes share one reduction: of the whole
+    joint when it is one block, of every block when it is several, where
+    each distinct marginal belongs to exactly one pass."""
     maker = random_full if evaluate is region_full else random_star
     fd = maker(AlphabetSpec(q=2), np.random.default_rng(19))
-    joints, marginals, calls = [], [], []
-    assemble, blocked, mi_bits = discrete.assemble_joint, discrete._blocked_marginals, discrete._mi_bits
-
-    def kept_joint(fd):
-        joints.append(assemble(fd))
-        return joints[-1]
+    marginals, calls = [], []
+    blocked, mi_bits = discrete._blocked_marginals, discrete._mi_bits
 
     def kept_marginals(fd, shape, drops):
         passes, _ = discrete._block_plan(shape, drops, discrete.BLOCK_CELLS)
@@ -430,13 +425,10 @@ def test_region_sums_each_distinct_marginal_once(monkeypatch, evaluate, queries,
         return mi_bits(*args)
 
     _blocked(monkeypatch, block_cells)
-    if block_cells is None:
-        monkeypatch.setattr(discrete, "assemble_joint", kept_joint)
     monkeypatch.setattr(discrete, "_blocked_marginals", kept_marginals)
     monkeypatch.setattr(discrete, "_mi_bits", counted_mi_bits)
     evaluate(fd)
-    sums = [len(j._marginals) for j in joints] + [len(m) for m in marginals]
-    assert (sums, len(calls)) == ([reductions], queries)
+    assert ([len(m) for m in marginals], len(calls)) == ([reductions], queries)
 
 
 def _innermost_kept(shape, drop):
@@ -514,14 +506,34 @@ def test_region_rejections_hold_for_every_plan(monkeypatch, evaluate, block_cell
     fd = maker(AlphabetSpec(q=2), np.random.default_rng(1))
     drifted = FactoredDistribution(family=fd.family, **{n: getattr(fd, n) * (1 + 0.9e-12) for n in names})
     _blocked(monkeypatch, block_cells)
-    # The blocked total rounds its own way; the dense one is pinned.
-    mass = r"1\.0000000000\d+" if block_cells else "1.0000000000053997"
-    with pytest.raises(ValueError, match=rf"^joint table mass is {mass}, not 1$"):
+    # The total is summed from a marginal, not the table; here both read
+    # 1.0000000000053997.
+    with pytest.raises(ValueError, match=r"^joint table mass is 1\.0000000000053997, not 1$"):
         evaluate(drifted)
     monkeypatch.setattr(discrete, "CELL_CAP", 100)
     cells = math.prod(fd.sizes().values())
     with pytest.raises(CapExceededError, match=f"^joint table needs {cells} cells, cap is 100$"):
         evaluate(fd)
+
+
+@pytest.mark.parametrize("block_cells", [None, 64], ids=["one_block", "blocks"])
+@pytest.mark.parametrize("evaluate", [region_full, region_sim, region_suc])
+def test_factors_stay_as_validated_for_every_plan(monkeypatch, evaluate, block_cells):
+    """A distribution keeps read-only copies of its factors, so no factor
+    turns negative after validation.  ``p_q`` rewritten to [1.5, -0.5]
+    keeps the mass at 1 and used to give a large table's region silently;
+    now the write fails, and writing to the caller's array leaves the
+    region as it was."""
+    maker, names = (random_full, FULL_FIELDS) if evaluate is region_full else (random_star, STAR_FIELDS)
+    source = maker(AlphabetSpec(q=2), np.random.default_rng(0))
+    tables = {n: np.array(getattr(source, n)) for n in names}
+    fd = FactoredDistribution(family=source.family, **tables)
+    _blocked(monkeypatch, block_cells)
+    before = _fields(evaluate(fd))
+    with pytest.raises(ValueError, match="read-only"):
+        fd.p_q[:] = [1.5, -0.5]
+    tables["p_q"][:] = [1.5, -0.5]
+    assert _fields(evaluate(fd)) == before
 
 
 @pytest.mark.parametrize(

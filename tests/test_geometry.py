@@ -377,6 +377,7 @@ _BAD_AXES = {
     },
     ("lambda1", "lambda2"): {
         "lo-below-0": (-1.0, None),
+        "lo-none": (None, None),
         "nan-lo": (math.nan, None),
         "inf-lo": (math.inf, None),
         "nan-hi": (0.0, math.nan),
