@@ -18,10 +18,10 @@ family ``u`` is independent of everything else given ``q`` and has no
 Every bound is an exact sum over the joint probability table; no
 optimization over distributions is attempted.  :func:`assemble_joint`
 materializes that table for library users and ``oracle-check``.  The region
-functions materialize it only when it fits in ``BLOCK_CELLS`` cells; a
-larger joint is formed one block at a time, and each block is summed into
-its slice of every marginal the region reads, bit for bit the marginals of
-the dense table (:func:`_block_plan`).
+functions form it one block of at most ``BLOCK_CELLS`` cells at a time and
+sum each block into its slice of every marginal the region reads, bit for
+bit the marginals of the dense table (:func:`_block_plan`); a joint that
+fits in one block is formed whole.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ _BROADCAST = {family: _broadcast_plan(family) for family in _FACTORS}
 #: Cap on the number of cells of the joint table.
 CELL_CAP = 10_000_000
 
-#: Most cells of the block in which a region forms a larger joint (4 MiB of
-#: float64); a joint of at most this many cells is materialized whole.
+#: Most cells of the block in which a region forms its joint (4 MiB of
+#: float64); a joint of at most this many cells is one block.
 BLOCK_CELLS = 2**19
 
 #: Tolerance for conditional slices summing to one.
@@ -289,8 +289,7 @@ class JointPmf:
     ``table`` is stored as a read-only view.  The keepdims marginals that
     :meth:`marginal` and :func:`conditional_mi` sum out of it are cached by
     their dropped axes, so queries that keep the same axes share one pass
-    over the table.  The cache lives as long as the joint: a region's joint
-    is freed when the region returns.
+    over the table.  The cache lives as long as the joint.
     """
 
     table: np.ndarray
@@ -506,10 +505,11 @@ def _terms(fd: FactoredDistribution, family: str, queries) -> list[float]:
     """I(left; right | given) in bits of each (left, right, given) query on
     the joint of ``fd``, which must be in ``family``.
 
-    The joint is never materialized: the marginals the queries read come
-    from :func:`_blocked_marginals`, bit for bit those of the dense table,
-    and feed the MI arithmetic of :func:`conditional_mi`.  A joint of at
-    most ``BLOCK_CELLS`` cells is one block, formed and summed as
+    The marginals the queries read come from :func:`_blocked_marginals`,
+    bit for bit those of the dense table, and feed the MI arithmetic of
+    :func:`conditional_mi`.  The joint is held one block at a time (see
+    :func:`_block_plan` for the block size), and a joint of at most
+    ``BLOCK_CELLS`` cells is one block, formed and summed as
     :func:`assemble_joint` and :class:`JointPmf` would.  It raises
     :class:`CapExceededError` above ``CELL_CAP`` cells, as
     :func:`assemble_joint` does.  Its total mass is the sum of one
