@@ -17,11 +17,15 @@ family ``u`` is independent of everything else given ``q`` and has no
 
 Every bound is an exact sum over the joint probability table; no
 optimization over distributions is attempted.  :func:`assemble_joint`
-materializes that table for library users and ``oracle-check``.  The region
-functions form it one block of at most ``BLOCK_CELLS`` cells at a time and
-sum each block into its slice of every marginal the region reads, bit for
-bit the marginals of the dense table (:func:`_block_plan`); a joint that
-fits in one block is formed whole.
+materializes that table for library users and ``oracle-check``.  Each
+family has one set of mutual-information terms (``_TERM_QUERIES``), the
+union of what its regions read, and a distribution's terms are computed
+once, on its first region call, and kept on it: ``region_sim`` and
+``region_suc`` of one STAR distribution share one evaluation.  That
+evaluation forms the joint one block of at most ``BLOCK_CELLS`` cells at a
+time (:func:`_form`) and sums each block into its slice of every marginal
+the terms read, bit for bit the marginals of the dense table
+(:func:`_block_plan`); a joint that fits in one block is formed whole.
 """
 
 from __future__ import annotations
@@ -129,6 +133,10 @@ CELL_CAP = 10_000_000
 #: float64); a joint of at most this many cells is one block.
 BLOCK_CELLS = 2**19
 
+#: The products that :func:`_form` keeps on their own axes take at most
+#: ``BLOCK_CELLS // _SCRATCH_SHARE`` cells of scratch where the axes allow.
+_SCRATCH_SHARE = 16
+
 #: Tolerance for conditional slices summing to one.
 NORM_TOL = 1e-12
 
@@ -139,6 +147,32 @@ DISCRETE_FEAS_TOL = 1e-12
 #: and with the common stream.
 _Q = ("q",)
 _UQ = ("u", "q")
+
+#: Each family's mutual-information terms, by name: (left, right, given).
+#: STAR's are the union of what ``region_sim`` and ``region_suc`` read, so
+#: one evaluation of a distribution serves both.  The first query's
+#: marginal gives the total mass.
+_TERM_QUERIES = {
+    FULL: {
+        "i_uw": (("u",), ("w",), _Q),
+        "i_vw": (("v",), ("w",), _Q),
+        "i_uw_y1": (("u", "w"), ("y1",), _Q),
+        "i_v_y2u": (("v",), ("y2", "u"), _Q),
+        "r1": (("w",), ("y1", "u"), _Q),
+        "i_uv_y2": (("u", "v"), ("y2",), _Q),
+        "i_u_y2v": (("u",), ("y2", "v"), _Q),
+    },
+    STAR: {
+        "i_vw": (("v",), ("w",), _Q),
+        "i_v_y2": (("v",), ("y2",), _UQ),
+        "r1": (("w",), ("y1",), _UQ),
+        "i_v_y1": (("v",), ("y1",), _UQ),
+        "i_uv_y2": (("u", "v"), ("y2",), _Q),
+        "i_wu_y1": (("w", "u"), ("y1",), _Q),
+        "i_u_y1": (("u",), ("y1",), _Q),
+        "i_u_y2": (("u",), ("y2",), _Q),
+    },
+}
 
 
 class NormalizationError(ValueError):
@@ -214,7 +248,9 @@ class FactoredDistribution:
     (q, w, ut, vt, x2).  Construction checks each factor's rank, that
     factors sharing an axis agree on its size, and that every conditional
     slice sums to one.  It keeps read-only copies of the factors, so what
-    it checked cannot change afterwards.
+    it checked cannot change afterwards, and so the region functions keep
+    the family's mutual-information terms in ``_cache`` on first use, which
+    ``==`` and ``repr`` ignore.
     """
 
     family: str
@@ -225,13 +261,14 @@ class FactoredDistribution:
     channel: np.ndarray
     p_uut: np.ndarray | None = None
     p_u: np.ndarray | None = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in (FULL, STAR):
             raise ValueError(f"unknown family {self.family!r}")
         factors = _FACTORS[self.family]
         used = [row[0] for row in factors]
-        given = [f.name for f in fields(self)[1:] if getattr(self, f.name) is not None]
+        given = [f.name for f in fields(self)[1:] if f.init and getattr(self, f.name) is not None]
         if sorted(given) != sorted(used):
             raise ValueError(f"{self.family.upper()} family needs exactly {', '.join(used)}")
         first: dict[str, tuple[str, int]] = {}
@@ -342,15 +379,16 @@ def assemble_joint(fd: FactoredDistribution) -> JointPmf:
     ``CELL_CAP`` cells, and :class:`NormalizationError` (via validation at
     construction) if any factor slice is off-mass.
     """
-    factors = _broadcast_factors(fd)
-    shape = np.broadcast(*factors).shape
+    shape, factors = _layout(fd)
     _check_cells(math.prod(shape))
     return JointPmf(_multiply(factors, np.empty(shape)), fd.axes)
 
 
-def _broadcast_factors(fd: FactoredDistribution) -> list[np.ndarray]:
-    """``fd``'s factors as joint-rank views, in the order they are multiplied."""
-    return [getattr(fd, name).transpose(order)[index] for name, order, index in _BROADCAST[fd.family]]
+def _layout(fd: FactoredDistribution) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """The shape of ``fd``'s joint, and ``fd``'s factors as joint-rank views
+    (size 1 along the axes each lacks) in the order they are multiplied."""
+    factors = [getattr(fd, name).transpose(order)[index] for name, order, index in _BROADCAST[fd.family]]
+    return np.broadcast(*factors).shape, factors
 
 
 def _multiply(factors, out: np.ndarray) -> np.ndarray:
@@ -394,24 +432,38 @@ def conditional_mi(j: JointPmf, left, right, given=()) -> float:
     rounding residue is clamped to 0.
     """
     (l_ax, r_ax, _), drop = _mi_axes(j, left, right, given)
-    return _mi_bits(j._summed(drop), l_ax, r_ax)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _mi_bits(j._summed(drop), l_ax, r_ax)
 
 
 def _mi_bits(p_lrg: np.ndarray, l_ax, r_ax) -> float:
-    """I(left; right | given) in bits from the keepdims marginal ``p_lrg``
-    of (left, right, given), whose left and right axes are at ``l_ax`` and
-    ``r_ax``."""
+    """I(left; right | given) in bits from the marginal ``p_lrg`` of (left,
+    right, given), whose left and right axes are at ``l_ax`` and ``r_ax``;
+    any other axis of size 1 may be there or not.  The caller ignores
+    ``divide`` and ``invalid`` floating-point errors.
+
+    Cells with zero mass are masked out of the sum; without any, the masks
+    are skipped, which gives the same bits.  Where a product of marginals
+    underflows to 0, the sum is taken again with each cell's four
+    logarithms apart.
+    """
     # np.add.reduce is what ndarray.sum and np.sum call, without their
     # Python wrappers, which cost more than the sum on a small table.
     p_rg = np.add.reduce(p_lrg, axis=l_ax, keepdims=True)
     p_lg = np.add.reduce(p_lrg, axis=r_ax, keepdims=True)
     p_g = np.add.reduce(p_rg, axis=r_ax, keepdims=True)
 
-    mask = p_lrg > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if np.minimum.reduce(p_lrg, axis=None) > 0.0:
+        mask = True
+        value = float(np.add.reduce(p_lrg * (np.log2(p_lrg * p_g) - np.log2(p_lg * p_rg)), axis=None))
+    else:
+        mask = p_lrg > 0.0
         num = np.log2(np.where(mask, p_lrg * p_g, 1.0))
         den = np.log2(np.where(mask, p_lg * p_rg, 1.0))
-    value = float(np.add.reduce(p_lrg * (num - den), axis=None, where=mask))
+        value = float(np.add.reduce(p_lrg * (num - den), axis=None, where=mask))
+    if not math.isfinite(value):
+        cells = np.log2(p_lrg) + np.log2(p_g) - np.log2(p_lg) - np.log2(p_rg)
+        value = float(np.add.reduce(p_lrg * cells, axis=None, where=mask))
     return value if value > 0.0 else 0.0
 
 
@@ -452,17 +504,8 @@ def _block_plan(shape: tuple[int, ...], drops: tuple[tuple[int, ...], ...], bloc
             groups.append(([drop], own))
     passes, cells = [], 0
     for members, cut in groups:
-        chunk, size = list(shape), math.prod(shape)
-        for k in sorted(cut):
-            if size <= block_cells:
-                break
-            size //= shape[k]
-            chunk[k] = max(1, block_cells // size)
-            size *= chunk[k]
-        blocks = itertools.product(
-            *([slice(i, min(i + c, n)) for i in range(0, n, c)] for n, c in zip(shape, chunk))
-        )
-        passes.append((tuple(members), tuple(blocks)))
+        chunk, size = _chunks(shape, sorted(cut), math.prod(shape), block_cells)
+        passes.append((tuple(members), _tiles(shape, chunk)))
         cells = max(cells, size)
     return tuple(passes), cells
 
@@ -472,43 +515,159 @@ def _uncut_cells(shape: tuple[int, ...], cut) -> int:
     return math.prod(n for k, n in enumerate(shape) if k not in cut)
 
 
-def _blocked_marginals(fd: FactoredDistribution, shape: tuple[int, ...], drops) -> dict:
-    """The keepdims marginals of ``fd``'s joint over each of ``drops``, keyed
-    by drop set, summed block by block in one reused buffer as
-    :func:`_block_plan` lays out.  Each block is formed by the products of
-    :func:`assemble_joint`, so its cells are the dense table's.  A joint of
-    at most ``BLOCK_CELLS`` cells is one block, whose sums are the
-    marginals."""
+def _chunks(shape, axes, size: int, limit: int) -> tuple[list[int], int]:
+    """Entries per piece along each axis of ``shape``, cutting ``axes`` in
+    order until ``size``, which each of them scales linearly, is at most
+    ``limit`` (or they are cut to one entry); and that size."""
+    chunk = list(shape)
+    for k in axes:
+        if size <= limit:
+            break
+        size //= shape[k]
+        chunk[k] = max(1, limit // size)
+        size *= chunk[k]
+    return chunk, size
+
+
+def _tiles(shape, chunk) -> tuple:
+    """The pieces of ``shape`` cut into ``chunk`` entries per axis, as index
+    tuples, in C order."""
+    return tuple(
+        itertools.product(*([slice(i, min(i + c, n)) for i in range(0, n, c)] for n, c in zip(shape, chunk)))
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _form_plan(factor_shapes: tuple[tuple[int, ...], ...], block_shape: tuple[int, ...], scratch_cells: int):
+    """How :func:`_form` multiplies factors of ``factor_shapes`` into a block
+    of ``block_shape``.
+
+    The running product of the first k factors is kept on the block axes
+    those factors span, in scratch, until the product first spans the
+    block; a factor that adds no axis multiplies it in place.  Returns
+    ``(widest, pieces, cells)``: ``widest`` is the factor whose product
+    first spans the block; each piece is a part of the block (index tuple)
+    with, for factors 1 to ``widest``, where its product goes: an
+    (offset, shape) in scratch, or None for the block itself; and ``cells``
+    is the most scratch a piece needs.  Pieces cut the block along the
+    axes of the first product, outer first, until their products fit in
+    ``scratch_cells`` or those axes are cut to one entry.
+    """
+    live = [k for k, n in enumerate(block_shape) if n > 1]
+    spans, axes = [], set()
+    for shape in factor_shapes:
+        axes |= {k for k in live if shape[k] > 1}
+        spans.append(frozenset(axes))
+    widest = next(k for k in range(1, len(spans)) if len(spans[k]) == len(live))
+    levels = list(dict.fromkeys(spans[1:widest]))
+
+    def cells(shape) -> int:
+        return sum(math.prod(shape[k] for k in span) for span in levels)
+
+    chunk, _ = _chunks(block_shape, sorted(spans[1]), cells(block_shape), scratch_cells)
+    pieces, most = [], 0
+    for piece in _tiles(block_shape, chunk):
+        shape = [s.stop - s.start for s in piece]
+        slots, offset = {}, 0
+        for span in levels:
+            slots[span] = offset, tuple(n if k in span else 1 for k, n in enumerate(shape))
+            offset += math.prod(slots[span][1])
+        pieces.append((piece, tuple(slots.get(span) for span in spans[1 : widest + 1])))
+        most = max(most, offset)
+    if len(pieces) == 1:
+        pieces = [(None, pieces[0][1])]
+    return widest, tuple(pieces), most
+
+
+def _restrict(factor: np.ndarray, index) -> np.ndarray:
+    """``factor``, a joint-rank view, cut to ``index`` along its axes of
+    size > 1; all of it for ``index`` None."""
+    if index is None:
+        return factor
+    return factor[tuple(s if n > 1 else slice(None) for s, n in zip(index, factor.shape))]
+
+
+def _form(factors, index, block: np.ndarray, plan, scratch: np.ndarray) -> np.ndarray:
+    """The cells of the joint at ``index`` (None for all of it) multiplied
+    into ``block`` as :func:`_form_plan` lays out, one piece at a time (a
+    piece None is the whole block).  Each cell goes through the
+    multiplications of :func:`_multiply`, in its order, so it has the dense
+    table's bits; the products before the block is spanned take fewer
+    cells."""
+    widest, pieces, _ = plan
+    for piece, slots in pieces:
+        if piece is None:
+            at, part = index, block
+        else:
+            at = piece if index is None else tuple(slice(i.start + p.start, i.start + p.stop) for i, p in zip(index, piece))
+            part = block[piece]
+        product = _restrict(factors[0], at)
+        for factor, slot in zip(factors[1 : widest + 1], slots):
+            if slot is None:
+                out = part
+            else:
+                offset, shape = slot
+                out = scratch[offset : offset + math.prod(shape)].reshape(shape)
+            product = np.multiply(product, _restrict(factor, at), out=out)
+        for factor in factors[widest + 1 :]:
+            product *= _restrict(factor, at)
+    return block
+
+
+def _blocked_marginals(factors, shape: tuple[int, ...], drops) -> dict:
+    """The keepdims marginals over each of ``drops`` of the joint of
+    ``factors`` (in :func:`_layout`'s form), keyed by drop set, summed
+    block by block in one reused buffer as :func:`_block_plan` lays out.
+    Each block is formed by :func:`_form`, so its cells are the dense
+    table's.  A joint of at most ``BLOCK_CELLS`` cells is one block, whose
+    sums are the marginals."""
     passes, cells = _block_plan(shape, drops, BLOCK_CELLS)
-    factors = _broadcast_factors(fd)
-    if cells == math.prod(shape):
-        joint = _multiply(factors, np.empty(shape))
-        return {drop: np.add.reduce(joint, axis=drop, keepdims=True) for drop in drops}
-    # Full-size views: a block that starts inside an axis a factor lacks
-    # would slice past that factor's one entry.
-    views = [np.broadcast_to(factor, shape) for factor in factors]
+    factor_shapes = tuple(factor.shape for factor in factors)
+    block_shapes = {tuple(s.stop - s.start for s in index) for _, blocks in passes for index in blocks}
+    plans = {b: _form_plan(factor_shapes, b, BLOCK_CELLS // _SCRATCH_SHARE) for b in block_shapes}
     buffer = np.empty(cells)
+    scratch = np.empty(max(plan[2] for plan in plans.values()))
+    if cells == math.prod(shape):
+        joint = _form(factors, None, buffer.reshape(shape), plans[shape], scratch)
+        return {drop: np.add.reduce(joint, axis=drop, keepdims=True) for drop in drops}
     marginals = {}
     for members, blocks in passes:
         outs = [np.empty([1 if k in drop else n for k, n in enumerate(shape)]) for drop in members]
         for index in blocks:
             block_shape = tuple(s.stop - s.start for s in index)
             block = buffer[: math.prod(block_shape)].reshape(block_shape)
-            _multiply([view[index] for view in views], block)
+            _form(factors, index, block, plans[block_shape], scratch)
             for drop, out in zip(members, outs):
                 out[index] = np.add.reduce(block, axis=drop, keepdims=True)
         marginals.update(zip(members, outs))
     return marginals
 
 
-def _terms(fd: FactoredDistribution, family: str, queries) -> list[float]:
-    """I(left; right | given) in bits of each (left, right, given) query on
-    the joint of ``fd``, which must be in ``family``.
+def _term_plan(family: str):
+    """``family``'s distinct drop sets, in first-use order, and for each of
+    its terms (name, drop set, left and right axes in the marginal with the
+    drop set's axes squeezed out)."""
+    rows = []
+    for name, query in _TERM_QUERIES[family].items():
+        (l_pos, r_pos, _), drop = _mi_plan(_AXES[family], *query)
+        kept = [k for k in range(len(_AXES[family])) if k not in drop]
+        rows.append((name, drop, tuple(map(kept.index, l_pos)), tuple(map(kept.index, r_pos))))
+    return tuple(dict.fromkeys(drop for _, drop, _, _ in rows)), tuple(rows)
 
-    The marginals the queries read come from :func:`_blocked_marginals`,
-    bit for bit those of the dense table, and feed the MI arithmetic of
-    :func:`conditional_mi`.  The joint is held one block at a time (see
-    :func:`_block_plan` for the block size), and a joint of at most
+
+_TERM_PLAN = {family: _term_plan(family) for family in _FACTORS}
+
+
+def _terms(fd: FactoredDistribution, family: str) -> dict[str, float]:
+    """``family``'s terms (``_TERM_QUERIES``) of ``fd``, which must be in
+    ``family``: I(left; right | given) in bits, by name.
+
+    They are computed on the first call and kept in ``fd``'s cache; a
+    rejected input keeps nothing.  The marginals the
+    terms read come from :func:`_blocked_marginals`, bit for bit those of
+    the dense table, and feed the MI arithmetic of :func:`conditional_mi`,
+    squeezed of their dropped axes.  The joint is held one block at a time
+    (see :func:`_block_plan` for the block size), and a joint of at most
     ``BLOCK_CELLS`` cells is one block, formed and summed as
     :func:`assemble_joint` and :class:`JointPmf` would.  It raises
     :class:`CapExceededError` above ``CELL_CAP`` cells, as
@@ -520,14 +679,18 @@ def _terms(fd: FactoredDistribution, family: str, queries) -> list[float]:
     >= 0.
     """
     _require_family(fd, family)
-    sizes = fd.sizes()
-    shape = tuple(sizes[a] for a in fd.axes)
-    _check_cells(math.prod(shape))
-    plans = [_mi_plan(fd.axes, *query) for query in queries]
-    drops = tuple(dict.fromkeys(drop for _, drop in plans))
-    marginals = _blocked_marginals(fd, shape, drops)
-    _check_mass(float(np.add.reduce(marginals[drops[0]], axis=None)))
-    return [_mi_bits(marginals[drop], l_ax, r_ax) for (l_ax, r_ax, _), drop in plans]
+    terms = fd._cache.get("terms")
+    if terms is None:
+        shape, factors = _layout(fd)
+        _check_cells(math.prod(shape))
+        drops, rows = _TERM_PLAN[family]
+        marginals = _blocked_marginals(factors, shape, drops)
+        _check_mass(float(np.add.reduce(marginals[drops[0]], axis=None)))
+        squeezed = {drop: marginal.squeeze(axis=drop) for drop, marginal in marginals.items()}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = {name: _mi_bits(squeezed[drop], l_ax, r_ax) for name, drop, l_ax, r_ax in rows}
+        fd._cache["terms"] = terms
+    return terms
 
 
 @dataclass(frozen=True)
@@ -570,43 +733,25 @@ def region_full(fd: FactoredDistribution) -> DiscreteRegion:
     constraints keep the two bin rates and both message-part rates
     non-negative.
     """
-    i_uw, i_vw, i_uw_y1, i_v_y2u, r1, i_uv_y2, i_u_y2v = _terms(fd, FULL, (
-        (("u",), ("w",), _Q),
-        (("v",), ("w",), _Q),
-        (("u", "w"), ("y1",), _Q),
-        (("v",), ("y2", "u"), _Q),
-        (("w",), ("y1", "u"), _Q),
-        (("u", "v"), ("y2",), _Q),
-        (("u",), ("y2", "v"), _Q),
-    ))
-    r2 = i_uv_y2 - i_uw - i_vw
-    rsum = i_uw_y1 + i_v_y2u - i_uw - i_vw
+    t = _terms(fd, FULL)
+    r2 = t["i_uv_y2"] - t["i_uw"] - t["i_vw"]
+    rsum = t["i_uw_y1"] + t["i_v_y2u"] - t["i_uw"] - t["i_vw"]
     constraints = {
-        "u_at_y1": i_uw_y1 - i_uw,
-        "u_at_y2": i_u_y2v - i_uw,
-        "v_at_y2": i_v_y2u - i_vw,
+        "u_at_y1": t["i_uw_y1"] - t["i_uw"],
+        "u_at_y2": t["i_u_y2v"] - t["i_uw"],
+        "v_at_y2": t["i_v_y2u"] - t["i_vw"],
         "r2_total": r2,
     }
-    return _region(FULL, r1, r2, rsum, constraints, tuple(constraints))
+    return _region(FULL, t["r1"], r2, rsum, constraints, tuple(constraints))
 
 
-def _star_core(fd: FactoredDistribution, paper_literal: bool, queries):
-    """The terms both STAR regions share, and those of ``queries``.
-
-    Returns I(V;W|Q), I(V;Y2|U,Q), the R1 bound I(W;Y1|U,Q), the two
-    sign-constraint residuals, the name of the active one and the list of
-    the ``queries``' values.
-    """
-    i_vw, i_v_y2, r1, i_v_y1, *rest = _terms(fd, STAR, (
-        (("v",), ("w",), _Q),
-        (("v",), ("y2",), _UQ),
-        (("w",), ("y1",), _UQ),
-        (("v",), ("y1",), _UQ),
-        *queries,
-    ))
-    constraints = {"v_margin_y2": i_v_y2 - i_vw, "v_margin_y1": i_v_y1 - i_vw}
+def _star_core(fd: FactoredDistribution, paper_literal: bool):
+    """The STAR terms of ``fd``, the two sign-constraint residuals both STAR
+    regions report, and the name of the active one."""
+    t = _terms(fd, STAR)
+    constraints = {"v_margin_y2": t["i_v_y2"] - t["i_vw"], "v_margin_y1": t["i_v_y1"] - t["i_vw"]}
     active = ("v_margin_y1",) if paper_literal else ("v_margin_y2",)
-    return i_vw, i_v_y2, r1, constraints, active, rest
+    return t, constraints, active
 
 
 def region_sim(fd: FactoredDistribution, paper_literal: bool = False) -> DiscreteRegion:
@@ -620,12 +765,10 @@ def region_sim(fd: FactoredDistribution, paper_literal: bool = False) -> Discret
     ``paper_literal=True`` the as-printed receiver-1 form decides
     feasibility instead.  Both residuals are always reported.
     """
-    i_vw, i_v_y2, r1, constraints, active, (i_uv_y2, i_wu_y1) = _star_core(
-        fd, paper_literal, ((("u", "v"), ("y2",), _Q), (("w", "u"), ("y1",), _Q))
-    )
-    r2 = i_uv_y2 - i_vw
-    rsum = i_wu_y1 + i_v_y2 - i_vw
-    return _region("sim", r1, r2, rsum, constraints, active)
+    t, constraints, active = _star_core(fd, paper_literal)
+    r2 = t["i_uv_y2"] - t["i_vw"]
+    rsum = t["i_wu_y1"] + t["i_v_y2"] - t["i_vw"]
+    return _region("sim", t["r1"], r2, rsum, constraints, active)
 
 
 def region_suc(fd: FactoredDistribution, paper_literal: bool = False) -> DiscreteRegion:
@@ -636,11 +779,9 @@ def region_suc(fd: FactoredDistribution, paper_literal: bool = False) -> Discret
     I(V;W|Q), with R1 <= I(W;Y1|U,Q) and no sum bound.  The constraint
     handling matches :func:`region_sim`.
     """
-    i_vw, i_v_y2, r1, constraints, active, (i_u_y1, i_u_y2) = _star_core(
-        fd, paper_literal, ((("u",), ("y1",), _Q), (("u",), ("y2",), _Q))
-    )
-    r2 = min(i_u_y1, i_u_y2) + i_v_y2 - i_vw
-    return _region("suc", r1, r2, None, constraints, active)
+    t, constraints, active = _star_core(fd, paper_literal)
+    r2 = min(t["i_u_y1"], t["i_u_y2"]) + t["i_v_y2"] - t["i_vw"]
+    return _region("suc", t["r1"], r2, None, constraints, active)
 
 
 def _random_distribution(

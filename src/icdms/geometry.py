@@ -173,7 +173,11 @@ class AxisGrid:
                 f"count must be an integer in [1, {MAX_AXIS_POINTS}], got {count!r}"
             )
         object.__setattr__(self, "count", int(count))
-        if self.hi is not None and self.hi < self.lo:
+        try:
+            reversed_ends = self.hi is not None and self.hi < self.lo
+        except TypeError:
+            raise ValueError(f"lo and hi must be numbers, got {self.lo!r} and {self.hi!r}") from None
+        if reversed_ends:
             raise ValueError("need hi >= lo")
 
     def points(self, auto_hi: float | None = None) -> np.ndarray:

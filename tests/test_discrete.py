@@ -401,23 +401,26 @@ def test_large_region_fields_match_dense_joint_bitwise(evaluate):
     "evaluate, queries, reductions, block_cells",
     [
         pytest.param(evaluate, queries, reductions, block_cells, id=f"{evaluate.__name__}-{queries}-{reductions}{suffix}")
-        for evaluate, queries, reductions in ((region_full, 7, 4), (region_sim, 6, 4), (region_suc, 6, 6))
+        for evaluate, queries, reductions in ((region_full, 7, 4), (region_sim, 8, 6), (region_suc, 8, 6))
         for suffix, block_cells in (("", None), ("-blocks", 64))
     ],
 )
 def test_region_sums_each_distinct_marginal_once(monkeypatch, evaluate, queries, reductions, block_cells):
     """Queries that keep the same axes share one reduction: of the whole
     joint when it is one block, of every block when it is several, where
-    each distinct marginal belongs to exactly one pass."""
+    each distinct marginal belongs to exactly one pass.  A family has one
+    term set (STAR's serves both of its regions), computed on the first
+    region call; the next call on the same distribution, of either STAR
+    region, sums and queries nothing."""
     maker = random_full if evaluate is region_full else random_star
     fd = maker(AlphabetSpec(q=2), np.random.default_rng(19))
     marginals, calls = [], []
     blocked, mi_bits = discrete._blocked_marginals, discrete._mi_bits
 
-    def kept_marginals(fd, shape, drops):
+    def kept_marginals(factors, shape, drops):
         passes, _ = discrete._block_plan(shape, drops, discrete.BLOCK_CELLS)
         assert sorted(m for members, _ in passes for m in members) == sorted(drops)
-        marginals.append(blocked(fd, shape, drops))
+        marginals.append(blocked(factors, shape, drops))
         return marginals[-1]
 
     def counted_mi_bits(*args):
@@ -427,7 +430,11 @@ def test_region_sums_each_distinct_marginal_once(monkeypatch, evaluate, queries,
     _blocked(monkeypatch, block_cells)
     monkeypatch.setattr(discrete, "_blocked_marginals", kept_marginals)
     monkeypatch.setattr(discrete, "_mi_bits", counted_mi_bits)
-    evaluate(fd)
+    first = evaluate(fd)
+    assert ([len(m) for m in marginals], len(calls)) == ([reductions], queries)
+    other = {region_full: region_full, region_sim: region_suc, region_suc: region_sim}[evaluate]
+    other(fd)
+    assert _fields(evaluate(fd)) == _fields(first)
     assert ([len(m) for m in marginals], len(calls)) == ([reductions], queries)
 
 
@@ -480,6 +487,85 @@ def test_block_rule_reproduces_dense_sum_bitwise(data, seed):
             assert np.array_equal(bits(_blocked_sum(table, drop, finest)), bits(dense))
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_forming_on_own_axes_matches_broadcast_product_bitwise(data, seed):
+    """Every block that ``_form`` multiplies, its leading products kept on
+    their own axes in pieces cut to any scratch size, equals ``_multiply``
+    of the factors broadcast over that block, bit for bit."""
+    family = data.draw(st.sampled_from([discrete.FULL, discrete.STAR]))
+    sizes = AlphabetSpec(**{a: data.draw(st.integers(1, 3), label=a) for a in FULL_AXES})
+    fd = (random_full if family == discrete.FULL else random_star)(sizes, np.random.default_rng(seed))
+    shape, factors = discrete._layout(fd)
+    views = [np.broadcast_to(factor, shape) for factor in factors]
+    drop = tuple(sorted(data.draw(st.sets(st.integers(0, len(shape) - 1)))))
+    block_cells = data.draw(st.integers(1, math.prod(shape)))
+    scratch_cells = data.draw(st.integers(1, math.prod(shape)))
+    ((_, blocks),), _ = discrete._block_plan(shape, (drop,), block_cells)
+    for index in blocks:
+        block_shape = tuple(s.stop - s.start for s in index)
+        plan = discrete._form_plan(tuple(f.shape for f in factors), block_shape, scratch_cells)
+        cover = np.zeros(block_shape, dtype=int)
+        for piece, _ in plan[1]:
+            cover[... if piece is None else piece] += 1
+        assert (cover == 1).all()
+        block = discrete._form(factors, index, np.empty(block_shape), plan, np.empty(plan[2]))
+        dense = discrete._multiply([view[index] for view in views], np.empty(block_shape))
+        assert np.array_equal(bits(block), bits(dense))
+
+
+def _masked_mi_bits(p_lrg, l_ax, r_ax) -> float:
+    """The MI arithmetic as every query ran it before the unmasked path:
+    the keepdims marginal, masks on every call."""
+    p_rg = np.add.reduce(p_lrg, axis=l_ax, keepdims=True)
+    p_lg = np.add.reduce(p_lrg, axis=r_ax, keepdims=True)
+    p_g = np.add.reduce(p_rg, axis=r_ax, keepdims=True)
+    mask = p_lrg > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = np.log2(np.where(mask, p_lrg * p_g, 1.0))
+        den = np.log2(np.where(mask, p_lg * p_rg, 1.0))
+    value = float(np.add.reduce(p_lrg * (num - den), axis=None, where=mask))
+    return value if value > 0.0 else 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
+def test_unmasked_squeezed_mi_matches_masked_bitwise(data, seed, zeros):
+    """``_mi_bits`` on a marginal squeezed of its summed-out axes, unmasked
+    when no cell is 0, gives the bits of the masked arithmetic on the
+    keepdims marginal, with and without zero cells."""
+    roles = data.draw(st.lists(st.sampled_from("lrgd"), min_size=2, max_size=7).filter(lambda r: "l" in r and "r" in r))
+    shape = tuple(1 if role == "d" else data.draw(st.integers(1, 5)) for role in roles)
+    rng = np.random.default_rng(seed)
+    # Entries over six decades, so that the summation order shows in the bits.
+    table = rng.random(shape) * 10.0 ** rng.integers(-3, 3, shape)
+    if zeros:
+        table[rng.random(shape) < 0.3] = 0.0
+    drop = tuple(k for k, role in enumerate(roles) if role == "d")
+    kept = [k for k in range(len(roles)) if k not in drop]
+    l_ax, r_ax = (tuple(k for k, role in enumerate(roles) if role == side) for side in "lr")
+    masked = _masked_mi_bits(table, l_ax, r_ax)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fast = discrete._mi_bits(table.squeeze(axis=drop), tuple(map(kept.index, l_ax)), tuple(map(kept.index, r_ax)))
+    assert bits([fast]) == bits([masked])
+
+
+def test_kept_terms_leave_eq_and_repr_unchanged():
+    """The terms a region keeps on a distribution are not part of its
+    ``==`` or ``repr``.  One-letter alphabets make every factor one cell,
+    so that ``==`` of two distributions is defined."""
+    single = AlphabetSpec(**{a: 1 for a in FULL_AXES})
+    for maker, evaluate, names in ((random_full, region_full, FULL_FIELDS), (random_star, region_sim, STAR_FIELDS)):
+        fd = maker(single, np.random.default_rng(23))
+        twin = FactoredDistribution(family=fd.family, **{n: getattr(fd, n) for n in names})
+        before = repr(fd)
+        evaluate(fd)
+        assert set(fd._cache) == {"terms"} and twin._cache == {}
+        assert repr(fd) == before == repr(twin)
+        assert "_cache" not in before
+        assert fd == twin
+
+
 def test_region_full_traces_one_block_not_the_table():
     """The 4,194,304-cell FULL table (32 MiB dense) is summed in one
     reused block of ``BLOCK_CELLS`` cells (4 MiB)."""
@@ -514,6 +600,8 @@ def test_region_rejections_hold_for_every_plan(monkeypatch, evaluate, block_cell
     cells = math.prod(fd.sizes().values())
     with pytest.raises(CapExceededError, match=f"^joint table needs {cells} cells, cap is 100$"):
         evaluate(fd)
+    # A rejected input keeps nothing, so it is rejected again.
+    assert drifted._cache == fd._cache == {}
 
 
 @pytest.mark.parametrize("block_cells", [None, 64], ids=["one_block", "blocks"])
@@ -533,7 +621,9 @@ def test_factors_stay_as_validated_for_every_plan(monkeypatch, evaluate, block_c
     with pytest.raises(ValueError, match="read-only"):
         fd.p_q[:] = [1.5, -0.5]
     tables["p_q"][:] = [1.5, -0.5]
-    assert _fields(evaluate(fd)) == before
+    # fd keeps its terms, so evaluate a distribution rebuilt from its fields.
+    rebuilt = FactoredDistribution(family=fd.family, **{n: getattr(fd, n) for n in names})
+    assert _fields(evaluate(rebuilt)) == before
 
 
 @pytest.mark.parametrize(
@@ -577,6 +667,23 @@ def test_conditional_mi_bsc():
     assert expected == pytest.approx(0.5001, abs=5e-5)
     assert conditional_mi(j, ("x",), ("y",)) == pytest.approx(expected, abs=1e-12)
     assert brute_joint_mi(j, ("x",), ("y",)) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("zeros", [True, False], ids=["zero_cells", "no_zero_cells"])
+def test_mi_where_a_product_underflows(zeros):
+    """g = 1 holds 1e-170 of mass, spread evenly, so p(x,y,g) p(g) and
+    p(x,g) p(y,g) underflow to 0 in its cells.  conditional_mi used to
+    warn "invalid value encountered in subtract" and return 0.0, and
+    brute_joint_mi raised ZeroDivisionError.  g = 0 holds the rest: x = y
+    (1 bit), or x and y agreeing with probability 0.8."""
+    inner = np.array([[0.5, 0.0], [0.0, 0.5]]) if zeros else np.array([[0.4, 0.1], [0.1, 0.4]])
+    table = np.empty((2, 2, 2))
+    table[:, :, 0] = inner * (1 - 1e-170)
+    table[:, :, 1] = 1e-170 / 4
+    j = JointPmf(table, ("x", "y", "g"))
+    expected = 1.0 if zeros else 0.8 * math.log2(1.6) + 0.2 * math.log2(0.4)
+    for mi in (conditional_mi, brute_joint_mi):
+        assert mi(j, ("x",), ("y",), ("g",)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_conditional_mi_axis_errors():

@@ -386,27 +386,39 @@ _BAD_AXES = {
 }
 
 
+#: Ends that cannot be ordered, on any axis: the axis itself rejects them.
+_UNORDERED_ENDS = {"lo-none-hi-set": (None, 1.0), "lo-str": ("a", 1.0)}
+
+
+def _axis_rule(axis: str) -> str:
+    return rf"^{axis} " + (r"must lie in \[0, 1\]$" if axis in SPLIT_AXES else "must be finite and >= 0, got ")
+
+
 @pytest.mark.parametrize(
-    "axis, lo, hi",
+    "axis, lo, hi, message",
     [
-        pytest.param(axis, lo, hi, id=f"{case}-{axis}")
+        pytest.param(axis, lo, hi, _axis_rule(axis), id=f"{case}-{axis}")
         for axes, cases in _BAD_AXES.items()
         for case, (lo, hi) in cases.items()
         for axis in axes
+    ]
+    + [
+        pytest.param(axis, lo, hi, rf"^lo and hi must be numbers, got {lo!r} and 1\.0$", id=f"{case}-{axis}")
+        for case, (lo, hi) in _UNORDERED_ENDS.items()
+        for axis in (*SPLIT_AXES, "lambda1", "lambda2")
     ],
 )
-def test_sweep_grid_rejects_split_axis_outside_unit_interval(axis, lo, hi):
+def test_sweep_grid_rejects_split_axis_outside_unit_interval(axis, lo, hi, message):
     # Such grids used to reach the sweep: beta in [-1, 1] built g and g_suc
     # frontiers from negative stream powers, and alpha up to 2 ended in sqrt
     # warnings and a misleading "r1 bounds must be finite" error.  A lambda1
     # axis from -1 or NaN was swept into a frontier 0.11 bits off, and one
-    # from inf warned in the pair terms.
-    axes = vars(default_grid("g")) | {axis: AxisGrid(lo, hi, 5)}
-    rule = r"must lie in \[0, 1\]$" if axis in SPLIT_AXES else "must be finite and >= 0, got "
+    # from inf warned in the pair terms.  Ends that cannot be compared
+    # raised a TypeError from AxisGrid.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=rf"^{axis} {rule}"):
-            SweepGrid(**axes)
+        with pytest.raises(ValueError, match=message):
+            SweepGrid(**(vars(default_grid("g")) | {axis: AxisGrid(lo, hi, 5)}))
 
 
 @pytest.mark.parametrize("axis", ["lambda1", "lambda2"])

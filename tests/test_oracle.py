@@ -168,7 +168,9 @@ def test_mc_entropy_is_one_shot_across_chunk_edges(cov, seed):
         )
 
 
-GRID_EDGES = (MC_CHUNK - 1, MC_CHUNK + 1, 2 * MC_CHUNK + 3)
+#: Grids one point short of a slice, a short last slice, a last slice one
+#: point long (merged into the slice before it) and a last slice of three.
+GRID_EDGES = (MC_CHUNK - 1, 4 * MC_CHUNK - 1, 4 * MC_CHUNK + 1, 8 * MC_CHUNK + 3)
 
 
 @settings(max_examples=25, deadline=None)
