@@ -30,9 +30,11 @@ import numpy as np
 
 from . import __version__
 from .discrete import (
+    STAR,
+    _TERM_QUERIES,
     AlphabetSpec,
+    _terms,
     assemble_joint,
-    conditional_mi,
     distribution_from_dict,
     random_star,
     region_full,
@@ -498,14 +500,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     for _ in range(args.draws):
         fd = random_star(sizes, rng)
         j = assemble_joint(fd)
-        for left, right, given in (
-            (("w",), ("y1",), ("u", "q")),
-            (("u", "v"), ("y2",), ("q",)),
-            (("v",), ("w",), ("q",)),
-        ):
-            a = conditional_mi(j, left, right, given)
-            b = brute_joint_mi(j, left, right, given)
-            worst_diff = max(worst_diff, abs(a - b))
+        terms = _terms(fd, STAR)  # the route the regions run
+        for name in ("r1", "i_uv_y2", "i_vw"):
+            b = brute_joint_mi(j, *_TERM_QUERIES[STAR][name])
+            worst_diff = max(worst_diff, abs(terms[name] - b))
     status = verdict(worst_diff <= 1e-12)
     print(f"  max |difference| over {args.draws} draws = {worst_diff:.3g} {status}")
     return 0 if all(verdicts) else 1

@@ -17,15 +17,20 @@ family ``u`` is independent of everything else given ``q`` and has no
 
 Every bound is an exact sum over the joint probability table; no
 optimization over distributions is attempted.  :func:`assemble_joint`
-materializes that table for library users and ``oracle-check``.  Each
-family has one set of mutual-information terms (``_TERM_QUERIES``), the
-union of what its regions read, and a distribution's terms are computed
-once, on its first region call, and kept on it: ``region_sim`` and
-``region_suc`` of one STAR distribution share one evaluation.  That
-evaluation forms the joint one block of at most ``BLOCK_CELLS`` cells at a
-time (:func:`_form`) and sums each block into its slice of every marginal
-the terms read, bit for bit the marginals of the dense table
-(:func:`_block_plan`); a joint that fits in one block is formed whole.
+materializes that table as a :class:`JointPmf`, and :func:`conditional_mi`
+sums the one marginal a query reads out of it.  No region runs this dense
+route: it is the plain reference of the tests and of library callers.
+
+The regions read their terms from :func:`_terms`, which ``oracle-check``
+checks against the brute-force oracle.  Each family has one set of
+mutual-information terms (``_TERM_QUERIES``), the union of what its
+regions read, and a distribution's terms are computed once, on its first
+region call, and kept on it: ``region_sim`` and ``region_suc`` of one
+STAR distribution share one evaluation.  That evaluation forms the joint
+one block of at most ``BLOCK_CELLS`` cells at a time (:func:`_form`) and
+sums each block into its slice of every marginal the terms read, bit for
+bit the marginals of the dense table (:func:`_block_plan`); a joint that
+fits in one block is formed whole.
 """
 
 from __future__ import annotations
@@ -250,7 +255,8 @@ class FactoredDistribution:
     slice sums to one.  It keeps read-only copies of the factors, so what
     it checked cannot change afterwards, and so the region functions keep
     the family's mutual-information terms in ``_cache`` on first use, which
-    ``==`` and ``repr`` ignore.
+    ``==`` and ``repr`` ignore: ``==`` compares the family and the factor
+    tables' entries.
     """
 
     family: str
@@ -295,6 +301,13 @@ class FactoredDistribution:
                     )
             _check_conditional(field_name, table, cond_ndim)
 
+    def __eq__(self, other):
+        if not isinstance(other, FactoredDistribution):
+            return NotImplemented
+        return self.family == other.family and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name, *_ in _FACTORS[self.family]
+        )
+
     @property
     def axes(self) -> tuple[str, ...]:
         return _AXES[self.family]
@@ -323,19 +336,19 @@ def _check_cells(n_cells: int) -> None:
 class JointPmf:
     """Dense joint probability table with named axes.
 
-    ``table`` is stored as a read-only view.  The keepdims marginals that
-    :meth:`marginal` and :func:`conditional_mi` sum out of it are cached by
-    their dropped axes, so queries that keep the same axes share one pass
-    over the table.  The cache lives as long as the joint.
+    ``table`` is a read-only copy of the table given, or that table itself
+    when it is read-only and owns its data, so what was checked cannot
+    change afterwards.  ``==`` compares the axes and the tables' entries.
     """
 
     table: np.ndarray
     axes: tuple[str, ...]
-    _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=float).view()
-        table.flags.writeable = False
+        table = np.asarray(self.table, dtype=float)
+        if table.flags.writeable or not table.flags.owndata:
+            table = table.copy()
+            table.flags.writeable = False
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "axes", tuple(self.axes))
         if table.ndim != len(self.axes):
@@ -345,26 +358,16 @@ class JointPmf:
             total = float(table.sum())
         _check_mass(total, table.min() < 0.0)
 
-    def _summed(self, drop: tuple[int, ...]) -> np.ndarray:
-        """The table summed over the axes at ``drop`` with ``keepdims``,
-        computed on first use and read-only."""
-        if not drop:
-            return self.table
-        out = self._marginals.get(drop)
-        if out is None:
-            out = self.table.sum(axis=drop, keepdims=True)
-            out.flags.writeable = False
-            self._marginals[drop] = out
-        return out
+    def __eq__(self, other):
+        if not isinstance(other, JointPmf):
+            return NotImplemented
+        return self.axes == other.axes and np.array_equal(self.table, other.table)
 
     def marginal(self, names: tuple[str, ...]) -> np.ndarray:
-        keep = set(names)
-        drop = tuple(k for k, a in enumerate(self.axes) if a not in keep)
-        out = self._summed(drop).squeeze(axis=drop)
-        order = tuple(a for a in self.axes if a in keep)
-        if order != tuple(names):
-            out = np.moveaxis(out, [order.index(n) for n in names], range(len(names)))
-        return out
+        """The marginal of the axes ``names``, in that order; names are
+        checked as :func:`conditional_mi` checks a query's."""
+        _, drop, at, _ = _mi_plan(self.axes, names, (), ())
+        return np.moveaxis(self.table.sum(axis=drop), at, range(len(at)))
 
 
 def assemble_joint(fd: FactoredDistribution) -> JointPmf:
@@ -381,7 +384,9 @@ def assemble_joint(fd: FactoredDistribution) -> JointPmf:
     """
     shape, factors = _layout(fd)
     _check_cells(math.prod(shape))
-    return JointPmf(_multiply(factors, np.empty(shape)), fd.axes)
+    table = _multiply(factors, np.empty(shape))
+    table.flags.writeable = False
+    return JointPmf(table, fd.axes)
 
 
 def _layout(fd: FactoredDistribution) -> tuple[tuple[int, ...], list[np.ndarray]]:
@@ -399,47 +404,45 @@ def _multiply(factors, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1024)
-def _mi_plan(axes, left, right, given) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Axis positions of an MI query's three variable sets, and the axes it
-    sums out; :class:`AxisError` on a name ``axes`` lacks or on sets that
-    are not disjoint."""
-    groups = left, right, given
-    all_names = sum(groups, ())
-    for name in all_names:
+def _mi_plan(axes: tuple[str, ...], left, right, given):
+    """An MI query on a joint with ``axes``: the positions of its three name
+    sets in ``axes``, the axes it sums out, and the positions of its left
+    and right sets in the marginal with those axes squeezed out.  Raises
+    :class:`AxisError` on a name that is not a string or that ``axes``
+    lacks, and on sets that are not disjoint."""
+    groups = tuple(left), tuple(right), tuple(given)
+    names = sum(groups, ())
+    for name in names:
+        if not isinstance(name, str):
+            raise AxisError(f"variable names must be strings, got {name!r}")
         if name not in axes:
             raise AxisError(f"unknown variable {name!r}")
-    if len(set(all_names)) != len(all_names):
+    if len(set(names)) != len(names):
         raise AxisError("left/right/given sets must be disjoint")
     positions = tuple(tuple(axes.index(n) for n in group) for group in groups)
-    keep = set(sum(positions, ()))
-    return positions, tuple(k for k in range(len(axes)) if k not in keep)
-
-
-def _mi_axes(j: JointPmf, left, right, given):
-    """:func:`_mi_plan` of a query on ``j``, its three name sets as tuples."""
-    try:
-        return _mi_plan(j.axes, tuple(left), tuple(right), tuple(given))
-    except TypeError:  # an unhashable name names no axis
-        raise AxisError("variable names must be strings") from None
+    kept = sorted(sum(positions, ()))
+    drop = tuple(k for k in range(len(axes)) if k not in kept)
+    return positions, drop, tuple(map(kept.index, positions[0])), tuple(map(kept.index, positions[1]))
 
 
 def conditional_mi(j: JointPmf, left, right, given=()) -> float:
     """Exact conditional mutual information I(left; right | given) in bits.
 
     The three variable sets must be disjoint subsets of the joint's axes.
+    Each call sums the one marginal the query reads out of the table.
     Cells with zero mass contribute zero (0 log 0 = 0); tiny negative
     rounding residue is clamped to 0.
     """
-    (l_ax, r_ax, _), drop = _mi_axes(j, left, right, given)
+    _, drop, l_ax, r_ax = _mi_plan(j.axes, left, right, given)
+    p_lrg = j.table.sum(axis=drop) if drop else j.table  # no copy of a whole-table query
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _mi_bits(j._summed(drop), l_ax, r_ax)
+        return _mi_bits(p_lrg, l_ax, r_ax)
 
 
 def _mi_bits(p_lrg: np.ndarray, l_ax, r_ax) -> float:
     """I(left; right | given) in bits from the marginal ``p_lrg`` of (left,
-    right, given), whose left and right axes are at ``l_ax`` and ``r_ax``;
-    any other axis of size 1 may be there or not.  The caller ignores
+    right, given), squeezed of the axes its query sums out, whose left and
+    right axes are at ``l_ax`` and ``r_ax``.  The caller ignores
     ``divide`` and ``invalid`` floating-point errors.
 
     Cells with zero mass are masked out of the sum; without any, the masks
@@ -643,19 +646,12 @@ def _blocked_marginals(factors, shape: tuple[int, ...], drops) -> dict:
     return marginals
 
 
-def _term_plan(family: str):
-    """``family``'s distinct drop sets, in first-use order, and for each of
-    its terms (name, drop set, left and right axes in the marginal with the
-    drop set's axes squeezed out)."""
-    rows = []
-    for name, query in _TERM_QUERIES[family].items():
-        (l_pos, r_pos, _), drop = _mi_plan(_AXES[family], *query)
-        kept = [k for k in range(len(_AXES[family])) if k not in drop]
-        rows.append((name, drop, tuple(map(kept.index, l_pos)), tuple(map(kept.index, r_pos))))
-    return tuple(dict.fromkeys(drop for _, drop, _, _ in rows)), tuple(rows)
-
-
-_TERM_PLAN = {family: _term_plan(family) for family in _FACTORS}
+#: Each family's terms as (name, drop set, left and right axes in the
+#: marginal squeezed of the drop set), in ``_TERM_QUERIES`` order.
+_TERM_PLAN = {
+    family: tuple((name, *_mi_plan(_AXES[family], *query)[1:]) for name, query in queries.items())
+    for family, queries in _TERM_QUERIES.items()
+}
 
 
 def _terms(fd: FactoredDistribution, family: str) -> dict[str, float]:
@@ -663,12 +659,13 @@ def _terms(fd: FactoredDistribution, family: str) -> dict[str, float]:
     ``family``: I(left; right | given) in bits, by name.
 
     They are computed on the first call and kept in ``fd``'s cache; a
-    rejected input keeps nothing.  The marginals the
-    terms read come from :func:`_blocked_marginals`, bit for bit those of
-    the dense table, and feed the MI arithmetic of :func:`conditional_mi`,
-    squeezed of their dropped axes.  The joint is held one block at a time
-    (see :func:`_block_plan` for the block size), and a joint of at most
-    ``BLOCK_CELLS`` cells is one block, formed and summed as
+    rejected input keeps nothing.  Every region reads its terms here, and
+    ``oracle-check`` checks them against ``oracle.brute_joint_mi``.  The
+    marginals come from :func:`_blocked_marginals`, bit for bit those of
+    the dense table, and feed :func:`_mi_bits` squeezed of their dropped
+    axes, as in :func:`conditional_mi`.  The joint is held one block at a
+    time (see :func:`_block_plan` for the block size), and a joint of at
+    most ``BLOCK_CELLS`` cells is one block, formed and summed as
     :func:`assemble_joint` and :class:`JointPmf` would.  It raises
     :class:`CapExceededError` above ``CELL_CAP`` cells, as
     :func:`assemble_joint` does.  Its total mass is the sum of one
@@ -683,7 +680,8 @@ def _terms(fd: FactoredDistribution, family: str) -> dict[str, float]:
     if terms is None:
         shape, factors = _layout(fd)
         _check_cells(math.prod(shape))
-        drops, rows = _TERM_PLAN[family]
+        rows = _TERM_PLAN[family]
+        drops = tuple(dict.fromkeys(drop for _, drop, _, _ in rows))
         marginals = _blocked_marginals(factors, shape, drops)
         _check_mass(float(np.add.reduce(marginals[drops[0]], axis=None)))
         squeezed = {drop: marginal.squeeze(axis=drop) for drop, marginal in marginals.items()}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import AxisError, JointPmf, _mi_axes
+from .discrete import AxisError, JointPmf, _mi_plan
 
 __all__ = [
     "McEstimate",
@@ -200,7 +200,7 @@ def brute_joint_mi(j: JointPmf, left, right, given=()) -> float:
     with the vectorized evaluator; only the check of the query's names
     (unknown or overlapping sets raise :class:`AxisError`) is.
     """
-    (l_pos, r_pos, g_pos), _ = _mi_axes(j, left, right, given)
+    (l_pos, r_pos, g_pos), *_ = _mi_plan(j.axes, left, right, given)
 
     p_lrg: dict = {}
     p_lg: dict = {}

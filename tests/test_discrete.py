@@ -273,16 +273,46 @@ def test_assemble_joint_peak_is_the_table():
 
 
 def test_joint_table_is_read_only():
+    """The table cannot be written, and writing to a returned marginal
+    changes neither the table nor a later marginal or MI value."""
     j = assemble_joint(random_full(AlphabetSpec(), np.random.default_rng(17)))
     assert not j.table.flags.writeable
     with pytest.raises(ValueError):
         j.table[(0,) * j.table.ndim] = 0.5
-    with pytest.raises(ValueError):
-        j.marginal(("u", "q"))[0, 0] = 0.5
+    table = j.table.copy()
+    marginal, mi = j.marginal(("u", "q")), conditional_mi(j, ("u",), ("y2",), ("q",))
+    for names in (("u", "q"), j.axes):
+        j.marginal(names)[(0,) * len(names)] = 0.5
+    assert np.array_equal(j.table, table)
+    assert np.array_equal(j.marginal(("u", "q")), marginal)
+    assert conditional_mi(j, ("u",), ("y2",), ("q",)) == mi
+
+
+def test_joint_pmf_keeps_no_alias_of_its_input():
+    """A write to the caller's array after construction reaches neither the
+    validated table nor ``conditional_mi``: the writes below keep the mass
+    at 1 but make a cell negative, and ``conditional_mi`` used to return
+    0.0 for them without an error.  An array that is read-only and owns
+    its data, as ``assemble_joint`` hands over, is kept without a copy."""
+    t = np.full((2, 2), 0.25)
+    j = JointPmf(t, ("x", "y"))
+    t[0, 0] = 5.0
+    t[1, 1] = -4.5
+    assert np.array_equal(j.table, np.full((2, 2), 0.25))
+    assert conditional_mi(j, ("x",), ("y",)) == 0.0
+    view = np.full((2, 2), 0.25)
+    j = JointPmf(view[:], ("x", "y"))
+    view[0, 1] = -1.0
+    assert j.table.min() == 0.25
+    frozen = np.full((2, 2), 0.25)
+    frozen.flags.writeable = False
+    assert JointPmf(frozen, ("x", "y")).table is frozen
 
 
 def _old_marginal(j: JointPmf, names: tuple[str, ...]) -> np.ndarray:
-    """``JointPmf.marginal`` as it was before marginals were cached."""
+    """``JointPmf.marginal`` written out as a reference: the table summed
+    over the axes not in ``names``, those kept moved into ``names``'
+    order."""
     keep = set(names)
     drop = tuple(k for k, a in enumerate(j.axes) if a not in keep)
     out = j.table.sum(axis=drop)
@@ -552,18 +582,31 @@ def test_unmasked_squeezed_mi_matches_masked_bitwise(data, seed, zeros):
 
 def test_kept_terms_leave_eq_and_repr_unchanged():
     """The terms a region keeps on a distribution are not part of its
-    ``==`` or ``repr``.  One-letter alphabets make every factor one cell,
-    so that ``==`` of two distributions is defined."""
-    single = AlphabetSpec(**{a: 1 for a in FULL_AXES})
+    ``==`` or ``repr``, and ``==`` of multi-cell tables is a bool: it
+    used to raise "truth value ... ambiguous"."""
+    spec = AlphabetSpec(q=2)
     for maker, evaluate, names in ((random_full, region_full, FULL_FIELDS), (random_star, region_sim, STAR_FIELDS)):
-        fd = maker(single, np.random.default_rng(23))
+        fd = maker(spec, np.random.default_rng(23))
         twin = FactoredDistribution(family=fd.family, **{n: getattr(fd, n) for n in names})
         before = repr(fd)
         evaluate(fd)
         assert set(fd._cache) == {"terms"} and twin._cache == {}
         assert repr(fd) == before == repr(twin)
         assert "_cache" not in before
-        assert fd == twin
+        assert (fd == twin) is True
+        assert (fd == maker(spec, np.random.default_rng(24))) is False
+    assert (random_full(spec, np.random.default_rng(23)) == random_star(spec, np.random.default_rng(23))) is False
+
+
+def test_joint_pmf_eq_compares_axes_and_entries():
+    fd = random_star(AlphabetSpec(q=2), np.random.default_rng(0))
+    j = assemble_joint(fd)
+    assert (j == assemble_joint(fd)) is True
+    assert (j == JointPmf(j.table.copy(), j.axes)) is True
+    assert (j == assemble_joint(random_star(AlphabetSpec(q=2), np.random.default_rng(1)))) is False
+    table = np.full((2, 2), 0.25)
+    assert (JointPmf(table, ("x", "y")) == JointPmf(table, ("y", "x"))) is False
+    assert j != "not a joint"
 
 
 def test_region_full_traces_one_block_not_the_table():
@@ -688,15 +731,21 @@ def test_mi_where_a_product_underflows(zeros):
 
 def test_conditional_mi_axis_errors():
     j = JointPmf(np.full((2, 2), 0.25), ("x", "y"))
-    for _ in range(2):  # the query plan is cached; an error never is
+    with pytest.raises(AxisError):
+        conditional_mi(j, ("x",), ("z",))
+    with pytest.raises(AxisError):
+        conditional_mi(j, ("x",), ("x",))
+    with pytest.raises(AxisError):
+        conditional_mi(j, ("x",), ("y",), ("y",))
+    for mi in (conditional_mi, brute_joint_mi):
+        for name in (["y"], (1,)):
+            with pytest.raises(AxisError, match="must be strings"):
+                mi(j, ("x",), (name,))
+    # JointPmf.marginal checks its names as a query's; it used to raise a
+    # bare ValueError from tuple.index or np.moveaxis.
+    for names in (("z",), ("x", "x"), ((1,),)):
         with pytest.raises(AxisError):
-            conditional_mi(j, ("x",), ("z",))
-        with pytest.raises(AxisError):
-            conditional_mi(j, ("x",), ("x",))
-        with pytest.raises(AxisError):
-            conditional_mi(j, ("x",), ("y",), ("y",))
-        with pytest.raises(AxisError):
-            conditional_mi(j, ("x",), (["y"],))
+            j.marginal(names)
 
 
 def test_conditional_mi_symmetry_and_nonnegativity():
