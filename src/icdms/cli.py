@@ -13,7 +13,7 @@ Exit codes: 0 ok, 2 configuration, input-file or output-directory error,
 3 empty union.  Only :func:`main` turns an error into an exit code.
 
 Config and distribution files are JSON; schemas are documented in the
-project README.  Identical config and seed produce byte-identical CSV.
+project README.  Identical config produces byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -115,6 +115,29 @@ class RunConfig:
     seed: int
 
 
+def _names(cls) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+#: The keys each object of a run config may hold (``None``: a value without
+#: keys); the channel, grid and axis keys are the fields of their types.
+_CONFIG_KEYS = {
+    "channel": dict.fromkeys(_names(ChannelParams)),
+    "grid": dict.fromkeys(_names(SweepGrid), dict.fromkeys(_names(AxisGrid))),
+    **dict.fromkeys(("regions", "r1_step", "convex_hull", "paper_literal", "seed")),
+}
+
+
+def _check_keys(doc: dict, known: dict, raw: str, prefix: str = "") -> None:
+    """Raise for the first key, depth first in file order, not in ``known``."""
+    for key, value in doc.items():
+        if key not in known:
+            message = f"unknown key {prefix + key!r} (expected {', '.join(known)})"
+            raise ConfigError(message, _line_of(raw, key))
+        if isinstance(value, dict) and known[key] is not None:
+            _check_keys(value, known[key], raw, f"{prefix}{key}.")
+
+
 def _line_of(raw: str, key: str) -> int | None:
     match = re.search(r'"%s"' % re.escape(key), raw)
     if match is None:
@@ -181,21 +204,21 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
     """Check a parsed run config; ``raw`` is its JSON text, for line numbers."""
     if not isinstance(doc, dict):
         raise ConfigError("top level must be a JSON object")
+    _check_keys(doc, _CONFIG_KEYS, raw)
 
     ch_doc = doc.get("channel")
     if not isinstance(ch_doc, dict):
         raise ConfigError("missing 'channel' object", _line_of(raw, "channel"))
     values = {
         name: _json_number(ch_doc.get(name, 0.0), f"channel.{name}", _line_of(raw, name))
-        for name in ("p1", "p2", "c12", "c21")
+        for name in _names(ChannelParams)
     }
     try:
         channel = ChannelParams(**values)
     except ValueError as exc:
         raise ConfigError(f"channel: {exc}", _line_of(raw, "channel")) from exc
 
-    key = "regions" if "regions" in doc else "region"
-    regions, line = doc.get(key, []), _line_of(raw, key)
+    key, regions, line = "regions", doc.get("regions", []), _line_of(raw, "regions")
     if isinstance(regions, str):
         regions = [regions]
     if getattr(overrides, "region", None):
@@ -218,12 +241,10 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
         raise ConfigError("'grid' must be an object", _line_of(raw, "grid"))
     grids: dict[str, SweepGrid] = {}
     for name in regions:
-        base = default_grid(name)
-        if overrides.grid_steps is not None:
-            base = _apply_steps(base, name, overrides.grid_steps)
+        base = default_grid(name, overrides.grid_steps)
         grids[name] = SweepGrid(**{
             axis: _axis_from_doc(grid_doc.get(axis), raw, axis, getattr(base, axis))
-            for axis in (field.name for field in dataclasses.fields(SweepGrid))
+            for axis in _names(SweepGrid)
         })
 
     line = _line_of(raw, "r1_step")
@@ -233,11 +254,9 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"r1_step: {exc}", line) from exc
 
-    seed = overrides.seed
-    if seed is None:
-        seed = doc.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError("seed must be an integer >= 0", _line_of(raw, "seed"))
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("seed must be an integer >= 0", _line_of(raw, "seed"))
 
     return RunConfig(
         channel=channel,
@@ -245,30 +264,8 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
         grids=grids,
         r1_step=r1_step,
         convex_hull=_json_bool(doc, "convex_hull", raw) or overrides.convex_hull,
-        paper_literal=_json_bool(doc, "paper_literal", raw) or overrides.paper_literal,
+        paper_literal=_json_bool(doc, "paper_literal", raw),
         seed=seed,
-    )
-
-
-def _apply_steps(grid: SweepGrid, which: str, steps: int) -> SweepGrid:
-    """Uniform per-parameter point count override (--grid-steps)."""
-    def sized(axis: AxisGrid, count: int) -> AxisGrid:
-        return AxisGrid(axis.lo, axis.hi, count)
-
-    if which == "g":
-        return SweepGrid(
-            alpha=sized(grid.alpha, min(steps, grid.alpha.count)),
-            beta=sized(grid.beta, min(steps, grid.beta.count)),
-            lambda1=sized(grid.lambda1, min(steps, grid.lambda1.count)),
-            lambda2=sized(grid.lambda2, min(steps, grid.lambda2.count)),
-            edge_alpha=sized(grid.edge_alpha, steps),
-        )
-    return SweepGrid(
-        alpha=sized(grid.alpha, steps),
-        beta=sized(grid.beta, steps),
-        lambda1=grid.lambda1,
-        lambda2=grid.lambda2,
-        edge_alpha=sized(grid.edge_alpha, steps),
     )
 
 
@@ -536,23 +533,18 @@ def _number(kind, lo, hi=None):
     return parse
 
 
-#: Flags shared by the subcommands; each subcommand adds the ones it reads.
+#: The flags a Gaussian sweep reads; ``discrete`` takes ``--out`` too.
 _FLAGS = {
     "--out": dict(default=None, help="output directory"),
-    "--seed": dict(type=_number(int, 0), default=None, help="random seed"),
     "--convex-hull": dict(
         action="store_true",
         help="apply the time-sharing (concave envelope) closure to frontiers",
     ),
-    "--paper-literal": dict(
-        action="store_true",
-        help="use the as-printed receiver-1 sign constraint instead of the "
-        "derivation-consistent receiver-2 form",
-    ),
     "--grid-steps": dict(
         type=_number(int, 1, MAX_AXIS_POINTS),
         default=None,
-        help="override the per-parameter grid point count",
+        help="points per axis; the bin coefficients, and g's alpha and beta, "
+        "keep at most their default count",
     ),
 }
 
@@ -592,7 +584,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="full",
         help="coding scheme to evaluate",
     )
-    _add_flags(p_discrete, "--out", "--paper-literal")
+    p_discrete.add_argument(
+        "--paper-literal",
+        action="store_true",
+        help="decide sim/suc feasibility by the as-printed receiver-1 sign constraint",
+    )
+    _add_flags(p_discrete, "--out")
     p_discrete.set_defaults(func=cmd_discrete)
 
     p_figure = sub.add_parser("figure", help="run a figure preset")
@@ -623,8 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--samples", type=_number(int, MIN_MC_SAMPLES, MAX_MC_SAMPLES), default=200_000
     )
-    _add_flags(p_oracle, "--seed")
-    p_oracle.set_defaults(func=cmd_oracle_check, seed=0)
+    p_oracle.add_argument("--seed", type=_number(int, 0), default=0, help="random seed")
+    p_oracle.set_defaults(func=cmd_oracle_check)
     return parser
 
 

@@ -102,34 +102,27 @@ _AXIS_OF = {
     "v": "v", "s": "vt", "x": "x2", "y": "y1", "z": "y2",
 }
 
-#: Axes of each family's joint table, in the order their letters first
-#: appear in the family's factor subscripts.
-_AXES = {
-    family: tuple(
-        _AXIS_OF[letter]
-        for letter in dict.fromkeys("".join(subscripts for _, _, subscripts, _ in factors))
-    )
+#: Each family's joint axes as subscript letters, in the order they first
+#: appear in the family's factor subscripts, and as axis names.
+_LETTERS = {
+    family: "".join(dict.fromkeys("".join(subscripts for _, _, subscripts, _ in factors)))
     for family, factors in _FACTORS.items()
 }
+_AXES = {family: tuple(map(_AXIS_OF.get, letters)) for family, letters in _LETTERS.items()}
 FULL_AXES = _AXES[FULL]
 STAR_AXES = _AXES[STAR]
 
-
-def _broadcast_plan(family: str) -> tuple[tuple[str, tuple[int, ...], tuple], ...]:
-    """Each factor of ``family`` as :func:`assemble_joint` multiplies it:
-    (dataclass field, transpose into joint-axis order, index that inserts
-    the joint axes it lacks), in reverse ``_FACTORS`` order."""
-    axes = _AXES[family]
-    plan = []
-    for name, _, subscripts, _ in reversed(_FACTORS[family]):
-        positions = [axes.index(_AXIS_OF[c]) for c in subscripts]
-        order = tuple(sorted(range(len(positions)), key=positions.__getitem__))
-        index = tuple(slice(None) if k in positions else None for k in range(len(axes)))
-        plan.append((name, order, index))
-    return tuple(plan)
-
-
-_BROADCAST = {family: _broadcast_plan(family) for family in _FACTORS}
+#: Each factor of each family as :func:`assemble_joint` multiplies it, in
+#: reverse ``_FACTORS`` order: (dataclass field, index that inserts the
+#: joint axes it lacks).  Every factor's subscripts follow the joint's axis
+#: order, so no factor is transposed.
+_BROADCAST = {
+    family: tuple(
+        (name, tuple(slice(None) if letter in subscripts else None for letter in _LETTERS[family]))
+        for name, _, subscripts, _ in reversed(_FACTORS[family])
+    )
+    for family in _FACTORS
+}
 
 #: Cap on the number of cells of the joint table.
 CELL_CAP = 10_000_000
@@ -392,7 +385,7 @@ def assemble_joint(fd: FactoredDistribution) -> JointPmf:
 def _layout(fd: FactoredDistribution) -> tuple[tuple[int, ...], list[np.ndarray]]:
     """The shape of ``fd``'s joint, and ``fd``'s factors as joint-rank views
     (size 1 along the axes each lacks) in the order they are multiplied."""
-    factors = [getattr(fd, name).transpose(order)[index] for name, order, index in _BROADCAST[fd.family]]
+    factors = [getattr(fd, name)[index] for name, index in _BROADCAST[fd.family]]
     return np.broadcast(*factors).shape, factors
 
 
@@ -809,23 +802,32 @@ def random_star(sizes: AlphabetSpec, rng: np.random.Generator) -> FactoredDistri
     return _random_distribution(STAR, sizes, rng)
 
 
+def _check_keys(doc: dict, known, what: str) -> None:
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {what}key {unknown[0]!r} (expected {', '.join(known)})")
+
+
 def distribution_from_dict(doc: dict) -> FactoredDistribution:
     """Build a :class:`FactoredDistribution` from its JSON document form.
 
     Schema: ``{"family": "full"|"star", "factors": {...}}`` with factor
     keys ``q``, ``w_x1``, ``u_ut`` (FULL) or ``u`` (STAR), ``v_vt``,
     ``x2``, ``channel`` holding nested arrays in the axis orders documented
-    on :class:`FactoredDistribution`.
+    on :class:`FactoredDistribution`.  Any other key raises ``ValueError``.
     """
     if not isinstance(doc, dict):
         raise ValueError("distribution document must be a JSON object")
+    _check_keys(doc, ("family", "factors"), "")
     family = doc.get("family")
     if family not in (FULL, STAR):
         raise ValueError(f"family must be 'full' or 'star', got {family!r}")
     factors = doc.get("factors")
     if not isinstance(factors, dict):
         raise ValueError("missing 'factors' object")
-    missing = [key for _, key, _, _ in _FACTORS[family] if key not in factors]
+    keys = [key for _, key, _, _ in _FACTORS[family]]
+    _check_keys(factors, keys, f"{family} factor ")
+    missing = [key for key in keys if key not in factors]
     if missing:
         raise ValueError(f"missing factor tables: {', '.join(missing)}")
     tables = {name: factors[key] for name, key, _, _ in _FACTORS[family]}

@@ -228,15 +228,16 @@ def _check_r1_step(step: float) -> None:
         raise ValueError("r1_step must be in (0, 1)")
 
 
-def default_grid(which: str = "g") -> SweepGrid:
+def default_grid(which: str = "g", steps: int | None = None) -> SweepGrid:
     """Default grids: 41 points per axis for the four-parameter sweep,
-    201 for one- and two-parameter sweeps."""
+    201 for one- and two-parameter sweeps.  ``steps`` sets every count, but
+    the λ axes and ``g``'s alpha and beta keep at most their default one."""
     if which not in REGION_FAMILIES:
         raise ValueError(f"unknown region family {which!r}")
-    fine = AxisGrid(0.0, 1.0, 201)
+    fine = AxisGrid(0.0, 1.0, 201 if steps is None else steps)
     if which == "g":
-        coarse = AxisGrid(0.0, 1.0, 41)
-        lam = AxisGrid(0.0, None, 41)
+        coarse = AxisGrid(0.0, 1.0, 41 if steps is None else min(steps, 41))
+        lam = AxisGrid(0.0, None, coarse.count)
         return SweepGrid(coarse, coarse, lam, lam, fine)
     return SweepGrid(fine, fine, AxisGrid(0.0, None, 1), AxisGrid(0.0, None, 1), fine)
 

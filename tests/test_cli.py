@@ -324,8 +324,6 @@ def test_region_config_seed_recorded(tmp_path):
     out = tmp_path / "seeded"
     assert main(["region", "--config", str(config), "--out", str(out)]) == 0
     assert json.loads((out / "frontier.meta.json").read_text())["seed"] == 7
-    assert main(["region", "--config", str(config), "--out", str(out), "--seed", "3"]) == 0
-    assert json.loads((out / "frontier.meta.json").read_text())["seed"] == 3
 
 
 def test_region_config_seed_must_be_integer(tmp_path, capsys):
@@ -368,6 +366,12 @@ def test_region_config_of_figure_preset_matches_figure(tmp_path):
         ["dpc-lambda", "--p1", "6", "--p2", "6", "--alpha", "1", "--beta", "0", "--out", "x"],
         ["oracle-check", "--grid-steps", "5"],
         ["discrete", "--distribution", "d.json", "--seed", "1"],
+        # No Gaussian sweep draws a random number or reads the discrete
+        # sign constraint.
+        ["region", "--config", "c.json", "--seed", "3"],
+        ["region", "--config", "c.json", "--paper-literal"],
+        ["figure", "fig4", "--seed", "1"],
+        ["figure", "fig4", "--paper-literal"],
     ],
 )
 def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
@@ -375,6 +379,69 @@ def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_seed_and_paper_literal_stay_where_they_are_read():
+    parser = cli_module.build_parser()
+    assert parser.parse_args(["oracle-check"]).seed == 0
+    assert parser.parse_args(["oracle-check", "--seed", "7"]).seed == 7
+    args = parser.parse_args(["discrete", "--distribution", "d.json", "--paper-literal"])
+    assert args.paper_literal is True
+
+
+@pytest.mark.parametrize(
+    "steps, g_counts, other_counts",
+    [
+        (1, (1, 1, 1, 1, 1), (1, 1, 1, 1, 1)),
+        (5, (5, 5, 5, 5, 5), (5, 5, 1, 1, 5)),
+        (41, (41, 41, 41, 41, 41), (41, 41, 1, 1, 41)),
+        (300, (41, 41, 41, 41, 300), (300, 300, 1, 1, 300)),
+    ],
+)
+def test_grid_steps_point_counts(steps, g_counts, other_counts):
+    # Counts per axis (alpha, beta, lambda1, lambda2, edge_alpha) for g and
+    # for each of g_suc, g_sp1 and g_sp2.
+    doc = {"channel": SMALL_CONFIG["channel"], "regions": ["g", "g_suc", "g_sp1", "g_sp2"]}
+    args = cli_module.build_parser().parse_args(
+        ["region", "--config", "c.json", "--grid-steps", str(steps)]
+    )
+    config = cli_module.config_from_doc(doc, "", args)
+    for name, grid in config.grids.items():
+        counts = tuple(axis.count for axis in vars(grid).values())
+        assert counts == (g_counts if name == "g" else other_counts), name
+
+
+_MISSPELT = {
+    "channel": {"P1": 6, "p2": 6, "c21": 0.3},
+    "regions": ["g_sp1"],
+    "convex_hul": True,
+    "grid": {"alfa": {"count": 3}, "alpha": {"counts": 5}},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, key, needle",
+    [
+        (_MISSPELT, "P1", "'channel.P1' (expected p1, p2, c12, c21)"),
+        (dict(SMALL_CONFIG, convex_hul=True), "convex_hul", "'convex_hul' (expected channel,"),
+        (dict(SMALL_CONFIG, grid={"alfa": {"count": 3}}), "alfa", "'grid.alfa' (expected alpha,"),
+        (
+            dict(SMALL_CONFIG, grid={"alpha": {"counts": 5}}),
+            "counts",
+            "'grid.alpha.counts' (expected lo, hi, count)",
+        ),
+        ({"channel": _CHANNEL, "region": ["g_sp1"]}, "region", "'region' (expected channel,"),
+    ],
+    ids=["misspelt", "top_level", "grid", "axis", "stale_region_alias"],
+)
+def test_region_config_unknown_key_exits_2_naming_it(tmp_path, capsys, doc, key, needle):
+    # Each of these ran with exit 0: the misspelt config with p1 = 0, no
+    # hull and 201 alpha points.
+    config = write_config(tmp_path, doc)
+    assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
+    lines = config.read_text().splitlines()
+    line = next(n for n, text in enumerate(lines, 1) if f'"{key}"' in text)
+    assert capsys.readouterr().err.startswith(f"error: line {line}: unknown key {needle}")
 
 
 _DPC = ["dpc-lambda", "--p1", "6", "--p2", "6", "--alpha", "1", "--beta", "0"]
@@ -535,6 +602,28 @@ def test_discrete_command_report(tmp_path, capsys):
         == 0
     )
     assert "active sign constraint: v_margin_y1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "extra, extra_factors, needle",
+    [
+        ({"famly": "star"}, {}, "unknown key 'famly' (expected family, factors)"),
+        (
+            {},
+            {"u_ut": [1.0]},
+            "unknown star factor key 'u_ut' (expected q, w_x1, u, v_vt, x2, channel)",
+        ),
+    ],
+)
+def test_discrete_unknown_key_exits_2_naming_it(tmp_path, capsys, extra, extra_factors, needle):
+    # Both ran with exit 0: the extra factor and the misspelt key were ignored.
+    doc = distribution_to_dict(random_star(AlphabetSpec(), np.random.default_rng(5)))
+    doc["factors"].update(extra_factors)
+    doc.update(extra)
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps(doc))
+    assert main(["discrete", "--distribution", str(dist)]) == 2
+    assert capsys.readouterr().err == f"error: {needle}\n"
 
 
 def test_discrete_command_unit_square(tmp_path, capsys):

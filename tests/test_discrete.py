@@ -956,3 +956,19 @@ def test_distribution_from_dict_errors():
         distribution_from_dict([1, 2, 3])
     with pytest.raises(ValueError, match="family must be"):
         distribution_from_dict({"family": ["full"], "factors": {}})
+    doc = distribution_to_dict(random_full(AlphabetSpec(), np.random.default_rng(3)))
+    with pytest.raises(ValueError, match="unknown key 'comment'"):
+        distribution_from_dict({**doc, "comment": "x"})
+    with pytest.raises(ValueError, match="unknown full factor key 'u'"):
+        distribution_from_dict({**doc, "factors": {**doc["factors"], "u": [[1.0]]}})
+
+
+@pytest.mark.parametrize("family", [discrete.FULL, discrete.STAR])
+def test_factor_subscripts_follow_joint_axis_order(family):
+    # assemble_joint and the block former insert the joint axes a factor
+    # lacks but never transpose one; that holds while each factor's axes
+    # appear in the joint in the order of its subscripts.
+    axes = discrete._AXES[family]
+    for name, _, subscripts, _ in discrete._FACTORS[family]:
+        positions = [axes.index(discrete._AXIS_OF[c]) for c in subscripts]
+        assert positions == sorted(set(positions)), name
