@@ -22,7 +22,6 @@ import argparse
 import dataclasses
 import json
 import math
-import re
 import sys
 from pathlib import Path
 
@@ -128,21 +127,56 @@ _CONFIG_KEYS = {
 }
 
 
-def _check_keys(doc: dict, known: dict, raw: str, prefix: str = "") -> None:
-    """Raise for the first key, depth first in file order, not in ``known``."""
+def _check_keys(doc: dict, known: dict, raw: str, path: tuple = ()) -> None:
+    """Raise for the first key, depth first in file order, not in ``known``;
+    ``path`` holds the keys of ``doc`` and its parents."""
     for key, value in doc.items():
         if key not in known:
-            message = f"unknown key {prefix + key!r} (expected {', '.join(known)})"
-            raise ConfigError(message, _line_of(raw, key))
+            message = f"unknown key {'.'.join((*path, key))!r} (expected {', '.join(known)})"
+            raise ConfigError(message, _line_of(raw, *path, key))
         if isinstance(value, dict) and known[key] is not None:
-            _check_keys(value, known[key], raw, f"{prefix}{key}.")
+            _check_keys(value, known[key], raw, (*path, key))
 
 
-def _line_of(raw: str, key: str) -> int | None:
-    match = re.search(r'"%s"' % re.escape(key), raw)
-    if match is None:
-        return None
-    return raw.count("\n", 0, match.start()) + 1
+_WS = json.decoder.WHITESPACE
+
+
+def _members(raw: str, pos: int):
+    """(key or index, start, start of value) of each member of the JSON
+    object or array that starts at ``pos`` of ``raw``; none for any other
+    value."""
+    opener = raw[pos : pos + 1]
+    if opener not in ("{", "["):
+        return
+    decoder = json.JSONDecoder()
+    pos = _WS.match(raw, pos + 1).end()
+    index = 0
+    while raw[pos] not in "}]":
+        start = pos
+        if opener == "{":
+            name, pos = json.decoder.scanstring(raw, pos + 1)
+            pos = _WS.match(raw, _WS.match(raw, pos).end() + 1).end()  # past the colon
+        else:
+            name, index = index, index + 1
+        yield name, start, pos
+        pos = _WS.match(raw, decoder.raw_decode(raw, pos)[1]).end()
+        if raw[pos] == ",":
+            pos = _WS.match(raw, pos + 1).end()
+
+
+def _line_of(raw: str, *path) -> int | None:
+    """The line of the member at ``path`` (object keys and array indices) of
+    the JSON text ``raw``, reached through the document as ``json.loads``
+    reads it, so the last of repeated keys counts.  Where the text lacks
+    that member, the line of the deepest one on ``path`` it has, or None."""
+    pos, line = _WS.match(raw).end(), None
+    for step in path:
+        found = [(start, at) for name, start, at in _members(raw, pos) if name == step]
+        if not found:
+            break
+        start, pos = found[-1]
+        line = raw.count("\n", 0, start) + 1
+    return line
 
 
 def _json_number(value, name: str, line: int | None) -> float:
@@ -163,7 +197,7 @@ def _json_bool(doc: dict, key: str, raw: str) -> bool:
 def _axis_from_doc(doc, raw: str, key: str, fallback: AxisGrid) -> AxisGrid:
     if doc is None:
         return fallback
-    line = _line_of(raw, key)
+    line = _line_of(raw, "grid", key)
     if not isinstance(doc, dict):
         raise ConfigError(f"grid.{key} must be an object", line)
     lo = _json_number(doc.get("lo", fallback.lo), f"grid.{key}.lo", line)
@@ -210,7 +244,7 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
     if not isinstance(ch_doc, dict):
         raise ConfigError("missing 'channel' object", _line_of(raw, "channel"))
     values = {
-        name: _json_number(ch_doc.get(name, 0.0), f"channel.{name}", _line_of(raw, name))
+        name: _json_number(ch_doc.get(name, 0.0), f"channel.{name}", _line_of(raw, "channel", name))
         for name in _names(ChannelParams)
     }
     try:
@@ -227,11 +261,11 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"{key} must be a string or a list of strings, got {regions!r}", line)
     if not regions:
         raise ConfigError("no region selectors given", line)
-    for name in regions:
+    for index, name in enumerate(regions):
         if name not in REGION_FAMILIES:
             raise ConfigError(
                 f"unknown region selector {name!r} (choose from {', '.join(REGION_FAMILIES)})",
-                _line_of(raw, name),
+                line and _line_of(raw, "regions", index),
             )
     if len(set(regions)) < len(regions):
         raise ConfigError(f"{key} names a region more than once: {regions!r}", line)

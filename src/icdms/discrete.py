@@ -27,10 +27,12 @@ mutual-information terms (``_TERM_QUERIES``), the union of what its
 regions read, and a distribution's terms are computed once, on its first
 region call, and kept on it: ``region_sim`` and ``region_suc`` of one
 STAR distribution share one evaluation.  That evaluation forms the joint
-one block of at most ``BLOCK_CELLS`` cells at a time (:func:`_form`) and
-sums each block into its slice of every marginal the terms read, bit for
-bit the marginals of the dense table (:func:`_block_plan`); a joint that
-fits in one block is formed whole.
+one block of at most ``BLOCK_CELLS`` cells at a time and sums each block
+into its slice of every marginal the terms read, bit for bit the
+marginals of the dense table (:func:`_block_plan`); a joint that fits in
+one block is formed whole.  :func:`_form` multiplies each block in pieces
+with numpy's broadcasting, in the dense table's order, so every cell has
+its bits.
 """
 
 from __future__ import annotations
@@ -130,10 +132,6 @@ CELL_CAP = 10_000_000
 #: Most cells of the block in which a region forms its joint (4 MiB of
 #: float64); a joint of at most this many cells is one block.
 BLOCK_CELLS = 2**19
-
-#: The products that :func:`_form` keeps on their own axes take at most
-#: ``BLOCK_CELLS // _SCRATCH_SHARE`` cells of scratch where the axes allow.
-_SCRATCH_SHARE = 16
 
 #: Tolerance for conditional slices summing to one.
 NORM_TOL = 1e-12
@@ -438,10 +436,10 @@ def _mi_bits(p_lrg: np.ndarray, l_ax, r_ax) -> float:
     right axes are at ``l_ax`` and ``r_ax``.  The caller ignores
     ``divide`` and ``invalid`` floating-point errors.
 
-    Cells with zero mass are masked out of the sum; without any, the masks
-    are skipped, which gives the same bits.  Where a product of marginals
-    underflows to 0, the sum is taken again with each cell's four
-    logarithms apart.
+    Cells with zero mass, whose logarithms are -inf or NaN, are masked out
+    of the sum; without any, the mask is skipped, which gives the same
+    bits.  Where a product of marginals underflows to 0, the sum is taken
+    again with each cell's four logarithms apart.
     """
     # np.add.reduce is what ndarray.sum and np.sum call, without their
     # Python wrappers, which cost more than the sum on a small table.
@@ -449,14 +447,8 @@ def _mi_bits(p_lrg: np.ndarray, l_ax, r_ax) -> float:
     p_lg = np.add.reduce(p_lrg, axis=r_ax, keepdims=True)
     p_g = np.add.reduce(p_rg, axis=r_ax, keepdims=True)
 
-    if np.minimum.reduce(p_lrg, axis=None) > 0.0:
-        mask = True
-        value = float(np.add.reduce(p_lrg * (np.log2(p_lrg * p_g) - np.log2(p_lg * p_rg)), axis=None))
-    else:
-        mask = p_lrg > 0.0
-        num = np.log2(np.where(mask, p_lrg * p_g, 1.0))
-        den = np.log2(np.where(mask, p_lg * p_rg, 1.0))
-        value = float(np.add.reduce(p_lrg * (num - den), axis=None, where=mask))
+    mask = True if np.minimum.reduce(p_lrg, axis=None) > 0.0 else p_lrg > 0.0
+    value = float(np.add.reduce(p_lrg * (np.log2(p_lrg * p_g) - np.log2(p_lg * p_rg)), axis=None, where=mask))
     if not math.isfinite(value):
         cells = np.log2(p_lrg) + np.log2(p_g) - np.log2(p_lg) - np.log2(p_rg)
         value = float(np.add.reduce(p_lrg * cells, axis=None, where=mask))
@@ -534,45 +526,14 @@ def _tiles(shape, chunk) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _form_plan(factor_shapes: tuple[tuple[int, ...], ...], block_shape: tuple[int, ...], scratch_cells: int):
-    """How :func:`_form` multiplies factors of ``factor_shapes`` into a block
-    of ``block_shape``.
-
-    The running product of the first k factors is kept on the block axes
-    those factors span, in scratch, until the product first spans the
-    block; a factor that adds no axis multiplies it in place.  Returns
-    ``(widest, pieces, cells)``: ``widest`` is the factor whose product
-    first spans the block; each piece is a part of the block (index tuple)
-    with, for factors 1 to ``widest``, where its product goes: an
-    (offset, shape) in scratch, or None for the block itself; and ``cells``
-    is the most scratch a piece needs.  Pieces cut the block along the
-    axes of the first product, outer first, until their products fit in
-    ``scratch_cells`` or those axes are cut to one entry.
-    """
-    live = [k for k, n in enumerate(block_shape) if n > 1]
-    spans, axes = [], set()
-    for shape in factor_shapes:
-        axes |= {k for k in live if shape[k] > 1}
-        spans.append(frozenset(axes))
-    widest = next(k for k in range(1, len(spans)) if len(spans[k]) == len(live))
-    levels = list(dict.fromkeys(spans[1:widest]))
-
-    def cells(shape) -> int:
-        return sum(math.prod(shape[k] for k in span) for span in levels)
-
-    chunk, _ = _chunks(block_shape, sorted(spans[1]), cells(block_shape), scratch_cells)
-    pieces, most = [], 0
-    for piece in _tiles(block_shape, chunk):
-        shape = [s.stop - s.start for s in piece]
-        slots, offset = {}, 0
-        for span in levels:
-            slots[span] = offset, tuple(n if k in span else 1 for k, n in enumerate(shape))
-            offset += math.prod(slots[span][1])
-        pieces.append((piece, tuple(slots.get(span) for span in spans[1 : widest + 1])))
-        most = max(most, offset)
-    if len(pieces) == 1:
-        pieces = [(None, pieces[0][1])]
-    return widest, tuple(pieces), most
+def _pieces(shape: tuple[int, ...], limit: int) -> tuple:
+    """The pieces in which :func:`_form` multiplies a block of ``shape``, as
+    index tuples: the block cut along its outer axes first until each piece
+    has at most ``limit`` cells.  A block that fits is one piece, None."""
+    cells = math.prod(shape)
+    if cells <= limit:
+        return (None,)
+    return _tiles(shape, _chunks(shape, range(len(shape)), cells, limit)[0])
 
 
 def _restrict(factor: np.ndarray, index) -> np.ndarray:
@@ -583,30 +544,25 @@ def _restrict(factor: np.ndarray, index) -> np.ndarray:
     return factor[tuple(s if n > 1 else slice(None) for s, n in zip(index, factor.shape))]
 
 
-def _form(factors, index, block: np.ndarray, plan, scratch: np.ndarray) -> np.ndarray:
+def _form(factors, index, block: np.ndarray, limit: int) -> np.ndarray:
     """The cells of the joint at ``index`` (None for all of it) multiplied
-    into ``block`` as :func:`_form_plan` lays out, one piece at a time (a
-    piece None is the whole block).  Each cell goes through the
-    multiplications of :func:`_multiply`, in its order, so it has the dense
-    table's bits; the products before the block is spanned take fewer
-    cells."""
-    widest, pieces, _ = plan
-    for piece, slots in pieces:
+    into ``block``, one piece of at most ``limit`` cells at a time (see
+    :func:`_pieces`).  Each cell goes through the multiplications of
+    :func:`_multiply`, in its order, so it has the dense table's bits.
+    Broadcasting keeps each leading product on the axes its factors span,
+    in fewer cells than the piece; the first product that spans the piece,
+    and every later one, is written into the block."""
+    for piece in _pieces(block.shape, limit):
         if piece is None:
             at, part = index, block
         else:
             at = piece if index is None else tuple(slice(i.start + p.start, i.start + p.stop) for i, p in zip(index, piece))
             part = block[piece]
         product = _restrict(factors[0], at)
-        for factor, slot in zip(factors[1 : widest + 1], slots):
-            if slot is None:
-                out = part
-            else:
-                offset, shape = slot
-                out = scratch[offset : offset + math.prod(shape)].reshape(shape)
-            product = np.multiply(product, _restrict(factor, at), out=out)
-        for factor in factors[widest + 1 :]:
-            product *= _restrict(factor, at)
+        for factor in factors[1:]:
+            view = _restrict(factor, at)
+            spans = product is part or tuple(map(max, product.shape, view.shape)) == part.shape
+            product = np.multiply(product, view, out=part if spans else None)
     return block
 
 
@@ -614,25 +570,21 @@ def _blocked_marginals(factors, shape: tuple[int, ...], drops) -> dict:
     """The keepdims marginals over each of ``drops`` of the joint of
     ``factors`` (in :func:`_layout`'s form), keyed by drop set, summed
     block by block in one reused buffer as :func:`_block_plan` lays out.
-    Each block is formed by :func:`_form`, so its cells are the dense
-    table's.  A joint of at most ``BLOCK_CELLS`` cells is one block, whose
-    sums are the marginals."""
+    :func:`_form` forms each block in pieces of at most a quarter of
+    ``BLOCK_CELLS`` cells, so its cells are the dense table's.  A joint of
+    at most ``BLOCK_CELLS`` cells is one block, whose sums are the
+    marginals."""
     passes, cells = _block_plan(shape, drops, BLOCK_CELLS)
-    factor_shapes = tuple(factor.shape for factor in factors)
-    block_shapes = {tuple(s.stop - s.start for s in index) for _, blocks in passes for index in blocks}
-    plans = {b: _form_plan(factor_shapes, b, BLOCK_CELLS // _SCRATCH_SHARE) for b in block_shapes}
     buffer = np.empty(cells)
-    scratch = np.empty(max(plan[2] for plan in plans.values()))
     if cells == math.prod(shape):
-        joint = _form(factors, None, buffer.reshape(shape), plans[shape], scratch)
+        joint = _form(factors, None, buffer.reshape(shape), BLOCK_CELLS // 4)
         return {drop: np.add.reduce(joint, axis=drop, keepdims=True) for drop in drops}
     marginals = {}
     for members, blocks in passes:
         outs = [np.empty([1 if k in drop else n for k, n in enumerate(shape)]) for drop in members]
         for index in blocks:
             block_shape = tuple(s.stop - s.start for s in index)
-            block = buffer[: math.prod(block_shape)].reshape(block_shape)
-            _form(factors, index, block, plans[block_shape], scratch)
+            block = _form(factors, index, buffer[: math.prod(block_shape)].reshape(block_shape), BLOCK_CELLS // 4)
             for drop, out in zip(members, outs):
                 out[index] = np.add.reduce(block, axis=drop, keepdims=True)
         marginals.update(zip(members, outs))
@@ -657,8 +609,9 @@ def _terms(fd: FactoredDistribution, family: str) -> dict[str, float]:
     marginals come from :func:`_blocked_marginals`, bit for bit those of
     the dense table, and feed :func:`_mi_bits` squeezed of their dropped
     axes, as in :func:`conditional_mi`.  The joint is held one block at a
-    time (see :func:`_block_plan` for the block size), and a joint of at
-    most ``BLOCK_CELLS`` cells is one block, formed and summed as
+    time (see :func:`_block_plan` for the block size) and formed in pieces
+    of a quarter of that at most (:func:`_form`), and a joint of at most
+    ``BLOCK_CELLS`` cells is one block, formed and summed as
     :func:`assemble_joint` and :class:`JointPmf` would.  It raises
     :class:`CapExceededError` above ``CELL_CAP`` cells, as
     :func:`assemble_joint` does.  Its total mass is the sum of one

@@ -444,6 +444,40 @@ def test_region_config_unknown_key_exits_2_naming_it(tmp_path, capsys, doc, key,
     assert capsys.readouterr().err.startswith(f"error: line {line}: unknown key {needle}")
 
 
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        (
+            '{"channel": {"p1": 6, "p2": 6, "c21": 0.3},\n'
+            ' "regions": ["g_sp1"],\n'
+            ' "grid": {"alpha": {"count": 5},\n'
+            '          "beta": {"count": 5, "alpha": 3}}}\n',
+            "line 4: unknown key 'grid.beta.alpha'",
+        ),
+        (
+            '{"grid": {"lambda1": {"count": 3}}, "regions": ["g_sp1"],\n'
+            ' "channel": {"p1": 6, "p2": 6, "c21": 0.3},\n'
+            ' "lambda1": 3}\n',
+            "line 3: unknown key 'lambda1'",
+        ),
+        (
+            '{"channel": {"p1": 6, "p2": 6, "c21": 0.3},\n'
+            ' "regions": ["g_sp1",\n'
+            '             "g_sp3"]}\n',
+            "line 3: unknown region selector 'g_sp3'",
+        ),
+    ],
+    ids=["nested_after_sibling", "top_level_after_nested", "list_member"],
+)
+def test_config_error_line_follows_its_path(tmp_path, capsys, text, needle):
+    # The line was that of the key's first occurrence anywhere in the file:
+    # line 3 and line 1 for the two keys.
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {needle} ")
+
+
 _DPC = ["dpc-lambda", "--p1", "6", "--p2", "6", "--alpha", "1", "--beta", "0"]
 
 

@@ -520,9 +520,10 @@ def test_block_rule_reproduces_dense_sum_bitwise(data, seed):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_forming_on_own_axes_matches_broadcast_product_bitwise(data, seed):
-    """Every block that ``_form`` multiplies, its leading products kept on
-    their own axes in pieces cut to any scratch size, equals ``_multiply``
-    of the factors broadcast over that block, bit for bit."""
+    """Every block that ``_form`` multiplies, and the whole joint, in pieces
+    of at most any cell count that tile it exactly once, its leading
+    products kept on their own axes, equals ``_multiply`` of the factors
+    broadcast over it, bit for bit."""
     family = data.draw(st.sampled_from([discrete.FULL, discrete.STAR]))
     sizes = AlphabetSpec(**{a: data.draw(st.integers(1, 3), label=a) for a in FULL_AXES})
     fd = (random_full if family == discrete.FULL else random_star)(sizes, np.random.default_rng(seed))
@@ -530,18 +531,21 @@ def test_forming_on_own_axes_matches_broadcast_product_bitwise(data, seed):
     views = [np.broadcast_to(factor, shape) for factor in factors]
     drop = tuple(sorted(data.draw(st.sets(st.integers(0, len(shape) - 1)))))
     block_cells = data.draw(st.integers(1, math.prod(shape)))
-    scratch_cells = data.draw(st.integers(1, math.prod(shape)))
+    limit = data.draw(st.integers(1, math.prod(shape)))
     ((_, blocks),), _ = discrete._block_plan(shape, (drop,), block_cells)
     for index in blocks:
         block_shape = tuple(s.stop - s.start for s in index)
-        plan = discrete._form_plan(tuple(f.shape for f in factors), block_shape, scratch_cells)
         cover = np.zeros(block_shape, dtype=int)
-        for piece, _ in plan[1]:
-            cover[... if piece is None else piece] += 1
+        for piece in discrete._pieces(block_shape, limit):
+            part = cover[... if piece is None else piece]
+            part += 1
+            assert part.size <= limit
         assert (cover == 1).all()
-        block = discrete._form(factors, index, np.empty(block_shape), plan, np.empty(plan[2]))
+        block = discrete._form(factors, index, np.empty(block_shape), limit)
         dense = discrete._multiply([view[index] for view in views], np.empty(block_shape))
         assert np.array_equal(bits(block), bits(dense))
+    joint = discrete._form(factors, None, np.empty(shape), limit)
+    assert np.array_equal(bits(joint), bits(discrete._multiply(factors, np.empty(shape))))
 
 
 def _masked_mi_bits(p_lrg, l_ax, r_ax) -> float:
