@@ -138,30 +138,29 @@ def _check_keys(doc: dict, known: dict, raw: str, path: tuple = ()) -> None:
             _check_keys(value, known[key], raw, (*path, key))
 
 
-_WS = json.decoder.WHITESPACE
-
-
 def _members(raw: str, pos: int):
     """(key or index, start, start of value) of each member of the JSON
-    object or array that starts at ``pos`` of ``raw``; none for any other
-    value."""
+    object or array at ``pos`` of ``raw``, after any whitespace; none for
+    any other value."""
+    skip = json.decoder.WHITESPACE.match
+    pos = skip(raw, pos).end()
     opener = raw[pos : pos + 1]
     if opener not in ("{", "["):
         return
     decoder = json.JSONDecoder()
-    pos = _WS.match(raw, pos + 1).end()
+    pos = skip(raw, pos + 1).end()
     index = 0
     while raw[pos] not in "}]":
         start = pos
         if opener == "{":
             name, pos = json.decoder.scanstring(raw, pos + 1)
-            pos = _WS.match(raw, _WS.match(raw, pos).end() + 1).end()  # past the colon
+            pos = skip(raw, skip(raw, pos).end() + 1).end()  # past the colon
         else:
             name, index = index, index + 1
         yield name, start, pos
-        pos = _WS.match(raw, decoder.raw_decode(raw, pos)[1]).end()
+        pos = skip(raw, decoder.raw_decode(raw, pos)[1]).end()
         if raw[pos] == ",":
-            pos = _WS.match(raw, pos + 1).end()
+            pos = skip(raw, pos + 1).end()
 
 
 def _line_of(raw: str, *path) -> int | None:
@@ -169,7 +168,7 @@ def _line_of(raw: str, *path) -> int | None:
     the JSON text ``raw``, reached through the document as ``json.loads``
     reads it, so the last of repeated keys counts.  Where the text lacks
     that member, the line of the deepest one on ``path`` it has, or None."""
-    pos, line = _WS.match(raw).end(), None
+    pos, line = 0, None
     for step in path:
         found = [(start, at) for name, start, at in _members(raw, pos) if name == step]
         if not found:

@@ -470,8 +470,8 @@ def test_region_config_unknown_key_exits_2_naming_it(tmp_path, capsys, doc, key,
     ids=["nested_after_sibling", "top_level_after_nested", "list_member"],
 )
 def test_config_error_line_follows_its_path(tmp_path, capsys, text, needle):
-    # The line was that of the key's first occurrence anywhere in the file:
-    # line 3 and line 1 for the two keys.
+    # Each unknown key also occurs earlier in the text under another path,
+    # so only its own path finds its line.
     config = tmp_path / "config.json"
     config.write_text(text)
     assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
