@@ -167,10 +167,14 @@ def _line_of(raw: str, *path) -> int | None:
     """The line of the member at ``path`` (object keys and array indices) of
     the JSON text ``raw``, reached through the document as ``json.loads``
     reads it, so the last of repeated keys counts.  Where the text lacks
-    that member, the line of the deepest one on ``path`` it has, or None."""
+    that member, or nested too deep to step over from here, the line of the
+    deepest one on ``path`` it has, or None."""
     pos, line = 0, None
     for step in path:
-        found = [(start, at) for name, start, at in _members(raw, pos) if name == step]
+        try:
+            found = [(start, at) for name, start, at in _members(raw, pos) if name == step]
+        except RecursionError:
+            break
         if not found:
             break
         start, pos = found[-1]
@@ -227,6 +231,8 @@ def _read_json(path: Path) -> tuple[object, str]:
         raise ConfigError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
     except ValueError as exc:  # an integer too long to convert
         raise ConfigError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("invalid JSON: nested too deeply") from exc
 
 
 def load_config(path: Path, overrides: argparse.Namespace) -> RunConfig:

@@ -29,10 +29,10 @@ region call, and kept on it: ``region_sim`` and ``region_suc`` of one
 STAR distribution share one evaluation.  That evaluation forms the joint
 one block of at most ``BLOCK_CELLS`` cells at a time and sums each block
 into its slice of every marginal the terms read, bit for bit the
-marginals of the dense table (:func:`_block_plan`); a joint that fits in
-one block is formed whole.  :func:`_form` multiplies each block in pieces
-with numpy's broadcasting, in the dense table's order, so every cell has
-its bits.
+marginals of the dense table (:func:`_block_plan`).  :func:`_form`
+multiplies each block in pieces with numpy's broadcasting, in the dense
+table's order, so every cell has its bits.  Blocks and pieces are cut by
+the one rule of :func:`icdms.tiling.tiles`.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .tiling import tiles
 
 __all__ = [
     "FULL",
@@ -460,10 +462,12 @@ def _block_plan(shape: tuple[int, ...], drops: tuple[tuple[int, ...], ...], bloc
     """How :func:`_blocked_marginals` sums the keepdims marginals over the
     axes in each of ``drops`` out of a joint of ``shape``.
 
-    Returns ``(passes, cells)``: each pass is (its drop sets, its blocks as
-    index tuples into the joint), and ``cells`` is the largest block's size.
-    A pass forms every cell of the joint once, one block at a time, and
-    sums each block into its slice of every marginal of the pass.
+    Returns ``(passes, cells)``: each pass is (its drop sets, each joint
+    axis's slices as :func:`~icdms.tiling.tiles` gives them, whose product
+    is its blocks), and ``cells`` is the largest block's size.  A pass
+    forms every cell of the joint once, one block at a time, and sums each
+    block into its slice of every marginal of the pass.  A joint of at most
+    ``block_cells`` cells is one pass of one block.
 
     A block is cut only along axes that every member keeps, and never along
     a member's innermost kept axis of size > 1.  ``np.add.reduce`` sums the
@@ -492,9 +496,9 @@ def _block_plan(shape: tuple[int, ...], drops: tuple[tuple[int, ...], ...], bloc
             groups.append(([drop], own))
     passes, cells = [], 0
     for members, cut in groups:
-        chunk, size = _chunks(shape, sorted(cut), math.prod(shape), block_cells)
-        passes.append((tuple(members), _tiles(shape, chunk)))
-        cells = max(cells, size)
+        cuts = tiles(shape, block_cells, sorted(cut))
+        passes.append((tuple(members), cuts))
+        cells = max(cells, math.prod(axis[0].stop for axis in cuts))
     return tuple(passes), cells
 
 
@@ -503,61 +507,23 @@ def _uncut_cells(shape: tuple[int, ...], cut) -> int:
     return math.prod(n for k, n in enumerate(shape) if k not in cut)
 
 
-def _chunks(shape, axes, size: int, limit: int) -> tuple[list[int], int]:
-    """Entries per piece along each axis of ``shape``, cutting ``axes`` in
-    order until ``size``, which each of them scales linearly, is at most
-    ``limit`` (or they are cut to one entry); and that size."""
-    chunk = list(shape)
-    for k in axes:
-        if size <= limit:
-            break
-        size //= shape[k]
-        chunk[k] = max(1, limit // size)
-        size *= chunk[k]
-    return chunk, size
-
-
-def _tiles(shape, chunk) -> tuple:
-    """The pieces of ``shape`` cut into ``chunk`` entries per axis, as index
-    tuples, in C order."""
-    return tuple(
-        itertools.product(*([slice(i, min(i + c, n)) for i in range(0, n, c)] for n, c in zip(shape, chunk)))
-    )
-
-
-@functools.lru_cache(maxsize=256)
-def _pieces(shape: tuple[int, ...], limit: int) -> tuple:
-    """The pieces in which :func:`_form` multiplies a block of ``shape``, as
-    index tuples: the block cut along its outer axes first until each piece
-    has at most ``limit`` cells.  A block that fits is one piece, None."""
-    cells = math.prod(shape)
-    if cells <= limit:
-        return (None,)
-    return _tiles(shape, _chunks(shape, range(len(shape)), cells, limit)[0])
-
-
 def _restrict(factor: np.ndarray, index) -> np.ndarray:
     """``factor``, a joint-rank view, cut to ``index`` along its axes of
-    size > 1; all of it for ``index`` None."""
-    if index is None:
-        return factor
+    size > 1."""
     return factor[tuple(s if n > 1 else slice(None) for s, n in zip(index, factor.shape))]
 
 
 def _form(factors, index, block: np.ndarray, limit: int) -> np.ndarray:
-    """The cells of the joint at ``index`` (None for all of it) multiplied
-    into ``block``, one piece of at most ``limit`` cells at a time (see
-    :func:`_pieces`).  Each cell goes through the multiplications of
-    :func:`_multiply`, in its order, so it has the dense table's bits.
-    Broadcasting keeps each leading product on the axes its factors span,
-    in fewer cells than the piece; the first product that spans the piece,
-    and every later one, is written into the block."""
-    for piece in _pieces(block.shape, limit):
-        if piece is None:
-            at, part = index, block
-        else:
-            at = piece if index is None else tuple(slice(i.start + p.start, i.start + p.stop) for i, p in zip(index, piece))
-            part = block[piece]
+    """The cells of the joint at ``index`` multiplied into ``block``, one
+    piece of at most ``limit`` cells at a time, the block cut as
+    :func:`~icdms.tiling.tiles` cuts it.  Each cell goes through the
+    multiplications of :func:`_multiply`, in its order, so it has the dense
+    table's bits.  Broadcasting keeps each leading product on the axes its
+    factors span, in fewer cells than the piece; the first product that
+    spans the piece, and every later one, is written into the block."""
+    for piece in itertools.product(*tiles(block.shape, limit)):
+        at = tuple(slice(i.start + p.start, i.start + p.stop) for i, p in zip(index, piece))
+        part = block[piece]
         product = _restrict(factors[0], at)
         for factor in factors[1:]:
             view = _restrict(factor, at)
@@ -571,18 +537,13 @@ def _blocked_marginals(factors, shape: tuple[int, ...], drops) -> dict:
     ``factors`` (in :func:`_layout`'s form), keyed by drop set, summed
     block by block in one reused buffer as :func:`_block_plan` lays out.
     :func:`_form` forms each block in pieces of at most a quarter of
-    ``BLOCK_CELLS`` cells, so its cells are the dense table's.  A joint of
-    at most ``BLOCK_CELLS`` cells is one block, whose sums are the
-    marginals."""
+    ``BLOCK_CELLS`` cells, so its cells are the dense table's."""
     passes, cells = _block_plan(shape, drops, BLOCK_CELLS)
     buffer = np.empty(cells)
-    if cells == math.prod(shape):
-        joint = _form(factors, None, buffer.reshape(shape), BLOCK_CELLS // 4)
-        return {drop: np.add.reduce(joint, axis=drop, keepdims=True) for drop in drops}
     marginals = {}
-    for members, blocks in passes:
+    for members, cuts in passes:
         outs = [np.empty([1 if k in drop else n for k, n in enumerate(shape)]) for drop in members]
-        for index in blocks:
+        for index in itertools.product(*cuts):
             block_shape = tuple(s.stop - s.start for s in index)
             block = _form(factors, index, buffer[: math.prod(block_shape)].reshape(block_shape), BLOCK_CELLS // 4)
             for drop, out in zip(members, outs):
@@ -609,10 +570,9 @@ def _terms(fd: FactoredDistribution, family: str) -> dict[str, float]:
     marginals come from :func:`_blocked_marginals`, bit for bit those of
     the dense table, and feed :func:`_mi_bits` squeezed of their dropped
     axes, as in :func:`conditional_mi`.  The joint is held one block at a
-    time (see :func:`_block_plan` for the block size) and formed in pieces
-    of a quarter of that at most (:func:`_form`), and a joint of at most
-    ``BLOCK_CELLS`` cells is one block, formed and summed as
-    :func:`assemble_joint` and :class:`JointPmf` would.  It raises
+    time (see :func:`_block_plan` for the block size; a joint of at most
+    ``BLOCK_CELLS`` cells is one block) and formed in pieces of a quarter
+    of that at most (:func:`_form`).  It raises
     :class:`CapExceededError` above ``CELL_CAP`` cells, as
     :func:`assemble_joint` does.  Its total mass is the sum of one
     marginal, which rounds differently from the dense ``table.sum()`` but

@@ -37,6 +37,7 @@ from .gaussian import (
     eta_coefficients,
     PentagonRegion,
 )
+from .tiling import tiles
 
 __all__ = [
     "DEFAULT_R1_STEP",
@@ -413,48 +414,34 @@ def union_frontier(regions, step: float = DEFAULT_R1_STEP) -> Frontier:
     return _union_fold([np.array(members, dtype=float).reshape(-1, 3).T], step)
 
 
-def _tiles(n: int, size: int) -> list[slice]:
-    """Consecutive slices of at most ``size`` covering range(n)."""
-    return [slice(i, min(i + size, n)) for i in range(0, n, size)]
-
-
-def _tile_sizes(*counts: int) -> tuple[int, ...]:
-    """Tile size along each axis of a grid with ``counts`` points per axis:
-    at most ``PAIR_TILE`` tuples per tile, filled from the last axis."""
-    sizes: list[int] = []
-    for n in reversed(counts):
-        sizes.insert(0, min(n, PAIR_TILE // math.prod(sizes)))
-    return tuple(sizes)
-
-
 def _sweep_binned_pair(ch: ChannelParams, grid: SweepGrid):
     """Tiles of the four-parameter binned-pair family over the grid.
 
     The bin-coefficient grids are built in the unit-variance-W scale,
     spanning [0, LAMBDA_SPAN * eta2(alpha)] and always containing the exact
-    dirty-paper optimum of each stream (:func:`_lambda_rows`).  Each alpha
-    is one batched :func:`_region_g_arrays` call over every (beta, lambda1,
-    lambda2) combination, split into tiles of at most ``PAIR_TILE`` tuples,
-    and the (beta, lambda) grids are built per beta tile, so that memory
-    does not grow with the grid counts.  A lambda
-    value may repeat (a grid point equal to the optimum); the union is
-    idempotent, so that costs a duplicate pentagon and changes nothing.
-    The two boundary faces follow at ``edge_alpha`` resolution (see module
-    docstring), one call per face.
+    dirty-paper optimum of each stream (:func:`_lambda_rows`).  For each
+    alpha, the (beta, lambda1, lambda2) index space is cut by
+    :func:`~icdms.tiling.tiles` into tiles of at most ``PAIR_TILE`` tuples,
+    each one batched :func:`_region_g_arrays` call, and the lambda rows are
+    built once per beta slice, so that memory does not grow with the grid
+    counts.  A lambda value may repeat (a grid point equal to the optimum);
+    the union is idempotent, so that costs a duplicate pentagon and changes
+    nothing.  The two boundary faces follow at ``edge_alpha`` resolution
+    (see module docstring), one call per face and alpha tile.
     """
     betas = grid.beta.points()
     m1, m2 = (_lambda_columns(ch, axis.count) for axis in (grid.lambda1, grid.lambda2))
-    nb, n1, n2 = _tile_sizes(betas.size, m1, m2)
+    beta_cuts, cuts1, cuts2 = tiles((betas.size, m1, m2), PAIR_TILE)
     for alpha in grid.alpha.points():
         alpha = float(alpha)
         _, eta2 = eta_coefficients(ch, alpha)
         lam_hi = LAMBDA_SPAN * eta2
-        for b in _tiles(betas.size, nb):
+        for b in beta_cuts:
             beta = betas[b]
             s_u, s_v = _stream_powers(ch.p2, alpha, beta)
             lam1 = _lambda_rows(ch, grid.lambda1.points(lam_hi), s_u, eta2)
             lam2 = _lambda_rows(ch, grid.lambda2.points(lam_hi), s_v, eta2)
-            for j, k in itertools.product(_tiles(m1, n1), _tiles(m2, n2)):
+            for j, k in itertools.product(cuts1, cuts2):
                 yield _region_g_arrays(
                     ch, alpha, beta[:, None, None], lam1[:, j, None], lam2[:, None, k]
                 )[:3]
@@ -463,7 +450,7 @@ def _sweep_binned_pair(ch: ChannelParams, grid: SweepGrid):
     _, eta2 = _eta_arrays(ch, alphas)
     s_v = _stream_powers(ch.p2, alphas, 0.0)[1]
     lam2 = _lambda_rows(ch, np.empty(0), s_v, eta2)[:, -1]  # beta = 0: the optimum
-    for t in _tiles(alphas.size, PAIR_TILE):
+    for (t,) in itertools.product(*tiles(alphas.shape, PAIR_TILE)):
         yield _region_g_arrays(ch, alphas[t, None], 0.0, 0.0, lam2[t, None])[:3]
         yield _region_g_arrays(ch, alphas[t, None], 1.0, 0.0, 0.0)[:3]
 
@@ -476,8 +463,7 @@ def _sweep_successive(ch: ChannelParams, grid: SweepGrid, which: str):
         betas = grid.beta.points()
     else:
         betas = np.array([0.0 if which == "g_sp1" else 1.0])
-    na, nb = _tile_sizes(alphas.size, betas.size)
-    for i, j in itertools.product(_tiles(alphas.size, na), _tiles(betas.size, nb)):
+    for i, j in itertools.product(*tiles((alphas.size, betas.size), PAIR_TILE)):
         r1, r2 = _region_g_suc_values(ch, alphas[i, None], betas[j])
         yield r1, r2, r1 + r2
 

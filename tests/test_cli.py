@@ -746,6 +746,26 @@ def test_discrete_command_bad_json(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["region", "--config"], ["discrete", "--distribution"]])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
+
+def test_config_nested_near_the_recursion_limit_exits_2(tmp_path, capsys):
+    # json.loads reads some of these depths, and the search for the error's
+    # line then steps over the same value from deeper in the stack.
+    path = tmp_path / "deep.json"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 100, limit + 1):
+        doc = {"channel": {"p1": 1.0}, "grid": {"alpha": "@"}}
+        path.write_text(json.dumps(doc).replace('"@"', "[" * depth + "]" * depth))
+        assert main(["region", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_dpc_lambda_command(capsys):
     assert (
         main(

@@ -4,6 +4,7 @@ Derived expected values are recomputed in-test with the brute-force
 mutual-information oracle or with hand-checked probability arithmetic.
 """
 
+import itertools
 import math
 
 import discrete_factor_oracle as oracle
@@ -32,6 +33,7 @@ from icdms import (
 from icdms import discrete
 from icdms.discrete import FULL_AXES, STAR_AXES
 from icdms.oracle import brute_joint_mi
+from icdms.tiling import tiles
 
 
 #: The benchmark's large tables: 4,194,304 FULL cells and 1,048,576 STAR cells.
@@ -473,11 +475,12 @@ def _innermost_kept(shape, drop):
     return max((k for k, n in enumerate(shape) if n > 1 and k not in drop), default=None)
 
 
-def _blocked_sum(table, drop, blocks) -> np.ndarray:
-    """``table``'s keepdims sum over ``drop``, each block summed on its own
-    contiguous copy as the region's buffer holds it."""
+def _blocked_sum(table, drop, cuts) -> np.ndarray:
+    """``table``'s keepdims sum over ``drop``, each block of the product of
+    ``cuts`` summed on its own contiguous copy as the region's buffer holds
+    it."""
     out = np.empty([1 if k in drop else n for k, n in enumerate(table.shape)])
-    for index in blocks:
+    for index in itertools.product(*cuts):
         out[index] = np.add.reduce(np.ascontiguousarray(table[index]), axis=drop, keepdims=True)
     return out
 
@@ -501,18 +504,18 @@ def test_block_rule_reproduces_dense_sum_bitwise(data, seed):
     table = rng.random(shape) * 10.0 ** rng.integers(-3, 3, shape)
     passes, cells = discrete._block_plan(shape, drops, block_cells)
     assert sorted(m for members, _ in passes for m in members) == sorted(drops)
-    for members, blocks in passes:
+    for members, cuts in passes:
         cover = np.zeros(shape, dtype=int)
-        for index in blocks:
+        for index in itertools.product(*cuts):
             cover[index] += 1
             assert cover[index].size <= cells
         assert (cover == 1).all()
-        cut = {k for index in blocks for k, s in enumerate(index) if (s.start, s.stop) != (0, shape[k])}
+        cut = {k for k, axis in enumerate(cuts) if len(axis) > 1}
         for drop in members:
             assert not cut & set(drop)
             assert _innermost_kept(shape, drop) not in cut
             dense = np.add.reduce(table, axis=drop, keepdims=True)
-            assert np.array_equal(bits(_blocked_sum(table, drop, blocks)), bits(dense))
+            assert np.array_equal(bits(_blocked_sum(table, drop, cuts)), bits(dense))
             (_, finest), = discrete._block_plan(shape, (drop,), 1)[0]
             assert np.array_equal(bits(_blocked_sum(table, drop, finest)), bits(dense))
 
@@ -520,10 +523,10 @@ def test_block_rule_reproduces_dense_sum_bitwise(data, seed):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_forming_on_own_axes_matches_broadcast_product_bitwise(data, seed):
-    """Every block that ``_form`` multiplies, and the whole joint, in pieces
-    of at most any cell count that tile it exactly once, its leading
-    products kept on their own axes, equals ``_multiply`` of the factors
-    broadcast over it, bit for bit."""
+    """Every block that ``_form`` multiplies, and the whole joint, in the
+    pieces ``tiles`` cuts it into for any cell count, which cover it exactly
+    once, its leading products kept on their own axes, equals ``_multiply``
+    of the factors broadcast over it, bit for bit."""
     family = data.draw(st.sampled_from([discrete.FULL, discrete.STAR]))
     sizes = AlphabetSpec(**{a: data.draw(st.integers(1, 3), label=a) for a in FULL_AXES})
     fd = (random_full if family == discrete.FULL else random_star)(sizes, np.random.default_rng(seed))
@@ -532,20 +535,19 @@ def test_forming_on_own_axes_matches_broadcast_product_bitwise(data, seed):
     drop = tuple(sorted(data.draw(st.sets(st.integers(0, len(shape) - 1)))))
     block_cells = data.draw(st.integers(1, math.prod(shape)))
     limit = data.draw(st.integers(1, math.prod(shape)))
-    ((_, blocks),), _ = discrete._block_plan(shape, (drop,), block_cells)
-    for index in blocks:
+    ((_, cuts),), _ = discrete._block_plan(shape, (drop,), block_cells)
+    whole = tuple(slice(0, n) for n in shape)
+    for index in [*itertools.product(*cuts), whole]:
         block_shape = tuple(s.stop - s.start for s in index)
         cover = np.zeros(block_shape, dtype=int)
-        for piece in discrete._pieces(block_shape, limit):
-            part = cover[... if piece is None else piece]
+        for piece in itertools.product(*tiles(block_shape, limit)):
+            part = cover[piece]
             part += 1
             assert part.size <= limit
         assert (cover == 1).all()
         block = discrete._form(factors, index, np.empty(block_shape), limit)
-        dense = discrete._multiply([view[index] for view in views], np.empty(block_shape))
-        assert np.array_equal(bits(block), bits(dense))
-    joint = discrete._form(factors, None, np.empty(shape), limit)
-    assert np.array_equal(bits(joint), bits(discrete._multiply(factors, np.empty(shape))))
+        operands = [view[index] for view in views] if index != whole else factors
+        assert np.array_equal(bits(block), bits(discrete._multiply(operands, np.empty(block_shape))))
 
 
 def _masked_mi_bits(p_lrg, l_ax, r_ax) -> float:

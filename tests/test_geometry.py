@@ -40,10 +40,10 @@ from icdms.geometry import (
     REACH_TIE,
     SPLIT_AXES,
     SampleCapError,
-    _tile_sizes,
     _union_arrays,
     _union_fold,
 )
+from icdms.tiling import tiles
 
 FIG4 = ChannelParams(p1=6.0, p2=6.0, c12=0.0, c21=0.3)
 
@@ -543,6 +543,17 @@ def test_tile_sizes_match_the_formulas_they_replace(n0, n1, n2):
     assert math.prod(sizes) <= PAIR_TILE
 
 
+def _tile_sizes(*counts):
+    """Tile size along each axis of a sweep grid with ``counts`` points per
+    axis, as ``tiles`` cuts it at ``PAIR_TILE``, after checking that each
+    axis's slices run over its points in steps of that size."""
+    cuts = tiles(counts, PAIR_TILE)
+    sizes = tuple(axis[0].stop for axis in cuts)
+    for n, size, axis in zip(counts, sizes, cuts):
+        assert len(axis) == -(-n // size) and axis[-1] == slice(size * (len(axis) - 1), n)
+    return sizes
+
+
 def test_time_sharing_hull():
     r2 = np.array([1.0, 1.0, 0.2, 0.2, 0.2])
     f = Frontier(0.1, r2, 0.4, 0.2)
@@ -769,6 +780,32 @@ def test_sweep_g_memory_bounded_by_tiles():
     f, peak = traced_peak(lambda: sweep_gaussian(ch, grid, "g"))
     assert f.reach > 0.0
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("which", REGION_FAMILIES)
+@pytest.mark.parametrize(
+    "ch",
+    [ChannelParams(p1=6.0, p2=6.0, c12=0.3, c21=6.0), ChannelParams(p1=0.0, p2=6.0, c12=0.0, c21=0.5)],
+    ids=["fig7", "one-lambda-column"],
+)
+def test_tiling_never_moves_a_byte(monkeypatch, ch, which):
+    # No default grid is cut along beta or the lambdas.  Here a tile of 1
+    # cuts every axis to one entry, 7 cuts beta, lambda1 and the alphas with
+    # a short last tile, and 64 cuts beta in fours.
+    grid = SweepGrid(
+        alpha=AxisGrid(0.0, 1.0, 9),
+        beta=AxisGrid(0.0, 1.0, 11),
+        lambda1=AxisGrid(0.0, None, 3),
+        lambda2=AxisGrid(0.0, None, 3),
+        edge_alpha=AxisGrid(0.0, 1.0, 9),
+    )
+    want = sweep_gaussian(ch, grid, which, r1_step=0.01)
+    for tile in (1, 7, 64):
+        monkeypatch.setattr(geometry, "PAIR_TILE", tile)
+        got = sweep_gaussian(ch, grid, which, r1_step=0.01)
+        np.testing.assert_array_equal(bits(got.r2), bits(want.r2))
+        assert bits(got.reach) == bits(want.reach)
+        assert bits(got.reach_r2) == bits(want.reach_r2)
 
 
 def test_g_sweep_memory_at_81_points():
