@@ -520,7 +520,9 @@ def _form(factors, index, block: np.ndarray, limit: int) -> np.ndarray:
     multiplications of :func:`_multiply`, in its order, so it has the dense
     table's bits.  Broadcasting keeps each leading product on the axes its
     factors span, in fewer cells than the piece; the first product that
-    spans the piece, and every later one, is written into the block."""
+    spans the piece, and every later one, is written into the block.  Whole
+    blocks kept ``_terms``' time but lifted ``region_sim``'s traced peak to
+    5,388,936 B, over test_star_regions_trace_one_block's 5,242,880 B."""
     for piece in itertools.product(*tiles(block.shape, limit)):
         at = tuple(slice(i.start + p.start, i.start + p.stop) for i, p in zip(index, piece))
         part = block[piece]

@@ -37,12 +37,12 @@ Conventions
   ``W`` of variance ``p1``.  ``dpc_lambda_star`` instead reports the
   coefficient against a unit-variance ``W`` (the successive-decoding
   construction is stated that way); the two scales differ by ``sqrt(p1)``.
-  ``_lambda_rows`` is the one place a unit-W lambda goes to the stored
-  scale, and ``_region_g_arrays`` the one place it comes back.
-* Zero-power limits (``p1 == 0``, or a private stream with zero power and
-  zero lambda) are evaluated exactly with the degenerate variable dropped.
-  A *positive* lambda on a zero-power stream makes the bin rate diverge:
-  such points are degenerate and yield an infeasible region.
+  The evaluator and the ``g`` sweep take unit-W lambdas only; ``region_g``
+  is the one place the stored scale meets them.  ``_lambda_rows``' rounding
+  step exists only to keep the reference figures' bytes.
+* Zero-power limits are evaluated exactly.  At ``p1 == 0`` a unit-W lambda
+  still bins against ``W`` and a stored one has no effect.  A *positive*
+  unit-W lambda on a zero-power stream diverges: the region is infeasible.
 """
 
 from __future__ import annotations
@@ -162,7 +162,8 @@ class GaussianCoding:
     ``alpha`` is the fraction of sender 2's power spent on its own two
     streams (the rest cooperates), ``beta`` splits the private power
     between the two streams, and ``lambda1`` / ``lambda2`` are the bin
-    coefficients of the two streams against ``W`` (``E{W^2} = p1`` scale).
+    coefficients of the two streams against ``W`` (``E{W^2} = p1`` scale,
+    so at ``p1 == 0`` they have no effect).
     """
 
     alpha: float
@@ -412,10 +413,10 @@ def _region_g_arrays(
     evaluated alone, so the result does not depend on how the tuples are
     batched.
 
-    Works on the unit-variance-W parameterization internally, which keeps
-    the zero-power limits (p1 == 0, or a stream with zero power and zero
-    lambda) exact: the degenerate variable is dropped instead of pushing a
-    singular determinant through a log.  Interior points agree with the
+    The lambdas are on the unit-variance-W scale, which keeps the zero-power
+    limits exact: at p1 == 0 they still bin against W, and a stream with
+    zero power and zero lambda is dropped instead of pushing a singular
+    determinant through a log.  Interior points agree with the
     entropy-term route to 1e-9 relative, or to the rounding error of the
     covariance determinants where a block is ill-conditioned.
 
@@ -425,11 +426,10 @@ def _region_g_arrays(
     tuples are constraint violations, divergent bin coefficients or
     non-finite bounds.
     """
-    p1, p2, c21 = ch.p1, ch.p2, ch.c21
+    p2, c21 = ch.p2, ch.c21
     alpha, beta, lam1, lam2 = (
         np.asarray(x, dtype=float) for x in (alpha, beta, lam1, lam2)
     )
-    rp1 = math.sqrt(p1)
     eta1, eta2 = _eta_arrays(ch, alpha)
     s_u, s_v = _stream_powers(p2, alpha, beta)
     active_u = s_u > 0.0
@@ -437,8 +437,8 @@ def _region_g_arrays(
 
     # Unit-W covariance entries. var(W) = 1 throughout.  A stream with zero
     # power drops its lambda; a positive one there diverges.
-    l1 = np.where(active_u, lam1 * rp1, 0.0)
-    l2 = np.where(active_v, lam2 * rp1, 0.0)
+    l1 = np.where(active_u, lam1, 0.0)
+    l2 = np.where(active_v, lam2, 0.0)
     uu = s_u + l1 * l1
     vv = s_v + l2 * l2
     uy1 = math.sqrt(c21) * s_u + l1 * eta1
@@ -544,10 +544,14 @@ def region_g(ch: ChannelParams, cp: GaussianCoding) -> PentagonRegion:
     0.  Feasibility requires the four non-negativity constraints on the bin
     rates; violating tuples (and divergent ones, see
     :class:`DegenerateError`) come back as ``feasible=False`` with zero
-    bounds.  Zero-power limits are evaluated exactly.
+    bounds.  Zero-power limits are evaluated exactly.  The stored lambdas go
+    to unit W here, as ``lambda * sqrt(p1)``, so at p1 == 0 they do nothing.
     """
-    r1, r2, rsum, ok = _region_g_arrays(ch, cp.alpha, cp.beta, cp.lambda1, cp.lambda2)
-    if not ok.item():
+    rp1 = math.sqrt(ch.p1)
+    s_u, s_v = _stream_powers(ch.p2, cp.alpha, cp.beta)
+    r1, r2, rsum, ok = _region_g_arrays(ch, cp.alpha, cp.beta, cp.lambda1 * rp1, cp.lambda2 * rp1)
+    # A positive lambda on a zero-power stream diverges even if lambda * sqrt(p1) underflows.
+    if (rp1 and ((cp.lambda1 and not s_u) or (cp.lambda2 and not s_v))) or not ok.item():
         return PentagonRegion(0.0, 0.0, 0.0, feasible=False)
     return PentagonRegion(float(r1[0]), float(r2[0]), float(rsum[0]), feasible=True)
 
@@ -629,18 +633,12 @@ def _dpc_optimum(s, eta2):
 
 
 def _lambda_rows(ch: ChannelParams, points: np.ndarray, s, eta2) -> np.ndarray:
-    """Stored-scale lambda rows, one per power in ``s``: unit-W ``points``
-    and the dirty-paper optimum over ``sqrt(p1)``; one 0 when p1 == 0."""
-    if ch.p1 == 0.0:
-        return np.zeros((s.size, 1))
-    points = np.broadcast_to(points, (s.size, points.size))
-    optimum = _dpc_optimum(s, eta2)[:, None]
-    return np.concatenate([points, optimum], axis=1) / math.sqrt(ch.p1)
-
-
-def _lambda_columns(ch: ChannelParams, count: int) -> int:
-    """Width of the :func:`_lambda_rows` of ``count`` points."""
-    return 1 if ch.p1 == 0.0 else count + 1
+    """Unit-W lambda rows, one per power in ``s``: ``points``, then its dirty-paper optimum."""
+    rows = np.column_stack([np.broadcast_to(points, (s.size, points.size)), _dpc_optimum(s, eta2)])
+    # The E{W^2} = p1 round trip only keeps figs. 6 and 7 at bench/refs' bytes; without it
+    # 17 cells of fig6 and 46 of fig7 move, by <= 2.2e-15 (ROADMAP item 9 drops it).
+    rp1 = math.sqrt(ch.p1) or 1.0
+    return rows / rp1 * rp1
 
 
 def dpc_gain_objective(ch: ChannelParams, alpha: float, beta: float):

@@ -29,7 +29,6 @@ from .gaussian import (
     _check_nonneg,
     _check_split,
     _eta_arrays,
-    _lambda_columns,
     _lambda_rows,
     _region_g_arrays,
     _region_g_suc_values,
@@ -417,9 +416,9 @@ def union_frontier(regions, step: float = DEFAULT_R1_STEP) -> Frontier:
 def _sweep_binned_pair(ch: ChannelParams, grid: SweepGrid):
     """Tiles of the four-parameter binned-pair family over the grid.
 
-    The bin-coefficient grids are built in the unit-variance-W scale,
-    spanning [0, LAMBDA_SPAN * eta2(alpha)] and always containing the exact
-    dirty-paper optimum of each stream (:func:`_lambda_rows`).  For each
+    The bin-coefficient grids are unit-W lambdas for every p1, spanning
+    [0, LAMBDA_SPAN * eta2(alpha)] plus the exact dirty-paper optimum of
+    each stream (:func:`_lambda_rows`): ``count + 1`` columns.  For each
     alpha, the (beta, lambda1, lambda2) index space is cut by
     :func:`~icdms.tiling.tiles` into tiles of at most ``PAIR_TILE`` tuples,
     each one batched :func:`_region_g_arrays` call, and the lambda rows are
@@ -430,8 +429,8 @@ def _sweep_binned_pair(ch: ChannelParams, grid: SweepGrid):
     (see module docstring), one call per face and alpha tile.
     """
     betas = grid.beta.points()
-    m1, m2 = (_lambda_columns(ch, axis.count) for axis in (grid.lambda1, grid.lambda2))
-    beta_cuts, cuts1, cuts2 = tiles((betas.size, m1, m2), PAIR_TILE)
+    columns = (grid.lambda1.count + 1, grid.lambda2.count + 1)
+    beta_cuts, cuts1, cuts2 = tiles((betas.size, *columns), PAIR_TILE)
     for alpha in grid.alpha.points():
         alpha = float(alpha)
         _, eta2 = eta_coefficients(ch, alpha)

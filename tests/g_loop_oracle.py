@@ -2,8 +2,8 @@
 
 This is the form the sweep had before it was batched: one pentagon call
 per (alpha, beta), each on the ``meshgrid`` of the deduplicated
-(``np.unique``) bin-coefficient grids, with the zero-power streams handled
-by scalar ``active_u`` / ``active_v`` branches.  The batched
+(``np.unique``) unit-W bin-coefficient grids, with the zero-power streams
+handled by scalar ``active_u`` / ``active_v`` branches.  The batched
 ``_region_g_arrays`` and ``sweep_gaussian(..., "g")`` must match it bit for
 bit.  The sweep collects every feasible pentagon and takes one
 ``_union_arrays`` call, so the streaming fold of the sweep is not shared
@@ -37,27 +37,25 @@ def loop_region_g_arrays(
     lam1: np.ndarray,
     lam2: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pentagon bounds for equal-length (lambda1, lambda2) at one (alpha, beta).
+    """Pentagon bounds for equal-length unit-W (lambda1, lambda2) at one
+    (alpha, beta).
 
     Returns ``(r1_max, r2_max, sum_max, feasible)``, zero bounds where
     infeasible.
     """
-    p1, p2, c12, c21 = ch.p1, ch.p2, ch.c12, ch.c21
-    lam1 = np.asarray(lam1, dtype=float)
-    lam2 = np.asarray(lam2, dtype=float)
+    p2, c21 = ch.p2, ch.c21
+    l1 = np.asarray(lam1, dtype=float)
+    l2 = np.asarray(lam2, dtype=float)
     s_u = alpha * beta * p2
     s_v = alpha * (1.0 - beta) * p2
     eta1, eta2 = eta_coefficients(ch, alpha)
-    rp1 = math.sqrt(p1)
-    l1 = lam1 * rp1
-    l2 = lam2 * rp1
 
-    divergent = np.zeros(np.broadcast(lam1, lam2).shape, dtype=bool)
+    divergent = np.zeros(np.broadcast(l1, l2).shape, dtype=bool)
     if s_u == 0.0:
-        divergent |= lam1 > 0.0
+        divergent |= l1 > 0.0
         l1 = np.zeros_like(l1)
     if s_v == 0.0:
-        divergent |= lam2 > 0.0
+        divergent |= l2 > 0.0
         l2 = np.zeros_like(l2)
 
     # Unit-W covariance entries. var(W) = 1 throughout.
@@ -145,13 +143,13 @@ def loop_region_g_arrays(
 def loop_sweep_g(ch: ChannelParams, grid: SweepGrid, r1_step: float) -> Frontier:
     """Frontier of the four-parameter family, one call per (alpha, beta)."""
     members = []
-    p1, p2 = ch.p1, ch.p2
-    rp1 = math.sqrt(p1)
+    p2 = ch.p2
+    # The sweep rounds its grids through the stored E{W^2} = p1 scale and
+    # back to keep the reference figures' bytes; so does the oracle.
+    rp1 = math.sqrt(ch.p1) or 1.0
 
-    def to_stored(lam_unit: np.ndarray) -> np.ndarray:
-        if rp1 == 0.0:
-            return np.zeros(1)
-        return np.unique(lam_unit / rp1)
+    def rounded(lam: np.ndarray) -> np.ndarray:
+        return np.unique(lam / rp1 * rp1)
 
     for alpha in grid.alpha.points():
         _, eta2 = eta_coefficients(ch, float(alpha))
@@ -159,11 +157,9 @@ def loop_sweep_g(ch: ChannelParams, grid: SweepGrid, r1_step: float) -> Frontier
         for beta in grid.beta.points():
             s_u = alpha * beta * p2
             s_v = alpha * (1.0 - beta) * p2
-            lam1_unit = np.append(grid.lambda1.points(lam_hi), s_u * eta2 / (s_u + 1.0))
-            lam2_unit = np.append(grid.lambda2.points(lam_hi), s_v * eta2 / (s_v + 1.0))
-            lam1 = to_stored(np.unique(lam1_unit))
-            lam2 = to_stored(np.unique(lam2_unit))
-            mesh1, mesh2 = np.meshgrid(lam1, lam2, indexing="ij")
+            lam1 = np.append(grid.lambda1.points(lam_hi), s_u * eta2 / (s_u + 1.0))
+            lam2 = np.append(grid.lambda2.points(lam_hi), s_v * eta2 / (s_v + 1.0))
+            mesh1, mesh2 = np.meshgrid(rounded(lam1), rounded(lam2), indexing="ij")
             members.append(
                 loop_region_g_arrays(
                     ch, float(alpha), float(beta), mesh1.ravel(), mesh2.ravel()
@@ -172,8 +168,7 @@ def loop_sweep_g(ch: ChannelParams, grid: SweepGrid, r1_step: float) -> Frontier
 
     for alpha in grid.edge_alpha.points():
         alpha = float(alpha)
-        lam2_unit, _ = dpc_lambda_star(ch, alpha, 0.0)
-        lam2 = lam2_unit / rp1 if rp1 > 0.0 else 0.0
+        lam2 = dpc_lambda_star(ch, alpha, 0.0)[0] / rp1 * rp1
         members.append(
             loop_region_g_arrays(ch, alpha, 0.0, np.array([0.0]), np.array([lam2]))
         )

@@ -282,6 +282,42 @@ def test_region_g_divergent_is_infeasible():
     assert region.r1_max == 0.0 and region.r2_max == 0.0 and region.sum_max == 0.0
 
 
+def test_region_g_divergent_where_the_unit_lambda_underflows():
+    # Stored lambda 1e-200 on a W of variance 1e-300 is 1e-350 on the unit-W
+    # scale, which rounds to 0; the zero-power U stream still diverges.
+    ch = ChannelParams(1e-300, 6.0, 0.3, 2.0)
+    assert not region_g(ch, GaussianCoding(0.5, 0.0, 1e-200, 0.0)).feasible
+    assert not region_g(ch, GaussianCoding(0.5, 1.0, 0.0, 1e-200)).feasible
+    with pytest.raises(DegenerateError):
+        mi_terms(ch, GaussianCoding(0.5, 0.0, 1e-200, 0.0))
+
+
+_stored_lambda = st.just(0.0) | st.floats(0.0, 1e6) | st.floats(0.0, 1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.just(0.0) | st.floats(0.0, 1e6),
+    st.floats(0.0, 8.0),
+    st.floats(0.0, 8.0),
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    _stored_lambda,
+    _stored_lambda,
+)
+def test_region_g_ignores_lambda_at_zero_p1(p2, c12, c21, alpha, beta, lam1, lam2):
+    # At p1 = 0 a stored lambda multiplies a W of variance 0: the region is
+    # the unbinned one bit for bit, zero-power streams included.
+    ch = ChannelParams(0.0, p2, c12, c21)
+    got = region_g(ch, GaussianCoding(alpha, beta, lam1, lam2))
+    want = region_g(ch, GaussianCoding(alpha, beta))
+    assert got.feasible == want.feasible
+    np.testing.assert_array_equal(
+        bits([got.r1_max, got.r2_max, got.sum_max]),
+        bits([want.r1_max, want.r2_max, want.sum_max]),
+    )
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="det cancellation at p2 = 1e100 lifts r1 to 331.69 bits, past the "
@@ -370,7 +406,8 @@ def test_region_g_batch_matches_scalar():
     ch = CH_HIGH
     lam1 = rng.uniform(0, 1.5, size=16)
     lam2 = rng.uniform(0, 1.5, size=16)
-    out = _region_g_arrays(ch, 0.5, 0.4, lam1[:, None], lam2[:, None])
+    rp1 = math.sqrt(ch.p1)  # region_g's stored-to-unit-W conversion
+    out = _region_g_arrays(ch, 0.5, 0.4, lam1[:, None] * rp1, lam2[:, None] * rp1)
     r1, r2, rsum, ok = (x[:, 0] for x in _dense(out))
     for k in range(16):
         scalar = region_g(ch, GaussianCoding(0.5, 0.4, lam1[k], lam2[k]))
@@ -396,7 +433,8 @@ def test_region_g_arrays_rejects_row_terms_along_the_last_axis(alpha, beta, lam1
 
 
 def test_region_g_arrays_scalar_call_has_a_one_by_one_mask():
-    r1, _, _, ok = _region_g_arrays(CH_HIGH, 0.5, 0.4, 0.1, 0.2)
+    rp1 = math.sqrt(CH_HIGH.p1)
+    r1, _, _, ok = _region_g_arrays(CH_HIGH, 0.5, 0.4, 0.1 * rp1, 0.2 * rp1)
     region = region_g(CH_HIGH, GaussianCoding(0.5, 0.4, 0.1, 0.2))
     assert ok.shape == (1, 1) and ok.item() == region.feasible
     assert r1.tolist() == ([region.r1_max] if region.feasible else [])
@@ -408,11 +446,11 @@ _split = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
 @st.composite
 def g_tuples(draw):
-    """A channel, alphas, betas and per-(alpha, beta) stored-scale lambda grids.
+    """A channel, alphas, betas and per-(alpha, beta) unit-W lambda grids.
 
     Zero powers, alpha = 0 and beta in {0, 1} come up often; every lambda
     grid holds 0, drawn points up to 3 * eta2 and the dirty-paper optimum of
-    its stream (unit-W scale, divided by sqrt(p1) unless p1 = 0).
+    its stream.
     """
     ch = ChannelParams(
         draw(_power), draw(_power), draw(st.floats(0.0, 8.0)), draw(st.floats(0.0, 8.0))
@@ -421,17 +459,15 @@ def g_tuples(draw):
     betas = np.array(draw(st.lists(_split, min_size=1, max_size=3)))
     fractions = st.lists(st.floats(0.0, 3.0), min_size=0, max_size=3)
     f1, f2 = draw(fractions), draw(fractions)
-    rp1 = math.sqrt(ch.p1)
     grids = []
     for alpha in alphas:
         _, eta2 = eta_coefficients(ch, alpha)
         lams = []
         for s, f in ((alpha * betas * ch.p2, f1), (alpha * (1.0 - betas) * ch.p2, f2)):
-            unit = np.column_stack(
+            lams.append(np.column_stack(
                 [np.zeros_like(s), s * eta2 / (s + 1.0)]
                 + [np.full_like(s, x * eta2) for x in f]
-            )
-            lams.append(unit / rp1 if rp1 > 0.0 else unit)
+            ))
         grids.append((alpha, lams[0], lams[1]))
     return ch, betas, grids
 
@@ -505,8 +541,9 @@ def test_region_g_arrays_match_entropy_route(p1, p2, c12, c21, alpha, beta, f1, 
         mi.i5 - mi.i3, mi.i7 - mi.i3, mi.i6 - mi.i4, mi.i2 - mi.i3 - mi.i4
     )
     feasible = all(r >= -FEAS_TOL for r in residuals)
+    rp1 = math.sqrt(p1)  # region_g's stored-to-unit-W conversion
     r1, r2, rsum, ok = _dense(
-        _region_g_arrays(ch, alpha, beta, cp.lambda1, cp.lambda2)
+        _region_g_arrays(ch, alpha, beta, cp.lambda1 * rp1, cp.lambda2 * rp1)
     )
     ok = ok.item()
     if all(abs(r + FEAS_TOL) > tol * max(abs(r), 1.0) for r in residuals):

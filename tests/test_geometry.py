@@ -613,16 +613,14 @@ def test_sweep_g_small_grid_contains_edges():
     assert inclusion_gap(sp2, g) <= 1e-9
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="with p1 = 0 the g sweep sets lambda = 0 and loses the binning "
-    "gain against W that g_sp1 keeps (ROADMAP item 1); the gap is 0.358 bits",
-)
 def test_g_contains_g_sp1_on_fig5_channel():
+    # With p1 = 0 the g sweep still bins against W, which sender 2 sends
+    # with power (1 - alpha) * p2; with lambda = 0 there the gap was 0.358.
     ch = ChannelParams(p1=0.0, p2=6.0, c12=0.0, c21=0.5)
-    sp1 = sweep_gaussian(ch, default_grid("g_sp1"), "g_sp1")
     g = sweep_gaussian(ch, default_grid("g"), "g")
-    assert inclusion_gap(sp1, g) <= 1e-12
+    for which in ("g_sp1", "g_sp2"):
+        inner = sweep_gaussian(ch, default_grid(which), which)
+        assert inclusion_gap(inner, g) <= 1e-12, which
 
 
 _WIDE_LAMBDA = AxisGrid(0.0, None, 81)
@@ -631,23 +629,23 @@ _WIDE_LAMBDA = AxisGrid(0.0, None, 81)
 @pytest.mark.parametrize(
     "grid, calls, tuples",
     [
-        (default_grid("g"), 43, 41 * 41 * 1 * 1 + 2 * 201),
-        # Sized for 82 x 82 lambda columns, the beta tiles would hold 19 rows.
+        (default_grid("g"), 43, 41 * 41 * 42 * 42 + 2 * 201),
+        # 82 x 82 lambda columns: tiles of 19 beta rows, 11 per alpha.
         (
             SweepGrid(
                 AxisGrid(0.0, 1.0, 2), AxisGrid(0.0, 1.0, 201),
                 _WIDE_LAMBDA, _WIDE_LAMBDA, AxisGrid(0.0, 1.0, 3),
             ),
-            2 + 2,
-            2 * 201 + 2 * 3,
+            2 * 11 + 2,
+            2 * 201 * 82 * 82 + 2 * 3,
         ),
     ],
     ids=["default", "wide-lambda"],
 )
-def test_g_sweep_at_zero_p1_evaluates_one_lambda_column(monkeypatch, grid, calls, tuples):
-    # With p1 = 0 there is nothing to bin: each lambda axis collapses to one
-    # 0, and the beta tiles are sized for that one column.  So each alpha is
-    # one call over every beta, and each boundary face one call.
+def test_g_sweep_at_zero_p1_evaluates_the_full_lambda_grid(monkeypatch, grid, calls, tuples):
+    # With p1 = 0 the lambdas still bin against W, so each lambda axis keeps
+    # its points and the optimum, as at p1 > 0.  Each boundary face is one
+    # call.
     sizes = []
     inner = geometry._region_g_arrays
 
@@ -715,6 +713,27 @@ def test_swept_frontiers_lie_under_outer_bound(ch, n_alpha, n_beta, n_lambda, st
     for which in ("g", "g_suc", "g_sp1", "g_sp2"):
         f = sweep_gaussian(ch, grid, which, r1_step=step)
         assert outer_bound_excess(ch, f) == 0.0, which
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ch=st.builds(ChannelParams, _power, _power, st.floats(0.0, 8.0), st.floats(0.0, 8.0)),
+    ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    n_edge=st.integers(1, 41),
+    n_coarse=st.integers(1, 5),
+    step=st.sampled_from([0.005, 0.02, 0.1]),
+)
+def test_g_contains_g_sp1_and_g_sp2(ch, ends, n_edge, n_coarse, step):
+    # g's boundary faces at its edge_alpha reproduce the g_sp1 and g_sp2
+    # pentagons at the same alphas, zero powers included.
+    edge = AxisGrid(*ends, n_edge)
+    coarse = AxisGrid(0.0, 1.0, n_coarse)
+    lam = AxisGrid(0.0, None, n_coarse)
+    g = sweep_gaussian(ch, SweepGrid(coarse, coarse, lam, lam, edge), "g", r1_step=step)
+    sp = SweepGrid(edge, coarse, lam, lam, edge)
+    for which in ("g_sp1", "g_sp2"):
+        inner = sweep_gaussian(ch, sp, which, r1_step=step)
+        assert inclusion_gap(inner, g) <= 1e-12, which
 
 
 _capped_power = st.just(0.0) | st.floats(0.0, MAX_POWER)
