@@ -745,6 +745,12 @@ def distribution_from_dict(doc: dict) -> FactoredDistribution:
     missing = [key for key in keys if key not in factors]
     if missing:
         raise ValueError(f"missing factor tables: {', '.join(missing)}")
+    for name, key, _, _ in _FACTORS[family]:
+        stack = [factors[key]]  # numpy would read "1" and true as numbers, even beside floats
+        while stack:
+            if isinstance(item := stack.pop(), (str, bool)):
+                raise ValueError(f"factor {name!r} (file key {key!r}) must be an array of numbers, got {item!r}")
+            stack.extend(item if isinstance(item, list) else ())
     tables = {name: factors[key] for name, key, _, _ in _FACTORS[family]}
     return FactoredDistribution(family=family, **tables)
 

@@ -32,17 +32,14 @@ Conventions
 -----------
 * All rates and entropies are in bits: ``_gamma(x) = log2(x) / 2`` and
   ``XI = log2(2 pi e) / 2``.
-* The covariance matrices use the ``E{W^2} = p1`` normalization, so the
-  ``lambda1`` / ``lambda2`` stored in :class:`GaussianCoding` multiply a
-  ``W`` of variance ``p1``.  ``dpc_lambda_star`` instead reports the
-  coefficient against a unit-variance ``W`` (the successive-decoding
-  construction is stated that way); the two scales differ by ``sqrt(p1)``.
-  The evaluator and the ``g`` sweep take unit-W lambdas only; ``region_g``
-  is the one place the stored scale meets them.  ``_lambda_rows``' rounding
-  step exists only to keep the reference figures' bytes.
-* Zero-power limits are evaluated exactly.  At ``p1 == 0`` a unit-W lambda
-  still bins against ``W`` and a stored one has no effect.  A *positive*
-  unit-W lambda on a zero-power stream diverges: the region is infeasible.
+* ``W`` has unit variance, and every bin coefficient multiplies it:
+  :class:`GaussianCoding`, the covariance matrices, the evaluator, the
+  ``g`` sweep and ``dpc_lambda_star`` share that one scale, and one rule
+  (:func:`_check_lambda`) bounds it.  ``_lambda_rows``' rounding step
+  exists only to keep the reference figures' bytes.
+* Zero-power limits are evaluated exactly.  At ``p1 == 0`` a lambda still
+  bins against ``W``, which sender 2 sends.  A *positive* lambda on a
+  zero-power stream diverges: the region is infeasible.
 """
 
 from __future__ import annotations
@@ -57,6 +54,8 @@ __all__ = [
     "FEAS_TOL",
     "DET_REL_TOL",
     "MAX_POWER",
+    "LAMBDA_SPAN",
+    "MAX_LAMBDA",
     "DegenerateError",
     "ChannelParams",
     "GaussianCoding",
@@ -88,8 +87,17 @@ DET_REL_TOL = 1e-12
 #: Largest transmit or received power (p1, p2, c12 * p1, c21 * p2) a channel
 #: may have.  The ``g`` determinants are cubic in the received power, and
 #: with lambda up to 3 * eta2 they stay near 5e303, below the float maximum.
-#: ``geometry.MAX_LAMBDA`` holds the lambda axes to that bound.
+#: ``MAX_LAMBDA`` holds the lambdas to that bound.
 MAX_POWER = 1e100
+
+#: The bin-coefficient grids span [0, LAMBDA_SPAN * eta2]; the dirty-paper
+#: optimum sits at s*eta2/(s+1) < eta2, and the rate terms decay beyond it.
+LAMBDA_SPAN = 3.0
+
+#: Largest bin coefficient a coding or a lambda axis may hold: ``LAMBDA_SPAN``
+#: times the largest eta2 that powers capped at ``MAX_POWER`` allow, 2 * sqrt(MAX_POWER).
+#: The automatic span never exceeds it, and the ``g`` determinants stay finite up to it.
+MAX_LAMBDA = LAMBDA_SPAN * 2.0 * math.sqrt(MAX_POWER)
 
 
 class DegenerateError(ValueError):
@@ -128,6 +136,13 @@ def _check_nonneg(name: str, value) -> float:
     return value
 
 
+def _check_lambda(name: str, value) -> float:
+    """The bin-coefficient rule: finite, >= 0 and at most ``MAX_LAMBDA``."""
+    if (value := _check_nonneg(name, value)) > MAX_LAMBDA:
+        raise ValueError(f"{name} must be <= {MAX_LAMBDA:g}, got {value!r}")
+    return value
+
+
 def _stream_powers(p2, alpha, beta):
     """The ``U`` and ``V`` stream powers, elementwise over arrays."""
     return alpha * beta * p2, alpha * (1.0 - beta) * p2
@@ -162,8 +177,8 @@ class GaussianCoding:
     ``alpha`` is the fraction of sender 2's power spent on its own two
     streams (the rest cooperates), ``beta`` splits the private power
     between the two streams, and ``lambda1`` / ``lambda2`` are the bin
-    coefficients of the two streams against ``W`` (``E{W^2} = p1`` scale,
-    so at ``p1 == 0`` they have no effect).
+    coefficients of the two streams against the unit-variance ``W``, at
+    most ``MAX_LAMBDA``.  ``dpc_lambda_star(...)[0]`` is a ``lambda2``.
     """
 
     alpha: float
@@ -177,7 +192,7 @@ class GaussianCoding:
             _check_split(name, value)
             object.__setattr__(self, name, value)
         for name in ("lambda1", "lambda2"):
-            object.__setattr__(self, name, _check_nonneg(name, getattr(self, name)))
+            object.__setattr__(self, name, _check_lambda(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -281,30 +296,25 @@ def _eta_arrays(ch: ChannelParams, alpha):
 def build_covariances(
     ch: ChannelParams, cp: GaussianCoding
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance matrices of (W, U, Y1) and (U, V, Y2), E{W^2} = p1 scale.
+    """Covariance matrices of (W, U, Y1) and (U, V, Y2), unit-variance W.
 
-    Degenerate inputs (zero powers) yield singular matrices; downstream
-    operations decide how to handle them.
+    Degenerate inputs (zero stream powers) yield singular matrices;
+    downstream operations decide how to handle them.
     """
-    p1, p2 = ch.p1, ch.p2
+    p2 = ch.p2
     a, l1, l2 = cp.alpha, cp.lambda1, cp.lambda2
     eta1, eta2 = eta_coefficients(ch, a)
-    rp1 = math.sqrt(p1)
     s_u, s_v = _stream_powers(p2, a, cp.beta)
 
-    mu12 = l1 * p1
-    mu13 = eta1 * rp1
-    mu22 = s_u + l1 * l1 * p1
-    mu23 = l1 * eta1 * rp1 + math.sqrt(ch.c21) * s_u
+    mu22 = s_u + l1 * l1
+    mu23 = l1 * eta1 + math.sqrt(ch.c21) * s_u
     mu33 = eta1 * eta1 + ch.c21 * a * p2 + 1.0
-    sigma_wuy1 = np.array(
-        [[p1, mu12, mu13], [mu12, mu22, mu23], [mu13, mu23, mu33]]
-    )
+    sigma_wuy1 = np.array([[1.0, l1, eta1], [l1, mu22, mu23], [eta1, mu23, mu33]])
 
-    nu12 = l1 * l2 * p1
-    nu13 = s_u + l1 * eta2 * rp1
-    nu22 = s_v + l2 * l2 * p1
-    nu23 = s_v + l2 * eta2 * rp1
+    nu12 = l1 * l2
+    nu13 = s_u + l1 * eta2
+    nu22 = s_v + l2 * l2
+    nu23 = s_v + l2 * eta2
     nu33 = a * p2 + eta2 * eta2 + 1.0
     sigma_uvy2 = np.array(
         [[mu22, nu12, nu13], [nu12, nu22, nu23], [nu13, nu23, nu33]]
@@ -375,12 +385,8 @@ def mi_terms(ch: ChannelParams, cp: GaussianCoding) -> MiTerms:
     if cp.lambda2 > 0.0 and s_v == 0.0:
         raise DegenerateError("i4", "lambda2 > 0 with zero V-stream power")
     h = entropy_terms(ch, cp)
-    i3 = 0.0 if cp.lambda1 == 0.0 else 0.5 * math.log2(
-        1.0 + cp.lambda1 ** 2 * ch.p1 / s_u
-    )
-    i4 = 0.0 if cp.lambda2 == 0.0 else 0.5 * math.log2(
-        1.0 + cp.lambda2 ** 2 * ch.p1 / s_v
-    )
+    i3 = 0.0 if cp.lambda1 == 0.0 else 0.5 * math.log2(1.0 + cp.lambda1 ** 2 / s_u)
+    i4 = 0.0 if cp.lambda2 == 0.0 else 0.5 * math.log2(1.0 + cp.lambda2 ** 2 / s_v)
     return MiTerms(
         i1=h.h_a + h.h_b - h.h_c,
         i2=h.h_d + h.h_e - h.h_f,
@@ -544,14 +550,11 @@ def region_g(ch: ChannelParams, cp: GaussianCoding) -> PentagonRegion:
     0.  Feasibility requires the four non-negativity constraints on the bin
     rates; violating tuples (and divergent ones, see
     :class:`DegenerateError`) come back as ``feasible=False`` with zero
-    bounds.  Zero-power limits are evaluated exactly.  The stored lambdas go
-    to unit W here, as ``lambda * sqrt(p1)``, so at p1 == 0 they do nothing.
+    bounds.  Zero-power limits are evaluated exactly; at p1 == 0 the lambdas
+    still bin against W.
     """
-    rp1 = math.sqrt(ch.p1)
-    s_u, s_v = _stream_powers(ch.p2, cp.alpha, cp.beta)
-    r1, r2, rsum, ok = _region_g_arrays(ch, cp.alpha, cp.beta, cp.lambda1 * rp1, cp.lambda2 * rp1)
-    # A positive lambda on a zero-power stream diverges even if lambda * sqrt(p1) underflows.
-    if (rp1 and ((cp.lambda1 and not s_u) or (cp.lambda2 and not s_v))) or not ok.item():
+    r1, r2, rsum, ok = _region_g_arrays(ch, cp.alpha, cp.beta, cp.lambda1, cp.lambda2)
+    if not ok.item():
         return PentagonRegion(0.0, 0.0, 0.0, feasible=False)
     return PentagonRegion(float(r1[0]), float(r2[0]), float(rsum[0]), feasible=True)
 
@@ -610,7 +613,8 @@ def dpc_lambda_star(
     amplitude ``eta2`` (unit-variance ``W``) and unit noise, the optimum is
     ``lambda* = s * eta2 / (s + 1)`` and the achieved rate is
     ``log2(1 + s) / 2``, as if the interference were absent.  Zero stream
-    power gives ``(0, 0)``.
+    power gives ``(0, 0)``.  ``lambda*`` is a :class:`GaussianCoding`
+    ``lambda2`` as it stands.
     """
     s, eta2 = _dpc_split(ch, alpha, beta)
     if s == 0.0:
@@ -626,8 +630,7 @@ def _dpc_split(ch: ChannelParams, alpha: float, beta: float) -> tuple[float, flo
 
 
 def _dpc_optimum(s, eta2):
-    """Dirty-paper bin coefficient ``s * eta2 / (s + 1)`` (unit-variance
-    ``W``) of a stream of power ``s`` against interference amplitude
+    """Dirty-paper bin coefficient ``s * eta2 / (s + 1)`` of a stream of power ``s`` against interference amplitude
     ``eta2``; elementwise over arrays."""
     return s * eta2 / (s + 1.0)
 

@@ -24,9 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gaussian import (
-    MAX_POWER,
+    LAMBDA_SPAN,
+    MAX_LAMBDA,
     ChannelParams,
-    _check_nonneg,
+    _check_lambda,
     _check_split,
     _eta_arrays,
     _lambda_rows,
@@ -70,17 +71,6 @@ MAX_R1_SAMPLES = 10**6
 #: Most points one swept parameter axis may hold.  Sweeps run in tiles, so
 #: this bounds the memory of an axis's own points, not the tuple count.
 MAX_AXIS_POINTS = 10**6
-
-#: The bin-coefficient grids span [0, LAMBDA_SPAN * eta2] (unit-W scale);
-#: the dirty-paper optimum sits at s*eta2/(s+1) < eta2, and the rate terms
-#: decay beyond it.
-LAMBDA_SPAN = 3.0
-
-#: Largest bin coefficient (unit-W scale) a lambda axis may hold:
-#: ``LAMBDA_SPAN`` times the largest eta2 that powers capped at
-#: ``MAX_POWER`` allow, 2 * sqrt(MAX_POWER).  The automatic span never
-#: exceeds it, and the ``g`` determinants stay finite up to it.
-MAX_LAMBDA = LAMBDA_SPAN * 2.0 * math.sqrt(MAX_POWER)
 
 #: Most tuples one batched pentagon evaluation holds: (beta, lambda1,
 #: lambda2) tuples of the four-parameter sweep, (alpha, beta) tuples of the
@@ -218,8 +208,7 @@ def _check_axis(name: str, axis: AxisGrid) -> None:
         _check_split(name, axis.lo, axis.hi)
         return
     for value in (axis.lo,) if axis.hi is None else (axis.lo, axis.hi):
-        if (value := _check_nonneg(name, value)) > MAX_LAMBDA:
-            raise ValueError(f"{name} must be <= {MAX_LAMBDA:g}, got {value!r}")
+        _check_lambda(name, value)
 
 
 def _check_r1_step(step: float) -> None:

@@ -87,7 +87,9 @@ def mc_gaussian_entropy(cov, n: int, seed: int) -> McEstimate:
     an unbiased estimator of the entropy and the reported standard error is
     the sample standard deviation over ``sqrt(n)``.  The density is
     evaluated by forward substitution on a Cholesky factor and ``slogdet``
-    rather than any closed-form entropy expression.
+    rather than any closed-form entropy expression.  A sample's quadratic form is the
+    squared norm of its standard-normal draw, up to rounding, so a z against a closed
+    form checks its determinant and ``k * XI``, not whether ``cov`` is the right matrix.
 
     The samples are drawn and evaluated in chunks of :data:`MC_CHUNK` rows,
     so the working memory is ``8 * n`` bytes plus a few chunk-sized buffers.

@@ -725,8 +725,11 @@ def test_discrete_command_normalization_error(tmp_path, capsys):
         ("x2", np.full((1, 3, 2, 2, 2), 0.5).tolist(), "'p_x2' (file key 'x2'): axis 'w'"),
         ("q", [{"a": 1.0}], "'p_q' (file key 'q') must be an array of numbers"),
         ("u", [[0.5], [0.25, 0.75]], "'p_u' (file key 'u') must be an array of numbers"),
+        ("q", ["1"], "'p_q' (file key 'q') must be an array of numbers, got '1'"),
+        ("q", [True], "'p_q' (file key 'q') must be an array of numbers, got True"),
+        ("u", [[0.0, True]], "'p_u' (file key 'u') must be an array of numbers, got True"),
     ],
-    ids=["scalar_q", "2d_w_x1", "x2_w_axis_3", "object_in_q", "ragged_u"],
+    ids=["scalar_q", "2d_w_x1", "x2_w_axis_3", "object_in_q", "ragged_u", "string_q", "bool_q", "mixed_u"],
 )
 def test_discrete_command_malformed_factor_exits_2(tmp_path, capsys, key, table, needle):
     fd = random_star(AlphabetSpec(), np.random.default_rng(15))

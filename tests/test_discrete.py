@@ -967,6 +967,21 @@ def test_distribution_from_dict_errors():
         distribution_from_dict({**doc, "comment": "x"})
     with pytest.raises(ValueError, match="unknown full factor key 'u'"):
         distribution_from_dict({**doc, "factors": {**doc["factors"], "u": [[1.0]]}})
+    # numpy reads "1" and true as 1.0, also beside floats, so a dtype check
+    # alone would let a mixed entry through.
+    q = doc["factors"]["q"]
+    w_x1 = doc["factors"]["w_x1"]
+    for key, table, shown in (
+        ("q", ["1"] + q[1:], "'1'"),
+        ("q", [True] + q[1:], "True"),
+        ("w_x1", [[[0.0, True]] + w_x1[0][1:]] + w_x1[1:], "True"),
+    ):
+        name = {"q": "p_q", "w_x1": "p_wx1"}[key]
+        with pytest.raises(
+            ValueError,
+            match=rf"^factor '{name}' \(file key '{key}'\) must be an array of numbers, got {shown}$",
+        ):
+            distribution_from_dict({**doc, "factors": {**doc["factors"], key: table}})
 
 
 @pytest.mark.parametrize("family", [discrete.FULL, discrete.STAR])
