@@ -133,6 +133,18 @@ def test_entropy_unit_variance_is_xi():
         assert h.h_a == pytest.approx(XI, abs=1e-12)
 
 
+def test_entropy_scaling_by_four_adds_one_bit():
+    # h(W) stays XI as the powers grow, but the unbinned private streams
+    # carry them: h(U) = XI + gamma(alpha beta p2), so four times the powers
+    # adds one bit to h(U) and to h(V), and two to h(U, V).
+    h1 = entropy_terms(ChannelParams(2.0, 2.0, 0.3, 0.3), GaussianCoding(0.5, 0.5))
+    h4 = entropy_terms(ChannelParams(8.0, 8.0, 0.3, 0.3), GaussianCoding(0.5, 0.5))
+    assert h4.h_a - h1.h_a == pytest.approx(0.0, abs=1e-12)
+    assert h4.h_k - h1.h_k == pytest.approx(1.0, abs=1e-12)
+    assert h4.h_i - h1.h_i == pytest.approx(1.0, abs=1e-12)
+    assert h4.h_d - h1.h_d == pytest.approx(2.0, abs=1e-12)
+
+
 def test_entropy_eta_fields():
     cp = GaussianCoding(0.4, 0.7, 0.2, 0.3)
     h = entropy_terms(CH_HIGH, cp)
@@ -157,6 +169,28 @@ def test_entropy_h_c_matches_monte_carlo():
     mu, _ = build_covariances(CH_LOW, cp)
     est = mc_gaussian_entropy(mu, 10**6, seed=811)
     assert abs(est.value_bits - h.h_c) <= 3.0 * est.std_error_bits
+
+
+def test_entropy_degenerate_on_zero_p1():
+    # W has unit variance at p1 = 0 too, so p1 = 0 makes no block singular:
+    # entropy_terms evaluates there, h(W) = XI, and it raises only where it
+    # raises at p1 = 1, on the same term (a zero-power stream with lambda = 0,
+    # or U = lambda1 W).
+    for coding, term in (
+        (GaussianCoding(0.5, 0.5), None),
+        (GaussianCoding(1.0, 0.5), None),
+        (GaussianCoding(0.5, 0.0), "h_b"),
+        (GaussianCoding(0.5, 1.0), "h_d"),
+        (GaussianCoding(0.5, 0.0, 0.3), "h_c"),
+    ):
+        for p1 in (0.0, 1.0):
+            ch = ChannelParams(p1, 6.0, 0.3, 0.3)
+            if term is None:
+                assert entropy_terms(ch, coding).h_a == pytest.approx(XI, abs=1e-12)
+            else:
+                with pytest.raises(DegenerateError) as exc:
+                    entropy_terms(ch, coding)
+                assert exc.value.term == term
 
 
 def test_entropy_monotone_in_subcollections():
