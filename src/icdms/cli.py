@@ -324,6 +324,35 @@ def _write_meta(path: Path, config: RunConfig, extra: dict) -> None:
     _write_json(path, {**dataclasses.asdict(config), **extra})
 
 
+#: Bits by which a frontier may exceed a closed-form cut-set bound before
+#: ``_check_cut_set`` refuses it: the summary line's resolution.  On 300
+#: random channels with powers up to ``MAX_POWER`` (11-point grids, with and
+#: without the hull), ``g`` exceeded the bounds by at most 3.9e-10 bits where
+#: every power was <= 1e8, 3.8e-7 where <= 1e11, 1.4e-4 where <= 1e12 and
+#: 1.3 bits overall: the covariance determinants' conditioning error, which
+#: grows with power.  ``g_suc`` exceeded them by at most 1.4e-14 bits,
+#: ``g_sp1`` and ``g_sp2`` by 0, and the figure presets and the
+#: ``fine-region`` channels of seeds 0-19 read 0.
+CUT_SET_TOL = 1e-6
+
+
+def _check_cut_set(channel: ChannelParams, name: str, frontier: Frontier) -> None:
+    """Raise ``ConfigError`` if ``frontier`` reaches past what any code can:
+    r1 <= I(X1, X2; Y1) <= gamma((sqrt(p1) + sqrt(c21 * p2))^2), its value at
+    fully correlated inputs, and r2 <= I(X2; Y2 | X1) <= gamma(p2), where
+    gamma(x) is log2(1 + x) / 2, each up to ``CUT_SET_TOL``."""
+    p1, p2, c21 = channel.p1, channel.p2, channel.c21
+    for rate, value, bound in (
+        ("r1", frontier.reach, 0.5 * math.log2(1.0 + (math.sqrt(p1) + math.sqrt(c21 * p2)) ** 2)),
+        ("r2", max(float(frontier.r2.max()), frontier.reach_r2), 0.5 * math.log2(1.0 + p2)),
+    ):
+        if value > bound + CUT_SET_TOL:
+            raise ConfigError(
+                f"{name} frontier reaches {rate} = {value!r} bits, past the cut-set bound "
+                f"{bound!r} bits that no code exceeds: the evaluation lost its precision here"
+            )
+
+
 def _run(config: RunConfig, out: str | None, stem: str, extra: dict):
     """Sweep every region of ``config``, write ``<stem>.csv`` and
     ``<stem>.meta.json``, print a summary; return the CSV path and frontiers."""
@@ -335,6 +364,7 @@ def _run(config: RunConfig, out: str | None, stem: str, extra: dict):
         frontier = sweep_gaussian(config.channel, config.grids[name], name, config.r1_step)
         if config.convex_hull:
             frontier = time_sharing_hull(frontier)
+        _check_cut_set(config.channel, name, frontier)
         frontiers[name] = frontier
         rows += [(float(r1), float(r2), name) for r1, r2 in zip(*frontier.points())]
     csv_path = out_dir / f"{stem}.csv"

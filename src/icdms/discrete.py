@@ -24,9 +24,13 @@ route: it is the plain reference of the tests and of library callers.
 The regions read their terms from :func:`_terms`, which ``oracle-check``
 checks against the brute-force oracle.  Each family has one set of
 mutual-information terms (``_TERM_QUERIES``), the union of what its
-regions read, and a distribution's terms are computed once, on its first
-region call, and kept on it: ``region_sim`` and ``region_suc`` of one
-STAR distribution share one evaluation.  That evaluation forms the joint
+regions read.  FULL's are the seven terms i1-i7 of
+:class:`icdms.gaussian.MiTerms`, and :func:`region_full` bounds the rates
+with the statement that the Gaussian ``g`` region reads too
+(:func:`icdms.gaussian._row_bounds`, :func:`icdms.gaussian._pair_bounds`),
+less ``g``'s cap on r1.  A distribution's terms are computed once, on
+its first region call, and kept on it: ``region_sim`` and ``region_suc``
+of one STAR distribution share one evaluation.  That evaluation forms the joint
 one block of at most ``BLOCK_CELLS`` cells at a time and sums each block
 into its slice of every marginal the terms read, bit for bit the
 marginals of the dense table (:func:`_block_plan`).  :func:`_form`
@@ -44,6 +48,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .gaussian import _pair_bounds, _row_bounds
 from .tiling import tiles
 
 __all__ = [
@@ -147,18 +152,18 @@ _Q = ("q",)
 _UQ = ("u", "q")
 
 #: Each family's mutual-information terms, by name: (left, right, given).
-#: STAR's are the union of what ``region_sim`` and ``region_suc`` read, so
-#: one evaluation of a distribution serves both.  The first query's
-#: marginal gives the total mass.
+#: FULL's are :class:`~icdms.gaussian.MiTerms`' i1-i7, given Q.  STAR's are
+#: the union of what ``region_sim`` and ``region_suc`` read, so one
+#: evaluation serves both.  The first query's marginal gives the total mass.
 _TERM_QUERIES = {
     FULL: {
-        "i_uw": (("u",), ("w",), _Q),
-        "i_vw": (("v",), ("w",), _Q),
-        "i_uw_y1": (("u", "w"), ("y1",), _Q),
-        "i_v_y2u": (("v",), ("y2", "u"), _Q),
-        "r1": (("w",), ("y1", "u"), _Q),
-        "i_uv_y2": (("u", "v"), ("y2",), _Q),
-        "i_u_y2v": (("u",), ("y2", "v"), _Q),
+        "i3": (("u",), ("w",), _Q),
+        "i4": (("v",), ("w",), _Q),
+        "i5": (("u", "w"), ("y1",), _Q),
+        "i6": (("v",), ("y2", "u"), _Q),
+        "i1": (("w",), ("y1", "u"), _Q),
+        "i2": (("u", "v"), ("y2",), _Q),
+        "i7": (("u",), ("y2", "v"), _Q),
     },
     STAR: {
         "i_vw": (("v",), ("w",), _Q),
@@ -634,21 +639,15 @@ def _require_family(fd: FactoredDistribution, family: str) -> None:
 def region_full(fd: FactoredDistribution) -> DiscreteRegion:
     """Rate bounds for the FULL family: both streams bin-coded, joint decoding.
 
-    Bounds: R1 <= I(W; Y1,U | Q); R2 <= I(U,V; Y2 | Q) - I(U;W|Q) - I(V;W|Q);
-    R1 + R2 <= I(U,W; Y1|Q) + I(V; Y2,U|Q) - I(U;W|Q) - I(V;W|Q).  The four
-    constraints keep the two bin rates and both message-part rates
-    non-negative.
+    The bounds and residuals are the binned-pair statement of
+    :func:`icdms.gaussian._row_bounds` and :func:`icdms.gaussian._pair_bounds`
+    on the seven terms given Q; r1 is not capped.
     """
     t = _terms(fd, FULL)
-    r2 = t["i_uv_y2"] - t["i_uw"] - t["i_vw"]
-    rsum = t["i_uw_y1"] + t["i_v_y2u"] - t["i_uw"] - t["i_vw"]
-    constraints = {
-        "u_at_y1": t["i_uw_y1"] - t["i_uw"],
-        "u_at_y2": t["i_u_y2v"] - t["i_uw"],
-        "v_at_y2": t["i_v_y2u"] - t["i_vw"],
-        "r2_total": r2,
-    }
-    return _region(FULL, t["r1"], r2, rsum, constraints, tuple(constraints))
+    r1, u_at_y1 = _row_bounds(t["i1"], t["i3"], t["i5"])
+    r2, rsum, residuals = _pair_bounds(t["i2"], t["i3"], t["i4"], t["i5"], t["i6"], t["i7"])
+    constraints = dict(zip(("u_at_y1", "u_at_y2", "v_at_y2", "r2_total"), (u_at_y1, *residuals)))
+    return _region(FULL, r1, r2, rsum, constraints, tuple(constraints))
 
 
 def _star_core(fd: FactoredDistribution, paper_literal: bool):

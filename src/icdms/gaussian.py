@@ -249,6 +249,21 @@ class MiTerms:
     i7: float  # I(U; Y2, V)
 
 
+def _row_bounds(i1, i3, i5):
+    """The binned-pair region's bounds from :class:`MiTerms`' seven terms: the
+    one statement that ``_region_g_arrays`` (arrays) and ``discrete.region_full``
+    (floats, given Q) read.  Each holds the residuals, >= 0 where feasible, to
+    its own tolerance.  Row part: ``(r1, u_at_y1) = (i1, i5 - i3)``, r1 uncapped."""
+    return i1, i5 - i3
+
+
+def _pair_bounds(i2, i3, i4, i5, i6, i7):
+    """Pair part: ``(r2, sum, (u_at_y2, v_at_y2, r2_total))``, each operation
+    in a fixed order and without numpy, so floats stay Python floats."""
+    r2 = i2 - i3 - i4
+    return r2, i5 + i6 - i3 - i4, (i7 - i3, i6 - i4, r2)
+
+
 @dataclass(frozen=True)
 class PentagonRegion:
     """A rate region {R1 <= r1_max, R2 <= r2_max, R1 + R2 <= sum_max}.
@@ -411,9 +426,9 @@ def _region_g_arrays(
     and ``x[:, None]`` columns pair 1-D arrays up element by element.
     Terms that involve only lambda1 are computed once per row, and terms
     that involve only lambda2 once per column of (alpha, beta, lam2).  The
-    terms of a pair are evaluated only on the rows that pass the
-    lambda1-only checks (lambda1 not divergent, ``i1`` finite,
-    ``i5 - i3 >= -FEAS_TOL``).  A row that fails them is infeasible
+    pair part of the bounds (:func:`_pair_bounds`) is evaluated only on the
+    rows that pass the row part's checks (lambda1 not divergent, ``i1``
+    finite, ``u_at_y1 >= -FEAS_TOL``).  A row that fails them is infeasible
     whatever lambda2 is, so skipping its pairs changes no output.  Each
     tuple still goes through the same floating-point operations as when
     evaluated alone, so the result does not depend on how the tuples are
@@ -478,13 +493,9 @@ def _region_g_arrays(
         i3 = np.where(active_u, _gamma(1.0 + l1 * l1 / s_u), 0.0)
         det_uy2 = uu * y2y2 - uy2 * uy2
         i2_u = _gamma(uu * y2y2 / det_uy2)  # no V stream
-        row_ok = (
-            ~(~active_u & (lam1 > 0.0))
-            & np.isfinite(i1)
-            & (i5 - i3 >= -FEAS_TOL)
-        )
-        # R1 <= I(W; Y1, U), and R_U >= 0 in R1 + R_U <= I(U, W; Y1) - I(U; W).
-        r1 = np.minimum(i1, i5 - i3)
+        r1, u_at_y1 = _row_bounds(i1, i3, i5)
+        row_ok = ~(~active_u & (lam1 > 0.0)) & np.isfinite(i1) & (u_at_y1 >= -FEAS_TOL)
+        r1 = np.minimum(r1, u_at_y1)  # R_U >= 0 caps r1; region_full has no cap yet
 
         # lambda2-only terms.
         i4 = np.where(active_v, _gamma(1.0 + l2 * l2 / s_v), 0.0)
@@ -521,16 +532,11 @@ def _region_g_arrays(
             both, _gamma(uu_ * det_vy2_ / det_uvy2), np.where(on_v, 0.0, i2)
         )
 
-        r2 = i2 - i3_ - i4_
-        r_sum = row(i5)[take] + i6 - i3_ - i4_
-        ok = (
-            col(col_ok)[take]
-            & np.isfinite(r2)
-            & np.isfinite(r_sum)
-            & (i7 - i3_ >= -FEAS_TOL)
-            & (i6 - i4_ >= -FEAS_TOL)
-            & (r2 >= -FEAS_TOL)
-        )
+        del uv, det_uv, det_uvy2  # so the residuals add no live pair-sized array
+        r2, r_sum, residuals = _pair_bounds(i2, i3_, i4_, row(i5)[take], i6, i7)
+        ok = col(col_ok)[take] & np.isfinite(r2) & np.isfinite(r_sum)
+        for residual in residuals:
+            ok &= residual >= -FEAS_TOL
 
     feasible = np.zeros(shape, dtype=bool)
     feasible[take] = ok
@@ -545,13 +551,12 @@ def _region_g_arrays(
 def region_g(ch: ChannelParams, cp: GaussianCoding) -> PentagonRegion:
     """Pentagon achieved by one coding choice of the binned-pair family.
 
-    ``r1_max`` is the smaller of I(W; Y1, U) and I(U, W; Y1) - I(U; W):
-    the second is the sum bound at receiver 1 with the U stream's rate at
-    0.  Feasibility requires the four non-negativity constraints on the bin
-    rates; violating tuples (and divergent ones, see
-    :class:`DegenerateError`) come back as ``feasible=False`` with zero
-    bounds.  Zero-power limits are evaluated exactly; at p1 == 0 the lambdas
-    still bin against W.
+    The bounds of :func:`_row_bounds` and :func:`_pair_bounds`, with
+    ``r1_max`` capped at the ``u_at_y1`` residual (the sum bound at receiver
+    1 with the U stream's rate at 0).  A tuple with a residual below
+    ``-FEAS_TOL`` (or a divergent one, see :class:`DegenerateError`) comes
+    back as ``feasible=False`` with zero bounds.  Zero-power limits are
+    evaluated exactly; at p1 == 0 the lambdas still bin against W.
     """
     r1, r2, rsum, ok = _region_g_arrays(ch, cp.alpha, cp.beta, cp.lambda1, cp.lambda2)
     if not ok.item():

@@ -12,6 +12,7 @@ import pytest
 
 from icdms import AlphabetSpec, distribution_to_dict, random_star, region_sim
 from icdms.cli import main
+from icdms.geometry import Frontier
 import icdms.cli as cli_module
 
 
@@ -137,6 +138,48 @@ def test_channel_beyond_the_power_cap_exits_2(tmp_path, capsys, argv):
     assert main([arg.format(config=config, out=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be <= 1e+100" in err
+
+
+def test_region_past_the_cut_set_bound_exits_2_without_a_csv(tmp_path, capsys):
+    # This run exited 0 and wrote a g reach of 331.69 bits, twice what any
+    # code reaches on the channel: 1/2 log2(1 + (sqrt(p1) + sqrt(c21 p2))^2)
+    # = 166.10 bits.  The lambda1 axis to 5e49 loses the evaluation's
+    # precision at these powers.
+    doc = {
+        "channel": {"p1": 1e-300, "p2": 1e100, "c12": 0.0, "c21": 1.0},
+        "regions": ["g"],
+        "grid": {
+            "alpha": {"count": 3},
+            "beta": {"count": 3},
+            "lambda1": {"lo": 0.0, "hi": 5e49, "count": 3},
+            "lambda2": {"count": 3},
+        },
+    }
+    out = tmp_path / "out"
+    assert main(["region", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: g frontier reaches r1 = 331.69")
+    assert "past the cut-set bound 166.0964047443" in err
+    assert not (out / "frontier.csv").exists() and not (out / "frontier.meta.json").exists()
+
+
+@pytest.mark.parametrize("rate", ["r1", "r2"])
+def test_cut_set_check_refuses_either_rate_past_its_bound(rate):
+    # fig6's channel: r1 <= 1/2 log2(1 + (sqrt(6) + sqrt(12))^2), r2 <= 1/2 log2(7).
+    # A frontier at the bounds passes; one past either by twice the
+    # tolerance (r2 through its end point) is refused, naming the rate.
+    channel = cli_module.ChannelParams(6.0, 6.0, 0.3, 2.0)
+    b1 = 0.5 * math.log2(1.0 + (math.sqrt(6.0) + math.sqrt(12.0)) ** 2)
+    b2 = 0.5 * math.log2(7.0)
+    cli_module._check_cut_set(channel, "g", Frontier(0.5, np.array([b2, 0.0]), b1, 0.0))
+    over = 2 * cli_module.CUT_SET_TOL
+    frontier = (
+        Frontier(0.5, np.array([b2, 0.0]), b1 + over, 0.0)
+        if rate == "r1"
+        else Frontier(0.5, np.array([b2, 0.0]), b1, b2 + over)
+    )
+    with pytest.raises(cli_module.ConfigError, match=f"^g frontier reaches {rate} = "):
+        cli_module._check_cut_set(channel, "g", frontier)
 
 
 def test_region_command_empty_union_exit_code(tmp_path, monkeypatch, capsys):

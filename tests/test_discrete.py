@@ -942,6 +942,49 @@ def test_information_identity_on_full_draws():
         assert lhs >= -1e-12
 
 
+#: All binary; q = 2 with 3-valued u and ut; ternary w, x1 and y1.
+CUT_SET_SIZES = (AlphabetSpec(), AlphabetSpec(q=2, u=3, ut=3), AlphabetSpec(w=3, x1=3, y1=3))
+
+
+def _unbinned(fd: FactoredDistribution) -> FactoredDistribution:
+    """``fd`` with p(u, ut | w, q) and p(v, vt | w, q) replaced by their
+    w = 0 slice for every w, so that I(U; W | Q) = I(V; W | Q) = 0 and every
+    residual is an information >= 0: feasible by construction."""
+    factors = {name: getattr(fd, name) for name, *_ in discrete._FACTORS[fd.family]}
+    for name in ("p_uut", "p_vvt"):
+        if name in factors:
+            factors[name] = np.broadcast_to(factors[name][:, :1], factors[name].shape)
+    return FactoredDistribution(family=fd.family, **factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.sampled_from(CUT_SET_SIZES),
+    maker=st.sampled_from([random_full, random_star]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_feasible_regions_lie_under_their_cut_set_bounds(sizes, maker, seed):
+    # Any code whose symbols follow p(q, x1, x2) has R1 <= I(X1,X2;Y1|Q),
+    # R2 <= I(X2;Y2|X1,Q) (a genie gives receiver 2 m1, and so X1) and
+    # R1 + R2 <= I(X1,X2;Y1,Y2|Q).  The sum bound counts only as a sum bound
+    # (min with r1 + r2): where it is slack it is not a rate.  With
+    # I(U;W|Q) = 0, r1 = I(W;Y1|U,Q) <= I(U,W;Y1|Q), so the r1 bound holds
+    # without the cap at the u_at_y1 residual.
+    fd = _unbinned(maker(sizes, np.random.default_rng(seed)))
+    j = assemble_joint(fd)
+    cut_r1 = conditional_mi(j, ("x1", "x2"), ("y1",), ("q",))
+    cut_r2 = conditional_mi(j, ("x2",), ("y2",), ("x1", "q"))
+    cut_sum = conditional_mi(j, ("x1", "x2"), ("y1", "y2"), ("q",))
+    regions = [region_full(fd)] if fd.family == discrete.FULL else [region_sim(fd), region_suc(fd)]
+    for region in regions:
+        assert region.feasible
+        r1, r2 = region.r1_bound, region.r2_bound
+        total = r1 + r2 if region.sum_bound is None else min(region.sum_bound, r1 + r2)
+        assert r1 <= cut_r1 + 1e-12
+        assert r2 <= cut_r2 + 1e-12
+        assert total <= cut_sum + 1e-12
+
+
 def test_distribution_dict_round_trip():
     rng = np.random.default_rng(614)
     for maker in (random_full, random_star):

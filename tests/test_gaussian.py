@@ -13,6 +13,7 @@ import pytest
 from g_loop_oracle import loop_region_g_arrays
 from helpers import bits
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from icdms import (
     XI,
@@ -30,7 +31,16 @@ from icdms import (
     region_g_sp2,
     region_g_suc,
 )
-from icdms.gaussian import ENTROPY_BLOCKS, FEAS_TOL, MAX_LAMBDA, MAX_POWER, _region_g_arrays
+from icdms.discrete import DISCRETE_FEAS_TOL, AlphabetSpec, random_full, region_full
+from icdms.gaussian import (
+    ENTROPY_BLOCKS,
+    FEAS_TOL,
+    MAX_LAMBDA,
+    MAX_POWER,
+    _pair_bounds,
+    _region_g_arrays,
+    _row_bounds,
+)
 from icdms.oracle import grid_maximize, mc_gaussian_entropy
 
 CH_LOW = ChannelParams(p1=6.0, p2=6.0, c12=0.3, c21=0.3)
@@ -502,6 +512,82 @@ def test_region_g_arrays_match_loop_oracle_bitwise(case):
     got = _dense(_region_g_arrays(ch, *(np.concatenate(x)[:, None] for x in flat)))
     for out, ref in zip(got, expected):
         np.testing.assert_array_equal(bits(out[:, 0]), bits(np.concatenate(ref)))
+
+
+#: Term values: signed zeros, infinities, NaN, subnormals, 1e300 and any float.
+_term = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1e300, -1e300]
+) | st.floats()
+
+
+def _old_g_bounds(i1, i2, i3, i4, i5, i6, i7):
+    """``_region_g_arrays``' expressions before the statement was shared:
+    capped r1, r2, sum and the residuals it held to ``-FEAS_TOL``."""
+    r2 = i2 - i3 - i4
+    r_sum = i5 + i6 - i3 - i4
+    return np.minimum(i1, i5 - i3), r2, r_sum, (i5 - i3, i7 - i3, i6 - i4, r2)
+
+
+def _old_region_full(t):
+    """``region_full``'s expressions before the statement was shared, on
+    its old term names."""
+    r2 = t["i_uv_y2"] - t["i_uw"] - t["i_vw"]
+    rsum = t["i_uw_y1"] + t["i_v_y2u"] - t["i_uw"] - t["i_vw"]
+    constraints = {
+        "u_at_y1": t["i_uw_y1"] - t["i_uw"],
+        "u_at_y2": t["i_u_y2v"] - t["i_uw"],
+        "v_at_y2": t["i_v_y2u"] - t["i_vw"],
+        "r2_total": r2,
+    }
+    return t["r1"], r2, rsum, constraints
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_term, min_size=7, max_size=7))
+def test_bounds_statement_is_region_full_old_statement_bitwise(terms):
+    # On Python floats the shared statement, and region_full through it, give
+    # the old discrete expressions bit for bit, as Python floats, with the
+    # residuals in the old order and the same verdict.
+    i1, i2, i3, i4, i5, i6, i7 = terms
+    r1, u_at_y1 = _row_bounds(i1, i3, i5)
+    r2, rsum, residuals = _pair_bounds(i2, i3, i4, i5, i6, i7)
+    got = (r1, r2, rsum, u_at_y1, *residuals)
+    assert all(type(x) is float for x in got)
+    old = ("r1", "i_uv_y2", "i_uw", "i_vw", "i_uw_y1", "i_v_y2u", "i_u_y2v")
+    w_r1, w_r2, w_sum, constraints = _old_region_full(dict(zip(old, terms)))
+    want = (w_r1, w_r2, w_sum, *constraints.values())
+    np.testing.assert_array_equal(bits(got), bits(want))
+    # region_full reads its terms from the distribution's cache; planting
+    # the drawn values there runs its call site on them.
+    fd = random_full(AlphabetSpec(), np.random.default_rng(0))
+    fd._cache["terms"] = dict(zip(("i1", "i2", "i3", "i4", "i5", "i6", "i7"), terms))
+    region = region_full(fd)
+    assert list(region.constraints) == list(constraints) == list(region.active)
+    np.testing.assert_array_equal(
+        bits((region.r1_bound, region.r2_bound, region.sum_bound, *region.constraints.values())),
+        bits(want),
+    )
+    assert region.feasible == all(c >= -DISCRETE_FEAS_TOL for c in constraints.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_bounds_statement_is_g_old_statement_bitwise(rows, width, data):
+    # On arrays shaped as in _region_g_arrays (the row terms i1, i3, i5 one
+    # column, the pair terms a block), the row part, the cap at its call site
+    # and the pair part give the old Gaussian expressions bit for bit.
+    def draw(shape):
+        return data.draw(arrays(float, shape, elements=_term))
+
+    i1, i3, i5 = (draw((rows, 1)) for _ in range(3))
+    i2, i4, i6, i7 = (draw((rows, width)) for _ in range(4))
+    with np.errstate(all="ignore"):
+        r1, u_at_y1 = _row_bounds(i1, i3, i5)
+        r2, r_sum, residuals = _pair_bounds(i2, i3, i4, i5, i6, i7)
+        got = (np.minimum(r1, u_at_y1), r2, r_sum, u_at_y1, *residuals)
+        w_r1, w_r2, w_sum, w_residuals = _old_g_bounds(i1, i2, i3, i4, i5, i6, i7)
+    for x, y in zip(got, (w_r1, w_r2, w_sum, *w_residuals)):
+        np.testing.assert_array_equal(bits(x), bits(y))
 
 
 def _rounding_scale(ch, cp):
