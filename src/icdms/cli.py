@@ -69,6 +69,7 @@ from .oracle import (
     MAX_GRID_STEPS,
     MAX_MC_SAMPLES,
     MIN_MC_SAMPLES,
+    NonFiniteObjectiveError,
     brute_joint_mi,
     grid_maximize,
     mc_gaussian_entropy,
@@ -529,7 +530,12 @@ def cmd_dpc_lambda(args: argparse.Namespace) -> int:
             print("check: zero stream power, objective identically 0")
             return 0
         objective = dpc_gain_objective(channel, args.alpha, args.beta)
-        arg, value = grid_maximize(objective, 0.0, 3.0 * (eta2 + 1.0), args.check)
+        try:
+            with np.errstate(all="ignore"):  # a non-finite value is refused below
+                arg, value = grid_maximize(objective, 0.0, 3.0 * (eta2 + 1.0), args.check)
+        except NonFiniteObjectiveError as exc:
+            # On a subnormal stream power the bin cost lambda**2 / s overflows.
+            raise ConfigError(f"--check: {exc} (V stream power {s:g})") from exc
         print(f"grid argmax = {arg:.12g}, value = {value:.12g}")
         print(f"closed-form minus grid value = {gain - value:.3g}")
     return 0

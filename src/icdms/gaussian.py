@@ -21,7 +21,15 @@ against the known codeword through the auxiliaries::
     U = Ut + lambda1 * W        V = Vt + lambda2 * W
 
 ``region_g`` evaluates the pentagon achieved by one such coding choice
-from the covariance matrices of ``(W, U, Y1)`` and ``(U, V, Y2)``.
+from the covariance matrices of ``(W, U, Y1)`` and ``(U, V, Y2)``::
+
+    [[1,    l1,  eta1],        [[uu,      l1 * l2, uy2 ],
+     [l1,   uu,  uy1 ],         [l1 * l2, vv,      vy2 ],
+     [eta1, uy1, y1y1]]         [uy2,     vy2,     y2y2]]
+
+with ``l1``, ``l2`` the two lambdas and ``uu`` = var(U), ``uy1`` =
+cov(U, Y1) and so on.  :func:`_unit_w_model` states each entry once, and
+the evaluator and :func:`build_covariances` both read it.
 ``region_g_suc`` is the closed-form successive-decoding family (no binning
 of the ``U`` stream), with ``region_g_sp1`` / ``region_g_sp2`` its
 ``beta = 0`` / ``beta = 1`` special cases.  ``dpc_lambda_star`` gives the
@@ -45,6 +53,7 @@ Conventions
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,33 +317,45 @@ def _eta_arrays(ch: ChannelParams, alpha):
     return eta1, eta2
 
 
+#: The entries of the two covariance matrices, named as in the module
+#: docstring, with the amplitudes and stream powers they are made of.
+_Model = namedtuple("_Model", "eta1 eta2 s_u s_v uu uy1 y1y1 uy2 vv vy2 y2y2")
+
+
+def _unit_w_model(ch: ChannelParams, alpha, beta, l1, l2) -> _Model:
+    """The unit-W covariance model, elementwise over arrays.  The lambdas
+    are taken as given: on a zero-power stream a positive one makes the
+    blocks singular (``U = lambda1 * W``)."""
+    eta1, eta2 = _eta_arrays(ch, alpha)
+    s_u, s_v = _stream_powers(ch.p2, alpha, beta)
+    return _Model(
+        eta1, eta2, s_u, s_v,
+        uu=s_u + l1 * l1,
+        uy1=math.sqrt(ch.c21) * s_u + l1 * eta1,
+        y1y1=eta1 * eta1 + ch.c21 * (s_u + s_v) + 1.0,
+        uy2=s_u + l1 * eta2,
+        vv=s_v + l2 * l2,
+        vy2=s_v + l2 * eta2,
+        y2y2=s_u + s_v + eta2 * eta2 + 1.0,
+    )
+
+
 def build_covariances(
     ch: ChannelParams, cp: GaussianCoding
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance matrices of (W, U, Y1) and (U, V, Y2), unit-variance W.
+    """Covariance matrices of (W, U, Y1) and (U, V, Y2), unit-variance W:
+    the entries of :func:`_unit_w_model`, placed as the module docstring shows.
 
     Degenerate inputs (zero stream powers) yield singular matrices;
     downstream operations decide how to handle them.
     """
-    p2 = ch.p2
-    a, l1, l2 = cp.alpha, cp.lambda1, cp.lambda2
-    eta1, eta2 = eta_coefficients(ch, a)
-    s_u, s_v = _stream_powers(p2, a, cp.beta)
-
-    mu22 = s_u + l1 * l1
-    mu23 = l1 * eta1 + math.sqrt(ch.c21) * s_u
-    mu33 = eta1 * eta1 + ch.c21 * a * p2 + 1.0
-    sigma_wuy1 = np.array([[1.0, l1, eta1], [l1, mu22, mu23], [eta1, mu23, mu33]])
-
-    nu12 = l1 * l2
-    nu13 = s_u + l1 * eta2
-    nu22 = s_v + l2 * l2
-    nu23 = s_v + l2 * eta2
-    nu33 = a * p2 + eta2 * eta2 + 1.0
-    sigma_uvy2 = np.array(
-        [[mu22, nu12, nu13], [nu12, nu22, nu23], [nu13, nu23, nu33]]
+    l1, l2 = cp.lambda1, cp.lambda2
+    m = _unit_w_model(ch, cp.alpha, cp.beta, l1, l2)
+    uv = l1 * l2
+    return (
+        np.array([[1.0, l1, m.eta1], [l1, m.uu, m.uy1], [m.eta1, m.uy1, m.y1y1]]),
+        np.array([[m.uu, uv, m.uy2], [uv, m.vv, m.vy2], [m.uy2, m.vy2, m.y2y2]]),
     )
-    return sigma_wuy1, sigma_uvy2
 
 
 def _det2(m) -> float:
@@ -447,39 +468,16 @@ def _region_g_arrays(
     tuples are constraint violations, divergent bin coefficients or
     non-finite bounds.
     """
-    p2, c21 = ch.p2, ch.c21
-    alpha, beta, lam1, lam2 = (
-        np.asarray(x, dtype=float) for x in (alpha, beta, lam1, lam2)
+    alpha, beta, l1, l2 = (
+        np.atleast_2d(np.asarray(x, dtype=float)) for x in (alpha, beta, lam1, lam2)
     )
-    eta1, eta2 = _eta_arrays(ch, alpha)
-    s_u, s_v = _stream_powers(p2, alpha, beta)
-    active_u = s_u > 0.0
-    active_v = s_v > 0.0
-
-    # Unit-W covariance entries. var(W) = 1 throughout.  A stream with zero
-    # power drops its lambda; a positive one there diverges.
-    l1 = np.where(active_u, lam1, 0.0)
-    l2 = np.where(active_v, lam2, 0.0)
-    uu = s_u + l1 * l1
-    vv = s_v + l2 * l2
-    uy1 = math.sqrt(c21) * s_u + l1 * eta1
-    uy2 = s_u + l1 * eta2
-    vy2 = s_v + l2 * eta2
-    y1y1 = eta1 * eta1 + c21 * (s_u + s_v) + 1.0
-    y2y2 = s_u + s_v + eta2 * eta2 + 1.0
-    det_wy1 = c21 * (s_u + s_v) + 1.0  # var(Y1 | W), without cancelling eta1^2
-
-    if l1.ndim and l1.shape[-1] != 1:
+    eta1, eta2, s_u, s_v, uu, uy1, y1y1, uy2, vv, vy2, y2y2 = _unit_w_model(ch, alpha, beta, l1, l2)
+    if uu.shape[-1] != 1:
         raise ValueError("alpha, beta and lambda1 must have size 1 on the last axis")
-    shape = np.broadcast_shapes(l1.shape, l2.shape, (1, 1))
-
-    # ``row`` views a row term as one column, ``col`` a lambda2 term as the
-    # whole block, both without copying.
-    def row(x):
-        return np.broadcast_to(x, shape[:-1] + (1,))
-
-    def col(x):
-        return np.broadcast_to(x, shape)
+    shape = np.broadcast_shapes(uu.shape, vv.shape)
+    # A stream with zero power drops out; a positive lambda on it diverges.
+    active_u, active_v = s_u > 0.0, s_v > 0.0
+    det_wy1 = ch.c21 * (s_u + s_v) + 1.0  # var(Y1 | W), without cancelling eta1^2
 
     with np.errstate(all="ignore"):
         # lambda1-only terms.  (W, U, Y1) with unit W in the first slot.
@@ -494,25 +492,28 @@ def _region_g_arrays(
         det_uy2 = uu * y2y2 - uy2 * uy2
         i2_u = _gamma(uu * y2y2 / det_uy2)  # no V stream
         r1, u_at_y1 = _row_bounds(i1, i3, i5)
-        row_ok = ~(~active_u & (lam1 > 0.0)) & np.isfinite(i1) & (u_at_y1 >= -FEAS_TOL)
+        row_ok = ~(~active_u & (l1 > 0.0)) & np.isfinite(i1) & (u_at_y1 >= -FEAS_TOL)
         r1 = np.minimum(r1, u_at_y1)  # R_U >= 0 caps r1; region_full has no cap yet
 
         # lambda2-only terms.
         i4 = np.where(active_v, _gamma(1.0 + l2 * l2 / s_v), 0.0)
         det_vy2 = vv * y2y2 - vy2 * vy2
         i2_v = _gamma(vv * y2y2 / det_vy2)  # no U stream
-        col_ok = ~(~active_v & (lam2 > 0.0))
+        col_ok = ~(~active_v & (l2 > 0.0))
 
-        # Pair terms, on the block of the rows that passed: row terms are
-        # (R, 1), lambda2 terms (R, width), gathered once per passing row.
-        take = np.nonzero(row(row_ok)[..., 0])
-        uu_, uy2_, on_u, i3_, y2y2_ = (
-            row(x)[take] for x in (uu, uy2, active_u, i3, y2y2)
-        )
-        vv_, vy2_, on_v, i4_, det_vy2_ = (
-            col(x)[take] for x in (vv, vy2, active_v, i4, det_vy2)
-        )
-        uv = row(l1)[take] * col(l2)[take]
+        # Pair terms, on the rows that passed.  ``rows`` gathers any term
+        # there once: a row term (size 1 on the last axis) as one column, a
+        # lambda2 term as the whole block.  ``active_v`` is a row term but is
+        # gathered as a block: np.where on a broadcast (R, 1) mask is slower.
+        take = np.nonzero(np.broadcast_to(row_ok[..., 0], shape[:-1]))
+
+        def rows(x):
+            return np.broadcast_to(x, shape[:-1] + x.shape[-1:])[take]
+
+        uu_, uy2_, on_u, i3_, y2y2_ = map(rows, (uu, uy2, active_u, i3, y2y2))
+        on_v = np.broadcast_to(active_v, vv.shape)
+        vv_, vy2_, on_v, i4_, det_vy2_ = map(rows, (vv, vy2, on_v, i4, det_vy2))
+        uv = rows(l1) * rows(l2)
         det_uv = uu_ * vv_ - uv * uv
         det_uvy2 = (
             uu_ * det_vy2_
@@ -523,25 +524,21 @@ def _region_g_arrays(
         i2 = np.where(
             both,
             _gamma(det_uv * y2y2_ / det_uvy2),
-            np.where(on_u, row(i2_u)[take], np.where(on_v, col(i2_v)[take], 0.0)),
+            np.where(on_u, rows(i2_u), np.where(on_v, rows(i2_v), 0.0)),
         )
-        i6 = np.where(
-            both, _gamma(vv_ * row(det_uy2)[take] / det_uvy2), np.where(on_u, 0.0, i2)
-        )
-        i7 = np.where(
-            both, _gamma(uu_ * det_vy2_ / det_uvy2), np.where(on_v, 0.0, i2)
-        )
+        i6 = np.where(both, _gamma(vv_ * rows(det_uy2) / det_uvy2), np.where(on_u, 0.0, i2))
+        i7 = np.where(both, _gamma(uu_ * det_vy2_ / det_uvy2), np.where(on_v, 0.0, i2))
 
         del uv, det_uv, det_uvy2  # so the residuals add no live pair-sized array
-        r2, r_sum, residuals = _pair_bounds(i2, i3_, i4_, row(i5)[take], i6, i7)
-        ok = col(col_ok)[take] & np.isfinite(r2) & np.isfinite(r_sum)
+        r2, r_sum, residuals = _pair_bounds(i2, i3_, i4_, rows(i5), i6, i7)
+        ok = rows(col_ok) & np.isfinite(r2) & np.isfinite(r_sum)
         for residual in residuals:
             ok &= residual >= -FEAS_TOL
 
     feasible = np.zeros(shape, dtype=bool)
     feasible[take] = ok
     return (
-        np.maximum(np.broadcast_to(row(r1)[take], ok.shape)[ok], 0.0),
+        np.maximum(np.broadcast_to(rows(r1), ok.shape)[ok], 0.0),
         np.maximum(r2[ok], 0.0),
         np.maximum(r_sum[ok], 0.0),
         feasible,

@@ -839,6 +839,20 @@ def test_dpc_lambda_check_at_high_power(p2, capsys):
     assert "closed-form minus grid value = 0\n" in out
 
 
+@pytest.mark.parametrize(
+    "channel, steps",
+    [(["--p1", "5"], "50001"), (["--p1", "1e100", "--c12", "1"], "3")],
+)
+def test_dpc_lambda_check_on_a_subnormal_stream_power_exits_2(channel, steps, capsys):
+    # The bin cost lambda**2 / s overflowed on the grid, and the check ended
+    # in a NonFiniteObjectiveError traceback with exit code 1.
+    argv = ["dpc-lambda", *channel, "--p2", "1e-320", "--alpha", "1", "--beta", "0"]
+    assert main([*argv, "--check", steps]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --check: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_oracle_check_command(capsys):
     assert (
         main(["oracle-check", "--draws", "2", "--samples", "50000", "--seed", "5"]) == 0

@@ -7,6 +7,7 @@ the Monte Carlo entropy oracle and the grid maximizer.
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from icdms import (
     region_g_sp2,
     region_g_suc,
 )
+from icdms import gaussian
 from icdms.discrete import DISCRETE_FEAS_TOL, AlphabetSpec, random_full, region_full
 from icdms.gaussian import (
     ENTROPY_BLOCKS,
@@ -696,6 +698,38 @@ def test_covariances_match_simulated_signals():
                         products = signals[i] * signals[j]
                         se = products.std() / math.sqrt(n)
                         assert abs(products.mean() - model[i, j]) <= 6.0 * se, (ch, cp, i, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_power, _power, st.floats(0.0, 8.0), st.floats(0.0, 8.0), _split, _split,
+       st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+def test_build_covariances_holds_the_entries_the_evaluator_reads(
+    p1, p2, c12, c21, alpha, beta, f1, f2
+):
+    # The two matrices of the entropy route hold, bit for bit, the covariance
+    # entries that _region_g_arrays reads for the same coding, also at zero
+    # powers, at alpha and beta in {0, 1}, and with a positive lambda on a
+    # zero-power stream.  They once grouped var(Y1) and var(Y2) differently.
+    ch = ChannelParams(p1, p2, c12, c21)
+    _, eta2 = eta_coefficients(ch, alpha)
+    cp = GaussianCoding(alpha, beta, f1 * eta2, f2 * eta2)
+    model, read = gaussian._unit_w_model, []
+
+    def spy(*args):
+        read.append(model(*args))
+        return read[-1]
+
+    with mock.patch.object(gaussian, "_unit_w_model", spy):
+        _region_g_arrays(ch, alpha, beta, cp.lambda1, cp.lambda2)
+    (m,) = read
+    l1, l2, uv = cp.lambda1, cp.lambda2, cp.lambda1 * cp.lambda2
+    want = (
+        [[1.0, l1, m.eta1], [l1, m.uu, m.uy1], [m.eta1, m.uy1, m.y1y1]],
+        [[m.uu, uv, m.uy2], [uv, m.vv, m.vy2], [m.uy2, m.vy2, m.y2y2]],
+    )
+    for got, entries in zip(build_covariances(ch, cp), want):
+        expected = [[np.asarray(x).item() for x in row] for row in entries]
+        np.testing.assert_array_equal(bits(got), bits(expected))
 
 
 def test_region_g_suc_low_interference_corner():
