@@ -530,12 +530,20 @@ def cmd_dpc_lambda(args: argparse.Namespace) -> int:
             print("check: zero stream power, objective identically 0")
             return 0
         objective = dpc_gain_objective(channel, args.alpha, args.beta)
+        hi = 3.0 * (eta2 + 1.0)
         try:
             with np.errstate(all="ignore"):  # a non-finite value is refused below
-                arg, value = grid_maximize(objective, 0.0, 3.0 * (eta2 + 1.0), args.check)
+                arg, value = grid_maximize(objective, 0.0, hi, args.check)
+                # The peak is about 1 wide in lambda, so at high power it can
+                # fall between grid points: search again one spacing either
+                # side of the grid's own argmax, and keep the better pass.
+                step = hi / (args.check - 1)
+                fine = grid_maximize(objective, max(0.0, arg - step), arg + step, args.check)
         except NonFiniteObjectiveError as exc:
             # On a subnormal stream power the bin cost lambda**2 / s overflows.
             raise ConfigError(f"--check: {exc} (V stream power {s:g})") from exc
+        if fine[1] > value:
+            arg, value = fine
         print(f"grid argmax = {arg:.12g}, value = {value:.12g}")
         print(f"closed-form minus grid value = {gain - value:.3g}")
     return 0
@@ -686,7 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         const=50001,
         default=None,
-        help="grid-check the optimum with this many grid points",
+        help="grid-check the optimum with this many grid points, and as many "
+        "again around the grid's argmax",
     )
     p_dpc.set_defaults(func=cmd_dpc_lambda)
 

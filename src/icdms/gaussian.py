@@ -122,9 +122,20 @@ class DegenerateError(ValueError):
         super().__init__(message or f"degenerate evaluation at {term}")
 
 
-def _gamma(x):
-    """log2(x)/2, elementwise; the half-log that all rate formulas use."""
-    return 0.5 * np.log2(x)
+def _gamma(x, out=None):
+    """log2(x)/2, elementwise; the half-log that all rate formulas use.
+    ``out``, an array, receives the result in place of a new one."""
+    return np.multiply(0.5, np.log2(x, out=out), out=out)
+
+
+def _add(a, b, out=None):
+    """``a + b``: Python's own operator, or written into the array ``out``."""
+    return a + b if out is None else np.add(a, b, out=out)
+
+
+def _sub(a, b, out=None):
+    """``a - b``: Python's own operator, or written into the array ``out``."""
+    return a - b if out is None else np.subtract(a, b, out=out)
 
 
 def _check_split(name: str, *values) -> None:
@@ -266,11 +277,15 @@ def _row_bounds(i1, i3, i5):
     return i1, i5 - i3
 
 
-def _pair_bounds(i2, i3, i4, i5, i6, i7):
+def _pair_bounds(i2, i3, i4, i5, i6, i7, out=(None,) * 4):
     """Pair part: ``(r2, sum, (u_at_y2, v_at_y2, r2_total))``, each operation
-    in a fixed order and without numpy, so floats stay Python floats."""
-    r2 = i2 - i3 - i4
-    return r2, i5 + i6 - i3 - i4, (i7 - i3, i6 - i4, r2)
+    in a fixed order.  Without ``out`` the operators are Python's own, so
+    floats stay Python floats; on arrays, ``out`` names the four arrays that
+    r2, the sum, u_at_y2 and v_at_y2 are written into."""
+    to_r2, to_sum, to_u, to_v = out
+    r2 = _sub(_sub(i2, i3, to_r2), i4, to_r2)  # i2 - i3 - i4
+    r_sum = _sub(_sub(_add(i5, i6, to_sum), i3, to_sum), i4, to_sum)  # i5 + i6 - i3 - i4
+    return r2, r_sum, (_sub(i7, i3, to_u), _sub(i6, i4, to_v), r2)
 
 
 @dataclass(frozen=True)
@@ -434,8 +449,17 @@ def mi_terms(ch: ChannelParams, cp: GaussianCoding) -> MiTerms:
     )
 
 
+def _pair_scratch(pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Work arrays for the pair stage of :func:`_region_g_arrays` calls of
+    at most ``pairs`` (row, lambda2) pairs each: 8 float and 2 boolean rows.
+    A sweep makes one, sized to its largest tile, and passes it to every
+    call, so that no call hands pair-sized temporaries back to the
+    allocator for the next one to fault in again."""
+    return np.empty((8, pairs)), np.empty((2, pairs), dtype=bool)
+
+
 def _region_g_arrays(
-    ch: ChannelParams, alpha, beta, lam1, lam2
+    ch: ChannelParams, alpha, beta, lam1, lam2, scratch=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pentagon bounds for a batch of (alpha, beta, lambda1, lambda2) tuples.
 
@@ -450,10 +474,18 @@ def _region_g_arrays(
     pair part of the bounds (:func:`_pair_bounds`) is evaluated only on the
     rows that pass the row part's checks (lambda1 not divergent, ``i1``
     finite, ``u_at_y1 >= -FEAS_TOL``).  A row that fails them is infeasible
-    whatever lambda2 is, so skipping its pairs changes no output.  Each
-    tuple still goes through the same floating-point operations as when
-    evaluated alone, so the result does not depend on how the tuples are
-    batched.
+    whatever lambda2 is, so skipping its pairs changes no output.  The pair
+    terms take the both-streams-active formulas, and the rows with an
+    inactive stream (beta = 0 or 1, alpha = 0) are then overwritten with
+    their fallbacks; whether a stream is active depends on alpha and beta
+    alone, so on the row.  Each tuple still goes through the same
+    floating-point operations as when evaluated alone, so the result does
+    not depend on how the tuples are batched.
+
+    ``scratch`` is a :func:`_pair_scratch` for at least the pairs of this
+    call (passing rows x lambda2 columns; the tuple count is enough), into
+    which every pair-stage array is written; without it the call makes its
+    own.  The returned arrays never share memory with it.
 
     The lambdas are on the unit-variance-W scale, which keeps the zero-power
     limits exact: at p1 == 0 they still bin against W, and a stream with
@@ -501,39 +533,65 @@ def _region_g_arrays(
         i2_v = _gamma(vv * y2y2 / det_vy2)  # no U stream
         col_ok = ~(~active_v & (l2 > 0.0))
 
-        # Pair terms, on the rows that passed.  ``rows`` gathers any term
-        # there once: a row term (size 1 on the last axis) as one column, a
-        # lambda2 term as the whole block.  ``active_v`` is a row term but is
-        # gathered as a block: np.where on a broadcast (R, 1) mask is slower.
+        # Pair terms, on the rows that passed, each written into ``scratch``.
+        # A comment gives the expression that the ``out=`` calls under it
+        # evaluate, operand for operand and in the same order.
         take = np.nonzero(np.broadcast_to(row_ok[..., 0], shape[:-1]))
-
-        def rows(x):
-            return np.broadcast_to(x, shape[:-1] + x.shape[-1:])[take]
-
-        uu_, uy2_, on_u, i3_, y2y2_ = map(rows, (uu, uy2, active_u, i3, y2y2))
-        on_v = np.broadcast_to(active_v, vv.shape)
-        vv_, vy2_, on_v, i4_, det_vy2_ = map(rows, (vv, vy2, on_v, i4, det_vy2))
-        uv = rows(l1) * rows(l2)
-        det_uv = uu_ * vv_ - uv * uv
-        det_uvy2 = (
-            uu_ * det_vy2_
-            - uv * (uv * y2y2_ - vy2_ * uy2_)
-            + uy2_ * (uv * vy2_ - vv_ * uy2_)
+        n_rows, width = take[0].size, shape[-1]
+        if scratch is None:
+            scratch = _pair_scratch(n_rows * width)
+        (w0, w1, w2, w3, w4, w5, w6, w7), (ok, test) = (
+            buf[:, : n_rows * width].reshape(len(buf), n_rows, width) for buf in scratch
         )
-        both = on_u & on_v
-        i2 = np.where(
-            both,
-            _gamma(det_uv * y2y2_ / det_uvy2),
-            np.where(on_u, rows(i2_u), np.where(on_v, rows(i2_v), 0.0)),
-        )
-        i6 = np.where(both, _gamma(vv_ * rows(det_uy2) / det_uvy2), np.where(on_u, 0.0, i2))
-        i7 = np.where(both, _gamma(uu_ * det_vy2_ / det_uvy2), np.where(on_v, 0.0, i2))
+        at = {}
 
-        del uv, det_uv, det_uvy2  # so the residuals add no live pair-sized array
-        r2, r_sum, residuals = _pair_bounds(i2, i3_, i4_, rows(i5), i6, i7)
-        ok = rows(col_ok) & np.isfinite(r2) & np.isfinite(r_sum)
+        def rows(x, out=None, only=slice(None)):
+            # ``x`` at the passing rows (or at ``only`` of them), read from
+            # its own storage by ``np.take``: a row term as one column, a
+            # lambda2 term as the whole block, written into ``out`` when
+            # given.  ``mode="clip"`` keeps take from buffering ``out``;
+            # every index is in range.
+            x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
+            lead = x.shape[:-1]
+            if lead not in at:
+                index = tuple(t if n > 1 else 0 for t, n in zip(take, lead))
+                at[lead] = np.broadcast_to(np.ravel_multi_index(index, lead), (n_rows,))
+            return np.take(x.reshape(-1, x.shape[-1]), at[lead][only], axis=0, out=out, mode="clip")
+
+        uu_, uy2_, on_u, on_v, i3_, y2y2_ = map(rows, (uu, uy2, active_u, active_v, i3, y2y2))
+        vv_, vy2_, det_vy2_, uv = map(rows, (vv, vy2, det_vy2, l2), (w0, w1, w2, w3))
+        np.multiply(rows(l1), uv, out=uv)  # uv = l1 * l2
+        # det_uv = uu_ * vv_ - uv * uv
+        det_uv = np.subtract(np.multiply(uu_, vv_, out=w4), np.multiply(uv, uv, out=w5), out=w4)
+        # det_uvy2 = (uu_ * det_vy2_ - uv * (uv * y2y2_ - vy2_ * uy2_)
+        #             + uy2_ * (uv * vy2_ - vv_ * uy2_))
+        det_uvy2 = np.multiply(uu_, det_vy2_, out=w5)
+        part = np.subtract(np.multiply(uv, y2y2_, out=w6), np.multiply(vy2_, uy2_, out=w7), out=w6)
+        det_uvy2 -= np.multiply(uv, part, out=w6)
+        part = np.subtract(np.multiply(uv, vy2_, out=w6), np.multiply(vv_, uy2_, out=w7), out=w6)
+        det_uvy2 += np.multiply(uy2_, part, out=w6)
+        # Both streams active: i2 = _gamma(det_uv * y2y2_ / det_uvy2),
+        # i6 = _gamma(vv_ * det_uy2 / det_uvy2), i7 = _gamma(uu_ * det_vy2_ / det_uvy2).
+        i2 = _gamma(np.divide(np.multiply(det_uv, y2y2_, out=w4), det_uvy2, out=w4), out=w4)
+        i6 = np.multiply(vv_, rows(det_uy2), out=w6)
+        i6 = _gamma(np.divide(i6, det_uvy2, out=w6), out=w6)
+        i7 = _gamma(np.divide(np.multiply(uu_, det_vy2_, out=w7), det_uvy2, out=w7), out=w7)
+        # The rows with an inactive stream take the fallbacks instead.
+        if (patch := np.flatnonzero(~(on_u & on_v))).size:
+            on_u, on_v = on_u[patch], on_v[patch]
+            i2_v_ = np.where(on_v, rows(i2_v, only=patch), 0.0)
+            i2[patch] = np.where(on_u, rows(i2_u, only=patch), i2_v_)
+            i6[patch] = np.where(on_u, 0.0, i2[patch])
+            i7[patch] = np.where(on_v, 0.0, i2[patch])
+
+        r2, r_sum, residuals = _pair_bounds(
+            i2, i3_, rows(i4, out=w1), rows(i5), i6, i7, out=(w2, w3, w5, w0)
+        )
+        ok = rows(col_ok, out=ok)
+        ok &= np.isfinite(r2, out=test)
+        ok &= np.isfinite(r_sum, out=test)
         for residual in residuals:
-            ok &= residual >= -FEAS_TOL
+            ok &= np.greater_equal(residual, -FEAS_TOL, out=test)
 
     feasible = np.zeros(shape, dtype=bool)
     feasible[take] = ok

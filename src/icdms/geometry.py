@@ -31,13 +31,14 @@ from .gaussian import (
     _check_split,
     _eta_arrays,
     _lambda_rows,
+    _pair_scratch,
     _region_g_arrays,
     _region_g_suc_values,
     _stream_powers,
     eta_coefficients,
     PentagonRegion,
 )
-from .tiling import tiles
+from .tiling import largest_piece, tiles
 
 __all__ = [
     "DEFAULT_R1_STEP",
@@ -415,11 +416,15 @@ def _sweep_binned_pair(ch: ChannelParams, grid: SweepGrid):
     counts.  A lambda value may repeat (a grid point equal to the optimum);
     the union is idempotent, so that costs a duplicate pentagon and changes
     nothing.  The two boundary faces follow at ``edge_alpha`` resolution
-    (see module docstring), one call per face and alpha tile.
+    (see module docstring), one call per face and alpha tile.  Every call
+    writes its pair stage into one scratch, made here for the largest tile.
     """
-    betas = grid.beta.points()
-    columns = (grid.lambda1.count + 1, grid.lambda2.count + 1)
-    beta_cuts, cuts1, cuts2 = tiles((betas.size, *columns), PAIR_TILE)
+    betas, alphas = grid.beta.points(), grid.edge_alpha.points()
+    beta_cuts, cuts1, cuts2 = main = tiles(
+        (betas.size, grid.lambda1.count + 1, grid.lambda2.count + 1), PAIR_TILE
+    )
+    edge = tiles(alphas.shape, PAIR_TILE)
+    scratch = _pair_scratch(max(largest_piece(main), largest_piece(edge)))
     for alpha in grid.alpha.points():
         alpha = float(alpha)
         _, eta2 = eta_coefficients(ch, alpha)
@@ -431,16 +436,15 @@ def _sweep_binned_pair(ch: ChannelParams, grid: SweepGrid):
             lam2 = _lambda_rows(ch, grid.lambda2.points(lam_hi), s_v, eta2)
             for j, k in itertools.product(cuts1, cuts2):
                 yield _region_g_arrays(
-                    ch, alpha, beta[:, None, None], lam1[:, j, None], lam2[:, None, k]
+                    ch, alpha, beta[:, None, None], lam1[:, j, None], lam2[:, None, k], scratch
                 )[:3]
 
-    alphas = grid.edge_alpha.points()
     _, eta2 = _eta_arrays(ch, alphas)
     s_v = _stream_powers(ch.p2, alphas, 0.0)[1]
     lam2 = _lambda_rows(ch, np.empty(0), s_v, eta2)[:, -1]  # beta = 0: the optimum
-    for (t,) in itertools.product(*tiles(alphas.shape, PAIR_TILE)):
-        yield _region_g_arrays(ch, alphas[t, None], 0.0, 0.0, lam2[t, None])[:3]
-        yield _region_g_arrays(ch, alphas[t, None], 1.0, 0.0, 0.0)[:3]
+    for (t,) in itertools.product(*edge):
+        yield _region_g_arrays(ch, alphas[t, None], 0.0, 0.0, lam2[t, None], scratch)[:3]
+        yield _region_g_arrays(ch, alphas[t, None], 1.0, 0.0, 0.0, scratch)[:3]
 
 
 def _sweep_successive(ch: ChannelParams, grid: SweepGrid, which: str):

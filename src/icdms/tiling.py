@@ -44,3 +44,9 @@ def tiles(shape, limit: int, axes=None) -> list[Sequence[slice]]:
         size *= chunk[k]
     # An uncut axis is its one slice: a tuple, which product walks faster.
     return [(slice(0, n),) if c == n else _Cuts(n, c) for n, c in zip(shape, chunk)]
+
+
+def largest_piece(cuts) -> int:
+    """Cells in the largest piece of :func:`tiles`' ``cuts``: on each axis
+    the first slice is the longest."""
+    return math.prod(axis[0].stop - axis[0].start for axis in cuts)

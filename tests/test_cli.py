@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -837,6 +838,17 @@ def test_dpc_lambda_check_at_high_power(p2, capsys):
     assert main([*argv, "--check", "101"]) == 0
     out = capsys.readouterr().out
     assert "closed-form minus grid value = 0\n" in out
+
+
+def test_dpc_lambda_check_finds_a_peak_between_grid_points(capsys):
+    # At p1 = p2 = 1e10 the objective's peak, about 1 wide in lambda, falls
+    # between the points of a 50,001-point grid over [0, 2.1e5]: the check
+    # read a gap of 0.709 bits.  A second pass around the grid's argmax
+    # closes it.
+    argv = ["dpc-lambda", "--p1", "1e10", "--p2", "1e10", "--alpha", "0.5", "--beta", "0"]
+    assert main([*argv, "--check", "50001"]) == 0
+    gap = re.search(r"closed-form minus grid value = (\S+)\n", capsys.readouterr().out)
+    assert abs(float(gap.group(1))) < 1e-6
 
 
 @pytest.mark.parametrize(

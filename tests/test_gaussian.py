@@ -40,6 +40,7 @@ from icdms.gaussian import (
     MAX_LAMBDA,
     MAX_POWER,
     _pair_bounds,
+    _pair_scratch,
     _region_g_arrays,
     _row_bounds,
 )
@@ -516,6 +517,66 @@ def test_region_g_arrays_match_loop_oracle_bitwise(case):
         np.testing.assert_array_equal(bits(out[:, 0]), bits(np.concatenate(ref)))
 
 
+_lam = st.just(0.0) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def scratch_calls(draw):
+    """A channel and a sequence of ``_region_g_arrays`` arguments shaped as
+    the ``g`` sweep makes them: main-grid tiles of 1 to 4 betas, boundary
+    faces of shape (N, 1) at beta 0 or 1, and scalar calls.  Zero powers,
+    alpha = 0, beta in {0, 1} and a positive lambda on a zero-power stream
+    come up often."""
+    ch = ChannelParams(
+        draw(_power), draw(_power), draw(st.floats(0.0, 8.0)), draw(st.floats(0.0, 8.0))
+    )
+
+    def lams(shape):
+        return draw(arrays(float, shape, elements=_lam))
+
+    calls = []
+    for kind in draw(st.lists(st.sampled_from(["tile", "face", "scalar"]), min_size=1, max_size=6)):
+        if kind == "tile":
+            b, n1, n2 = (draw(st.integers(1, 4)) for _ in range(3))
+            betas = draw(arrays(float, b, elements=_split))
+            calls.append((draw(_split), betas[:, None, None], lams((b, n1, 1)), lams((b, 1, n2))))
+        elif kind == "face":
+            n = draw(st.integers(1, 5))
+            alphas = draw(arrays(float, (n, 1), elements=_split))
+            calls.append((alphas, draw(st.sampled_from([0.0, 1.0])), 0.0, lams((n, 1))))
+        else:
+            calls.append((draw(_split), draw(_split), draw(_lam), draw(_lam)))
+    return ch, calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(scratch_calls())
+def test_one_scratch_across_calls_matches_fresh_calls_bitwise(case):
+    # The g sweep passes one scratch, sized to its largest tile, to every
+    # call.  Each call gives what a call with its own scratch gives, bit for
+    # bit, and its outputs share no memory with the scratch: later calls and
+    # writes into the scratch leave them as they were.
+    ch, calls = case
+    scratch = _pair_scratch(
+        max(math.prod(np.broadcast_shapes((1, 1), *map(np.shape, args))) for args in calls)
+    )
+    kept = []
+    for args in calls:
+        got = _region_g_arrays(ch, *args, scratch)
+        want = _region_g_arrays(ch, *args)
+        for x, y in zip(got[:3], want[:3]):
+            np.testing.assert_array_equal(bits(x), bits(y))
+        np.testing.assert_array_equal(got[3], want[3])
+        assert not any(np.shares_memory(x, buf) for x in got for buf in scratch)
+        kept.append((got, want))
+    scratch[0].fill(math.nan)
+    scratch[1].fill(True)
+    for got, want in kept:
+        for x, y in zip(got[:3], want[:3]):
+            np.testing.assert_array_equal(bits(x), bits(y))
+        np.testing.assert_array_equal(got[3], want[3])
+
+
 #: Term values: signed zeros, infinities, NaN, subnormals, 1e300 and any float.
 _term = st.sampled_from(
     [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1e300, -1e300]
@@ -583,12 +644,19 @@ def test_bounds_statement_is_g_old_statement_bitwise(rows, width, data):
 
     i1, i3, i5 = (draw((rows, 1)) for _ in range(3))
     i2, i4, i6, i7 = (draw((rows, width)) for _ in range(4))
+    out = tuple(np.empty((rows, width)) for _ in range(4))
     with np.errstate(all="ignore"):
         r1, u_at_y1 = _row_bounds(i1, i3, i5)
         r2, r_sum, residuals = _pair_bounds(i2, i3, i4, i5, i6, i7)
         got = (np.minimum(r1, u_at_y1), r2, r_sum, u_at_y1, *residuals)
+        into = _pair_bounds(i2, i3, i4, i5, i6, i7, out=out)
         w_r1, w_r2, w_sum, w_residuals = _old_g_bounds(i1, i2, i3, i4, i5, i6, i7)
     for x, y in zip(got, (w_r1, w_r2, w_sum, *w_residuals)):
+        np.testing.assert_array_equal(bits(x), bits(y))
+    # Written into ``out``, the pair part is the same bits, in those arrays.
+    r2, r_sum, residuals = into
+    assert all(x is y for x, y in zip((r2, r_sum, *residuals[:2]), out)) and residuals[2] is r2
+    for x, y in zip((r2, r_sum, *residuals), (w_r2, w_sum, *w_residuals[1:])):
         np.testing.assert_array_equal(bits(x), bits(y))
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import warnings
 from dataclasses import replace
 
@@ -838,3 +839,21 @@ def test_g_sweep_memory_at_81_points():
     f, peak = traced_peak(lambda: sweep_gaussian(ch, grid, "g"))
     assert f.reach > 0.0
     assert peak < 32 * 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's minor page-fault count")
+def test_repeated_g_sweep_makes_few_page_faults():
+    # Every call of the g sweep writes its pair stage into one scratch, made
+    # once per sweep, so no tile hands pair-sized temporaries back to the
+    # allocator for the next tile to fault in again.  Before, each repeat of
+    # the default fig6 sweep made 2.5 k to 10 k minor faults, depending on
+    # what the process had allocated before; three repeats now make a few
+    # hundred at most.
+    import resource
+
+    ch, grid = ChannelParams(p1=6.0, p2=6.0, c12=0.3, c21=2.0), default_grid("g")
+    sweep_gaussian(ch, grid, "g")
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        sweep_gaussian(ch, grid, "g")
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000

@@ -8,7 +8,7 @@ from helpers import traced_peak
 from hypothesis import given, settings, strategies as st
 
 from icdms.geometry import PAIR_TILE
-from icdms.tiling import tiles
+from icdms.tiling import largest_piece, tiles
 
 
 @settings(max_examples=300, deadline=None)
@@ -17,7 +17,7 @@ def test_tiles_cover_the_space_once_in_c_order_within_the_limit(data):
     """The pieces cover the index space exactly once, in C order; a piece
     exceeds ``limit`` only where its cut axes are down to one entry; each
     cut axis holds as many entries as the limit allows; and the axes not
-    in ``axes`` stay whole."""
+    in ``axes`` stay whole.  ``largest_piece`` is the largest piece's size."""
     shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=6)))
     limit = data.draw(st.integers(1, math.prod(shape) + 2))
     axes = data.draw(st.none() | st.lists(st.integers(0, len(shape) - 1), unique=True))
@@ -31,13 +31,15 @@ def test_tiles_cover_the_space_once_in_c_order_within_the_limit(data):
         elif sizes[k] < n:
             assert math.prod(sizes) // sizes[k] * (sizes[k] + 1) > limit
     cover = np.zeros(shape, dtype=int)
-    corners = []
+    corners, largest = [], 0
     for piece in itertools.product(*cuts):
         cover[piece] += 1
         corners.append(tuple(s.start for s in piece))
         lengths = [s.stop - s.start for s in piece]
         assert math.prod(lengths) <= limit or all(lengths[k] == 1 for k in cut)
+        largest = max(largest, math.prod(lengths))
     assert (cover == 1).all()
+    assert largest_piece(cuts) == largest
     assert corners == sorted(set(corners))
 
 
