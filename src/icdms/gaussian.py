@@ -554,9 +554,12 @@ def _region_g_arrays(
             x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
             lead = x.shape[:-1]
             if lead not in at:
-                index = tuple(t if n > 1 else 0 for t, n in zip(take, lead))
-                at[lead] = np.broadcast_to(np.ravel_multi_index(index, lead), (n_rows,))
-            return np.take(x.reshape(-1, x.shape[-1]), at[lead][only], axis=0, out=out, mode="clip")
+                flat = 0  # the row's C-order index into x's leading axes
+                for t, n in zip(take, lead):
+                    flat = flat * n + (t if n > 1 else 0)
+                at[lead] = np.broadcast_to(flat, (n_rows,))
+            x = x.reshape(math.prod(lead), x.shape[-1])
+            return np.take(x, at[lead][only], axis=0, out=out, mode="clip")
 
         uu_, uy2_, on_u, on_v, i3_, y2y2_ = map(rows, (uu, uy2, active_u, active_v, i3, y2y2))
         vv_, vy2_, det_vy2_, uv = map(rows, (vv, vy2, det_vy2, l2), (w0, w1, w2, w3))

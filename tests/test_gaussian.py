@@ -523,10 +523,10 @@ _lam = st.just(0.0) | st.floats(0.0, 10.0)
 @st.composite
 def scratch_calls(draw):
     """A channel and a sequence of ``_region_g_arrays`` arguments shaped as
-    the ``g`` sweep makes them: main-grid tiles of 1 to 4 betas, boundary
-    faces of shape (N, 1) at beta 0 or 1, and scalar calls.  Zero powers,
-    alpha = 0, beta in {0, 1} and a positive lambda on a zero-power stream
-    come up often."""
+    the ``g`` sweep makes them: main-grid tiles of 0 to 4 betas, lambda1
+    and lambda2 points, boundary faces of shape (N, 1) at beta 0 or 1, and
+    scalar calls.  Zero powers, alpha = 0, beta in {0, 1} and a positive
+    lambda on a zero-power stream come up often."""
     ch = ChannelParams(
         draw(_power), draw(_power), draw(st.floats(0.0, 8.0)), draw(st.floats(0.0, 8.0))
     )
@@ -537,7 +537,7 @@ def scratch_calls(draw):
     calls = []
     for kind in draw(st.lists(st.sampled_from(["tile", "face", "scalar"]), min_size=1, max_size=6)):
         if kind == "tile":
-            b, n1, n2 = (draw(st.integers(1, 4)) for _ in range(3))
+            b, n1, n2 = (draw(st.integers(0, 4)) for _ in range(3))
             betas = draw(arrays(float, b, elements=_split))
             calls.append((draw(_split), betas[:, None, None], lams((b, n1, 1)), lams((b, 1, n2))))
         elif kind == "face":
