@@ -536,14 +536,20 @@ def cmd_dpc_lambda(args: argparse.Namespace) -> int:
                 arg, value = grid_maximize(objective, 0.0, hi, args.check)
                 # The peak is about 1 wide in lambda, so at high power it can
                 # fall between grid points: search again one spacing either
-                # side of the grid's own argmax, and keep the better pass.
+                # side of the best argmax so far, while the window holds more
+                # than one float, each pass improves and the next would narrow.
                 step = hi / (args.check - 1)
-                fine = grid_maximize(objective, max(0.0, arg - step), arg + step, args.check)
+                while (lo := max(0.0, arg - step)) < arg + step:
+                    fine = grid_maximize(objective, lo, arg + step, args.check)
+                    if fine[1] <= value:
+                        break
+                    arg, value = fine
+                    if args.check <= 3:  # 2 * step / (n - 1) is not below step
+                        break
+                    step = 2.0 * step / (args.check - 1)
         except NonFiniteObjectiveError as exc:
             # On a subnormal stream power the bin cost lambda**2 / s overflows.
             raise ConfigError(f"--check: {exc} (V stream power {s:g})") from exc
-        if fine[1] > value:
-            arg, value = fine
         print(f"grid argmax = {arg:.12g}, value = {value:.12g}")
         print(f"closed-form minus grid value = {gain - value:.3g}")
     return 0
@@ -695,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
         const=50001,
         default=None,
         help="grid-check the optimum with this many grid points, and as many "
-        "again around the grid's argmax",
+        "again in each narrowing pass around the best argmax",
     )
     p_dpc.set_defaults(func=cmd_dpc_lambda)
 

@@ -46,8 +46,12 @@ Conventions
   (:func:`_check_lambda`) bounds it.  ``_lambda_rows``' rounding step
   exists only to keep the reference figures' bytes.
 * Zero-power limits are evaluated exactly.  At ``p1 == 0`` a lambda still
-  bins against ``W``, which sender 2 sends.  A *positive* lambda on a
-  zero-power stream diverges: the region is infeasible.
+  bins against ``W``, which sender 2 sends.  A stream with zero power and
+  zero lambda is *absent*, a constant: every mutual information is the same
+  without it, or with an independent unit-variance variable in its place.
+  :func:`_unit_w_model` makes it that variable (variance 1, covariances 0),
+  so the substitution is exact and no formula needs a case of its own.  A
+  *positive* lambda on a zero-power stream diverges: the region is infeasible.
 """
 
 from __future__ import annotations
@@ -338,18 +342,19 @@ _Model = namedtuple("_Model", "eta1 eta2 s_u s_v uu uy1 y1y1 uy2 vv vy2 y2y2")
 
 
 def _unit_w_model(ch: ChannelParams, alpha, beta, l1, l2) -> _Model:
-    """The unit-W covariance model, elementwise over arrays.  The lambdas
-    are taken as given: on a zero-power stream a positive one makes the
-    blocks singular (``U = lambda1 * W``)."""
+    """The unit-W covariance model, elementwise over arrays.  An absent
+    stream has variance 1 (module docstring); its covariances are 0 as they
+    stand.  On a zero-power stream a positive lambda makes the blocks
+    singular (``U = lambda1 * W``)."""
     eta1, eta2 = _eta_arrays(ch, alpha)
     s_u, s_v = _stream_powers(ch.p2, alpha, beta)
     return _Model(
         eta1, eta2, s_u, s_v,
-        uu=s_u + l1 * l1,
+        uu=np.where((s_u == 0.0) & (l1 == 0.0), 1.0, s_u + l1 * l1),
         uy1=math.sqrt(ch.c21) * s_u + l1 * eta1,
         y1y1=eta1 * eta1 + ch.c21 * (s_u + s_v) + 1.0,
         uy2=s_u + l1 * eta2,
-        vv=s_v + l2 * l2,
+        vv=np.where((s_v == 0.0) & (l2 == 0.0), 1.0, s_v + l2 * l2),
         vy2=s_v + l2 * eta2,
         y2y2=s_u + s_v + eta2 * eta2 + 1.0,
     )
@@ -361,7 +366,9 @@ def build_covariances(
     """Covariance matrices of (W, U, Y1) and (U, V, Y2), unit-variance W:
     the entries of :func:`_unit_w_model`, placed as the module docstring shows.
 
-    Degenerate inputs (zero stream powers) yield singular matrices;
+    The matrices describe that model, not the physical signals: an absent
+    stream (zero power, zero lambda) has variance 1 here, not 0.  A
+    positive lambda on a zero-power stream yields singular matrices;
     downstream operations decide how to handle them.
     """
     l1, l2 = cp.lambda1, cp.lambda2
@@ -475,12 +482,11 @@ def _region_g_arrays(
     rows that pass the row part's checks (lambda1 not divergent, ``i1``
     finite, ``u_at_y1 >= -FEAS_TOL``).  A row that fails them is infeasible
     whatever lambda2 is, so skipping its pairs changes no output.  The pair
-    terms take the both-streams-active formulas, and the rows with an
-    inactive stream (beta = 0 or 1, alpha = 0) are then overwritten with
-    their fallbacks; whether a stream is active depends on alpha and beta
-    alone, so on the row.  Each tuple still goes through the same
-    floating-point operations as when evaluated alone, so the result does
-    not depend on how the tuples are batched.
+    terms have one formula for every row: an absent stream (beta = 0 or 1,
+    alpha = 0) is a variable of the model like any other.  Each tuple
+    still goes through the same floating-point operations as when
+    evaluated alone, so the result does not depend on how the tuples are
+    batched.
 
     ``scratch`` is a :func:`_pair_scratch` for at least the pairs of this
     call (passing rows x lambda2 columns; the tuple count is enough), into
@@ -488,11 +494,12 @@ def _region_g_arrays(
     own.  The returned arrays never share memory with it.
 
     The lambdas are on the unit-variance-W scale, which keeps the zero-power
-    limits exact: at p1 == 0 they still bin against W, and a stream with
-    zero power and zero lambda is dropped instead of pushing a singular
-    determinant through a log.  Interior points agree with the
-    entropy-term route to 1e-9 relative, or to the rounding error of the
-    covariance determinants where a block is ill-conditioned.
+    limits exact: at p1 == 0 they still bin against W.  Without a U stream,
+    ``i1`` and ``i5`` are I(W; Y1) from var(Y1 | W) as written, which does
+    not cancel eta1^2 as det(W, U, Y1) would.  Every point that the
+    entropy-term route evaluates agrees with it to 1e-9 relative, or to the
+    rounding error of the covariance determinants where a block is
+    ill-conditioned.
 
     Returns ``(r1_max, r2_max, sum_max, feasible)``: ``feasible`` is the
     mask over the broadcast shape, which is at least 2-D, and the three
@@ -507,7 +514,7 @@ def _region_g_arrays(
     if uu.shape[-1] != 1:
         raise ValueError("alpha, beta and lambda1 must have size 1 on the last axis")
     shape = np.broadcast_shapes(uu.shape, vv.shape)
-    # A stream with zero power drops out; a positive lambda on it diverges.
+    # A positive lambda on a zero-power stream diverges.
     active_u, active_v = s_u > 0.0, s_v > 0.0
     det_wy1 = ch.c21 * (s_u + s_v) + 1.0  # var(Y1 | W), without cancelling eta1^2
 
@@ -522,7 +529,6 @@ def _region_g_arrays(
         i5 = np.where(active_u, _gamma(s_u * y1y1 / det_wuy1), i1_w)
         i3 = np.where(active_u, _gamma(1.0 + l1 * l1 / s_u), 0.0)
         det_uy2 = uu * y2y2 - uy2 * uy2
-        i2_u = _gamma(uu * y2y2 / det_uy2)  # no V stream
         r1, u_at_y1 = _row_bounds(i1, i3, i5)
         row_ok = ~(~active_u & (l1 > 0.0)) & np.isfinite(i1) & (u_at_y1 >= -FEAS_TOL)
         r1 = np.minimum(r1, u_at_y1)  # R_U >= 0 caps r1; region_full has no cap yet
@@ -530,7 +536,6 @@ def _region_g_arrays(
         # lambda2-only terms.
         i4 = np.where(active_v, _gamma(1.0 + l2 * l2 / s_v), 0.0)
         det_vy2 = vv * y2y2 - vy2 * vy2
-        i2_v = _gamma(vv * y2y2 / det_vy2)  # no U stream
         col_ok = ~(~active_v & (l2 > 0.0))
 
         # Pair terms, on the rows that passed, each written into ``scratch``.
@@ -545,12 +550,11 @@ def _region_g_arrays(
         )
         at = {}
 
-        def rows(x, out=None, only=slice(None)):
-            # ``x`` at the passing rows (or at ``only`` of them), read from
-            # its own storage by ``np.take``: a row term as one column, a
-            # lambda2 term as the whole block, written into ``out`` when
-            # given.  ``mode="clip"`` keeps take from buffering ``out``;
-            # every index is in range.
+        def rows(x, out=None):
+            # ``x`` at the passing rows, read from its own storage by
+            # ``np.take``: a row term as one column, a lambda2 term as the
+            # whole block, written into ``out`` when given.  ``mode="clip"``
+            # keeps take from buffering ``out``; every index is in range.
             x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
             lead = x.shape[:-1]
             if lead not in at:
@@ -559,9 +563,9 @@ def _region_g_arrays(
                     flat = flat * n + (t if n > 1 else 0)
                 at[lead] = np.broadcast_to(flat, (n_rows,))
             x = x.reshape(math.prod(lead), x.shape[-1])
-            return np.take(x, at[lead][only], axis=0, out=out, mode="clip")
+            return np.take(x, at[lead], axis=0, out=out, mode="clip")
 
-        uu_, uy2_, on_u, on_v, i3_, y2y2_ = map(rows, (uu, uy2, active_u, active_v, i3, y2y2))
+        uu_, uy2_, i3_, y2y2_ = map(rows, (uu, uy2, i3, y2y2))
         vv_, vy2_, det_vy2_, uv = map(rows, (vv, vy2, det_vy2, l2), (w0, w1, w2, w3))
         np.multiply(rows(l1), uv, out=uv)  # uv = l1 * l2
         # det_uv = uu_ * vv_ - uv * uv
@@ -573,19 +577,12 @@ def _region_g_arrays(
         det_uvy2 -= np.multiply(uv, part, out=w6)
         part = np.subtract(np.multiply(uv, vy2_, out=w6), np.multiply(vv_, uy2_, out=w7), out=w6)
         det_uvy2 += np.multiply(uy2_, part, out=w6)
-        # Both streams active: i2 = _gamma(det_uv * y2y2_ / det_uvy2),
-        # i6 = _gamma(vv_ * det_uy2 / det_uvy2), i7 = _gamma(uu_ * det_vy2_ / det_uvy2).
+        # i2 = _gamma(det_uv * y2y2_ / det_uvy2), i6 = _gamma(vv_ * det_uy2 / det_uvy2)
+        # and i7 = _gamma(uu_ * det_vy2_ / det_uvy2).
         i2 = _gamma(np.divide(np.multiply(det_uv, y2y2_, out=w4), det_uvy2, out=w4), out=w4)
         i6 = np.multiply(vv_, rows(det_uy2), out=w6)
         i6 = _gamma(np.divide(i6, det_uvy2, out=w6), out=w6)
         i7 = _gamma(np.divide(np.multiply(uu_, det_vy2_, out=w7), det_uvy2, out=w7), out=w7)
-        # The rows with an inactive stream take the fallbacks instead.
-        if (patch := np.flatnonzero(~(on_u & on_v))).size:
-            on_u, on_v = on_u[patch], on_v[patch]
-            i2_v_ = np.where(on_v, rows(i2_v, only=patch), 0.0)
-            i2[patch] = np.where(on_u, rows(i2_u, only=patch), i2_v_)
-            i6[patch] = np.where(on_u, 0.0, i2[patch])
-            i7[patch] = np.where(on_v, 0.0, i2[patch])
 
         r2, r_sum, residuals = _pair_bounds(
             i2, i3_, rows(i4, out=w1), rows(i5), i6, i7, out=(w2, w3, w5, w0)
@@ -680,8 +677,6 @@ def dpc_lambda_star(
     ``lambda2`` as it stands.
     """
     s, eta2 = _dpc_split(ch, alpha, beta)
-    if s == 0.0:
-        return 0.0, 0.0
     return _dpc_optimum(s, eta2), 0.5 * math.log2(1.0 + s)
 
 

@@ -840,12 +840,17 @@ def test_dpc_lambda_check_at_high_power(p2, capsys):
     assert "closed-form minus grid value = 0\n" in out
 
 
-def test_dpc_lambda_check_finds_a_peak_between_grid_points(capsys):
-    # At p1 = p2 = 1e10 the objective's peak, about 1 wide in lambda, falls
-    # between the points of a 50,001-point grid over [0, 2.1e5]: the check
-    # read a gap of 0.709 bits.  A second pass around the grid's argmax
-    # closes it.
-    argv = ["dpc-lambda", "--p1", "1e10", "--p2", "1e10", "--alpha", "0.5", "--beta", "0"]
+@pytest.mark.parametrize(
+    "p1, p2", [("1e10", "1e10"), ("1e14", "1e14"), ("1e16", "1e16"), ("0", "1e20")],
+    ids=["1e10", "1e14", "1e16", "p1_0_p2_1e20"],
+)
+def test_dpc_lambda_check_finds_a_peak_between_grid_points(p1, p2, capsys):
+    # The objective's peak is about 1 wide in lambda.  At p1 = p2 = 1e10 it
+    # falls between the points of a 50,001-point grid over [0, 2.1e5] (a
+    # gap of 0.709 bits), and past about 1e14 also between those of one
+    # pass around the grid's argmax (6.96e-6 bits at 1e14, 2.27 at p1 = 0,
+    # p2 = 1e20).  Passes that narrow around the best argmax close it.
+    argv = ["dpc-lambda", "--p1", p1, "--p2", p2, "--alpha", "0.5", "--beta", "0"]
     assert main([*argv, "--check", "50001"]) == 0
     gap = re.search(r"closed-form minus grid value = (\S+)\n", capsys.readouterr().out)
     assert abs(float(gap.group(1))) < 1e-6

@@ -186,24 +186,25 @@ def test_entropy_h_c_matches_monte_carlo():
 
 def test_entropy_degenerate_on_zero_p1():
     # W has unit variance at p1 = 0 too, so p1 = 0 makes no block singular:
-    # entropy_terms evaluates there, h(W) = XI, and it raises only where it
-    # raises at p1 = 1, on the same term (a zero-power stream with lambda = 0,
-    # or U = lambda1 W).
-    for coding, term in (
-        (GaussianCoding(0.5, 0.5), None),
-        (GaussianCoding(1.0, 0.5), None),
-        (GaussianCoding(0.5, 0.0), "h_b"),
-        (GaussianCoding(0.5, 1.0), "h_d"),
-        (GaussianCoding(0.5, 0.0, 0.3), "h_c"),
-    ):
-        for p1 in (0.0, 1.0):
-            ch = ChannelParams(p1, 6.0, 0.3, 0.3)
-            if term is None:
-                assert entropy_terms(ch, coding).h_a == pytest.approx(XI, abs=1e-12)
-            else:
-                with pytest.raises(DegenerateError) as exc:
-                    entropy_terms(ch, coding)
-                assert exc.value.term == term
+    # entropy_terms evaluates there as at p1 = 1, and h(W) = XI.  An absent
+    # stream (zero power, lambda = 0) is a unit-variance variable of the
+    # model, so its own entropy is XI and the coding evaluates.  Only a
+    # positive lambda on a zero-power stream (U = lambda1 W) is singular.
+    for p1 in (0.0, 1.0):
+        ch = ChannelParams(p1, 6.0, 0.3, 0.3)
+        for coding, absent in (
+            (GaussianCoding(0.5, 0.5), None),
+            (GaussianCoding(1.0, 0.5), None),
+            (GaussianCoding(0.5, 0.0), "h_k"),
+            (GaussianCoding(0.5, 1.0), "h_i"),
+        ):
+            h = entropy_terms(ch, coding)
+            assert h.h_a == pytest.approx(XI, abs=1e-12)
+            if absent is not None:
+                assert getattr(h, absent) == XI
+        with pytest.raises(DegenerateError) as exc:
+            entropy_terms(ch, GaussianCoding(0.5, 0.0, 0.3))
+        assert exc.value.term == "h_c"
 
 
 def test_entropy_monotone_in_subcollections():
@@ -671,23 +672,44 @@ def _rounding_scale(ch, cp):
     )
 
 
+def _assert_matches_mi_terms(ch, cp, region, mi):
+    """``region`` (from region_g) against the mi_terms / entropy_terms route:
+    each bound within 1e-9 relative (below 1 bit, 1e-9 bits).  Both round
+    determinants of the covariance blocks, so where a block is
+    ill-conditioned (diagonal product / det = kappa above about 1e7) the
+    tolerance is the rounding scale 64 eps kappa.  Feasibility must agree
+    unless a residual lies within that tolerance of -FEAS_TOL."""
+    tol = max(1e-9, 64 * np.finfo(float).eps * _rounding_scale(ch, cp))
+    residuals = (
+        mi.i5 - mi.i3, mi.i7 - mi.i3, mi.i6 - mi.i4, mi.i2 - mi.i3 - mi.i4
+    )
+    feasible = all(r >= -FEAS_TOL for r in residuals)
+    if all(abs(r + FEAS_TOL) > tol * max(abs(r), 1.0) for r in residuals):
+        assert region.feasible == feasible
+    if region.feasible and feasible:
+        for got, want in (
+            (region.r1_max, max(min(mi.i1, mi.i5 - mi.i3), 0.0)),
+            (region.r2_max, max(mi.i2 - mi.i3 - mi.i4, 0.0)),
+            (region.sum_max, max(mi.i5 + mi.i6 - mi.i3 - mi.i4, 0.0)),
+        ):
+            assert abs(got - want) <= tol * max(abs(want), 1.0)
+
+
 _log_power = st.just(0.0) | st.floats(-1.0, 8.0).map(lambda e: 10.0**e)
-_interior = st.floats(0.05, 0.95)
+_split_or_face = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
+_lambda_share = st.just(0.0) | st.floats(0.0, 3.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     _log_power, _log_power, st.floats(0.0, 8.0), st.floats(0.0, 8.0),
-    _interior, _interior, st.floats(0.0, 3.0), st.floats(0.0, 3.0),
+    _split_or_face, _split_or_face, _lambda_share, _lambda_share,
 )
 def test_region_g_arrays_match_entropy_route(p1, p2, c12, c21, alpha, beta, f1, f2):
-    # Interior draws up to p = 1e8, and p1 = 0 or p2 = 0 often: region_g and
-    # the batched bounds agree with the mi_terms / entropy_terms route to
-    # 1e-9 relative (below 1 bit, 1e-9 bits).  At p1 = 0 the lambdas still
-    # bin against W on both routes.  Both round determinants of the
-    # covariance blocks, so where a block is ill-conditioned (diagonal
-    # product / det = kappa above about 1e7) the tolerance is the rounding
-    # scale 64 eps kappa.
+    # Draws up to p = 1e8, interior or on a face (alpha or beta in {0, 1}),
+    # and p1 = 0 or p2 = 0 often: region_g and the batched bounds agree with
+    # the mi_terms / entropy_terms route by _assert_matches_mi_terms' rule.
+    # At p1 = 0 the lambdas still bin against W on both routes.
     ch = ChannelParams(p1, p2, c12, c21)
     _, eta2 = eta_coefficients(ch, alpha)
     cp = GaussianCoding(alpha, beta, f1 * eta2, f2 * eta2)
@@ -699,24 +721,41 @@ def test_region_g_arrays_match_entropy_route(p1, p2, c12, c21, alpha, beta, f1, 
     try:
         mi = mi_terms(ch, cp)
     except DegenerateError as exc:
-        # A divergent bin rate is infeasible on both routes (p2 = 0 with a
-        # positive lambda); a singular block is a limit only the closed forms take.
+        # A divergent bin rate (a positive lambda on a zero-power stream) is
+        # infeasible on both routes; a singular block is a limit only the
+        # closed forms take.
         assert exc.term not in ("i3", "i4") or not ok
         assume(False)
-    tol = max(1e-9, 64 * np.finfo(float).eps * _rounding_scale(ch, cp))
-    residuals = (
-        mi.i5 - mi.i3, mi.i7 - mi.i3, mi.i6 - mi.i4, mi.i2 - mi.i3 - mi.i4
-    )
-    feasible = all(r >= -FEAS_TOL for r in residuals)
-    if all(abs(r + FEAS_TOL) > tol * max(abs(r), 1.0) for r in residuals):
-        assert ok == feasible
-    if ok and feasible:
-        for got, want in (
-            (r1, max(min(mi.i1, mi.i5 - mi.i3), 0.0)),
-            (r2, max(mi.i2 - mi.i3 - mi.i4, 0.0)),
-            (rsum, max(mi.i5 + mi.i6 - mi.i3 - mi.i4, 0.0)),
-        ):
-            assert abs(got.item() - want) <= tol * max(abs(want), 1.0)
+    _assert_matches_mi_terms(ch, cp, region, mi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _log_power, _log_power, st.floats(0.0, 8.0), st.floats(0.0, 8.0),
+    st.just(0.0) | st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]), st.floats(0.0, 3.0),
+)
+def test_region_g_matches_entropy_route_on_the_faces(p1, p2, c12, c21, alpha, beta, f):
+    # The faces: beta = 0 (the dirty-paper family, no U stream), beta = 1
+    # (no V stream), and alpha = 0 or p2 = 0 (neither), with lambda = 0 on
+    # each absent stream and f * eta2 on a present one.  mi_terms evaluates
+    # them, and region_g agrees with it.
+    ch = ChannelParams(p1, p2, c12, c21)
+    _, eta2 = eta_coefficients(ch, alpha)
+    s_u, s_v = alpha * beta * p2, alpha * (1.0 - beta) * p2
+    # A subnormal stream power leaves its blocks' determinants no digits
+    # (np.linalg.det rounds them to 0), so no tolerance applies there.
+    assume(all(s == 0.0 or s >= np.finfo(float).tiny for s in (s_u, s_v)))
+    cp = GaussianCoding(alpha, beta, f * eta2 * (s_u > 0.0), f * eta2 * (s_v > 0.0))
+    try:
+        mi = mi_terms(ch, cp)
+    except DegenerateError:
+        # A positive lambda on a stream of power far below lambda^2 makes a
+        # block singular to rounding (U = lambda1 W), a limit only the closed
+        # forms take.  The absent stream never does: without the lambda the
+        # coding evaluates.
+        mi_terms(ch, GaussianCoding(alpha, beta))
+        assume(False)
+    _assert_matches_mi_terms(ch, cp, region_g(ch, cp), mi)
 
 
 def test_region_g_at_the_lambda_cap_on_the_power_cap():
@@ -748,16 +787,22 @@ def test_covariances_match_simulated_signals():
     # standard errors of the sample mean of its products.  An entry whose
     # products are all 0 (a silent stream) has standard error 0, so it
     # must match exactly.
+    # An absent stream (zero power, lambda = 0) is simulated as an
+    # independent standard normal, which is the model's definition of it, so
+    # that case encodes the rule rather than checking it.
     n = 200_000
-    w, ut, vt, z1, z2 = np.random.default_rng(25).standard_normal((5, n))
+    rng = np.random.default_rng(25)
+    w, ut, vt, z1, z2 = rng.standard_normal((5, n))
+    absent_u, absent_v = rng.standard_normal((2, n))
+    codings = ((0.5, 0.0, 0.7, 1.1), (0.8, 1.0, 0.0, 0.3), (0.3, 0.6, 1.4, 0.5), (0.6, 0.0, 0.0, 0.9))
     for ch in _SIM_CHANNELS:
-        for alpha, beta, lam1, lam2 in ((0.5, 0.0, 0.7, 1.1), (0.8, 1.0, 0.0, 0.3), (0.3, 0.6, 1.4, 0.5)):
+        for alpha, beta, lam1, lam2 in codings:
             cp = GaussianCoding(alpha, beta, lam1, lam2)
             s_u, s_v = alpha * beta * ch.p2, alpha * (1.0 - beta) * ch.p2
             x1 = math.sqrt(ch.p1) * w
             x2 = math.sqrt(s_u) * ut + math.sqrt(s_v) * vt + math.sqrt((1.0 - alpha) * ch.p2) * w
-            u = math.sqrt(s_u) * ut + lam1 * w
-            v = math.sqrt(s_v) * vt + lam2 * w
+            u = math.sqrt(s_u) * ut + lam1 * w if s_u or lam1 else absent_u
+            v = math.sqrt(s_v) * vt + lam2 * w if s_v or lam2 else absent_v
             y1 = x1 + math.sqrt(ch.c21) * x2 + z1
             y2 = x2 + math.sqrt(ch.c12) * x1 + z2
             for model, signals in zip(build_covariances(ch, cp), ((w, u, y1), (u, v, y2))):
