@@ -69,7 +69,6 @@ from .oracle import (
     MAX_GRID_STEPS,
     MAX_MC_SAMPLES,
     MIN_MC_SAMPLES,
-    NonFiniteObjectiveError,
     brute_joint_mi,
     grid_maximize,
     mc_gaussian_entropy,
@@ -399,6 +398,8 @@ def _format_report(region) -> list[str]:
 
 
 def cmd_discrete(args: argparse.Namespace) -> int:
+    if args.paper_literal and args.scheme == "full":
+        raise ConfigError("--paper-literal is read by --scheme sim and suc, not --scheme full")
     doc, _ = _read_json(Path(args.distribution))
     try:
         fd = distribution_from_dict(doc)
@@ -531,25 +532,20 @@ def cmd_dpc_lambda(args: argparse.Namespace) -> int:
             return 0
         objective = dpc_gain_objective(channel, args.alpha, args.beta)
         hi = 3.0 * (eta2 + 1.0)
-        try:
-            with np.errstate(all="ignore"):  # a non-finite value is refused below
-                arg, value = grid_maximize(objective, 0.0, hi, args.check)
-                # The peak is about 1 wide in lambda, so at high power it can
-                # fall between grid points: search again one spacing either
-                # side of the best argmax so far, while the window holds more
-                # than one float, each pass improves and the next would narrow.
-                step = hi / (args.check - 1)
-                while (lo := max(0.0, arg - step)) < arg + step:
-                    fine = grid_maximize(objective, lo, arg + step, args.check)
-                    if fine[1] <= value:
-                        break
-                    arg, value = fine
-                    if args.check <= 3:  # 2 * step / (n - 1) is not below step
-                        break
-                    step = 2.0 * step / (args.check - 1)
-        except NonFiniteObjectiveError as exc:
-            # On a subnormal stream power the bin cost lambda**2 / s overflows.
-            raise ConfigError(f"--check: {exc} (V stream power {s:g})") from exc
+        arg, value = grid_maximize(objective, 0.0, hi, args.check)
+        # The peak is about 1 wide in lambda, so at high power it can fall
+        # between grid points: search again one spacing either side of the
+        # best argmax so far, while the window holds more than one float,
+        # each pass improves and the next would narrow.
+        step = hi / (args.check - 1)
+        while (lo := max(0.0, arg - step)) < arg + step:
+            fine = grid_maximize(objective, lo, arg + step, args.check)
+            if fine[1] <= value:
+                break
+            arg, value = fine
+            if args.check <= 3:  # 2 * step / (n - 1) is not below step
+                break
+            step = 2.0 * step / (args.check - 1)
         print(f"grid argmax = {arg:.12g}, value = {value:.12g}")
         print(f"closed-form minus grid value = {gain - value:.3g}")
     return 0

@@ -705,22 +705,25 @@ def _lambda_rows(ch: ChannelParams, points: np.ndarray, s, eta2) -> np.ndarray:
 def dpc_gain_objective(ch: ChannelParams, alpha: float, beta: float):
     """The bin-coefficient objective I(V; Y2 | U) - I(V; W) as a callable.
 
-    Written out term by term (two entropies, a joint entropy, and the bin
-    cost) so that it provides an evaluation route independent of the
-    closed-form optimum in :func:`dpc_lambda_star`.  Accepts scalars or
-    arrays of the coefficient ``lam`` (unit-variance-W scale).
+    Written out as three entropies, h(Y2 | U) + h(V | W) - h(V, Y2 | U), each
+    finite for every stream power s > 0, so that it provides an evaluation
+    route independent of the closed-form optimum in :func:`dpc_lambda_star`.
+    Accepts scalars or arrays of the coefficient ``lam`` (unit-W scale).
     """
     s, eta2 = _dpc_split(ch, alpha, beta)
     if s == 0.0:
         raise ValueError("zero stream power: the objective is identically 0")
     a = s + eta2 * eta2 + 1.0
+    # A subnormal s keeps few bits in s * (lam - eta2)**2.  Exact scalings of s
+    # by 4**k into the normal range and of lam by 2**k leave gamma(s) - gamma(det).
+    k = max(0, (-1020 - math.frexp(s)[1]) // 2)
+    s_k, scale = math.ldexp(s, 2 * k), math.ldexp(1.0, k)
 
     def objective(lam):
         lam = np.asarray(lam, dtype=float)
-        b = s + lam * lam
-        # a * b - (s + lam * eta2)**2, written without the subtraction,
-        # which cancels at high power.
-        det = s * (lam - eta2) ** 2 + b
-        return _gamma(a) + _gamma(b) - _gamma(det) - _gamma(1.0 + lam * lam / s)
+        # (s + eta2**2 + 1) * (s + lam**2) - (s + lam * eta2)**2, written
+        # without the subtraction, which cancels at high power.
+        det = s_k * (lam - eta2) ** 2 + s_k + (lam * scale) ** 2
+        return _gamma(a) + _gamma(s_k) - _gamma(det)
 
     return objective

@@ -425,6 +425,20 @@ def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["--version"]]
+    + [[name, "--help"] for name in ("region", "discrete", "figure", "dpc-lambda", "oracle-check")],
+)
+def test_help_and_version_render(argv, capsys):
+    # argparse formats a help string, and raises on a stray %, only when it
+    # renders it.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip()
+
+
 def test_seed_and_paper_literal_stay_where_they_are_read():
     parser = cli_module.build_parser()
     assert parser.parse_args(["oracle-check"]).seed == 0
@@ -682,6 +696,17 @@ def test_discrete_command_report(tmp_path, capsys):
     assert "active sign constraint: v_margin_y1" in capsys.readouterr().out
 
 
+def test_discrete_paper_literal_with_the_full_scheme_exits_2(tmp_path, capsys):
+    # The full scheme reads no sign constraint: the flag was ignored, with
+    # exit 0 and "paper_literal": true in the report.
+    argv = ["discrete", "--distribution", str(tmp_path / "absent.json"), "--scheme", "full"]
+    assert main([*argv, "--paper-literal", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --paper-literal ") and err.count("\n") == 1
+    assert "--scheme full" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "extra, extra_factors, needle",
     [
@@ -858,16 +883,22 @@ def test_dpc_lambda_check_finds_a_peak_between_grid_points(p1, p2, capsys):
 
 @pytest.mark.parametrize(
     "channel, steps",
-    [(["--p1", "5"], "50001"), (["--p1", "1e100", "--c12", "1"], "3")],
+    [
+        (["--p1", "5", "--p2", "1e-320"], "50001"),
+        (["--p1", "1e100", "--c12", "1", "--p2", "1e-320"], "3"),
+        (["--p1", "0.25", "--c12", "1", "--p2", "5e-324"], "50001"),
+    ],
 )
-def test_dpc_lambda_check_on_a_subnormal_stream_power_exits_2(channel, steps, capsys):
-    # The bin cost lambda**2 / s overflowed on the grid, and the check ended
-    # in a NonFiniteObjectiveError traceback with exit code 1.
-    argv = ["dpc-lambda", *channel, "--p2", "1e-320", "--alpha", "1", "--beta", "0"]
-    assert main([*argv, "--check", steps]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --check: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+def test_dpc_lambda_check_on_a_subnormal_stream_power(channel, steps, capsys):
+    # The bin cost lambda**2 / s overflowed on the grid: the check ended in a
+    # NonFiniteObjectiveError traceback, and later refused the channel with
+    # exit code 2.  At s = 5e-324, s * (lambda - eta2)**2 rounds to 0 unless
+    # s is scaled, and the grid value read 0.161 bits above the gain of 0.
+    argv = ["dpc-lambda", *channel, "--alpha", "1", "--beta", "0"]
+    assert main([*argv, "--check", steps]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "closed-form minus grid value = 0\n" in out
 
 
 def test_oracle_check_command(capsys):

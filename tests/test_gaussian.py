@@ -7,13 +7,14 @@ the Monte Carlo entropy oracle and the grid maximizer.
 
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from g_loop_oracle import loop_region_g_arrays
 from helpers import bits
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from icdms import (
@@ -936,6 +937,29 @@ def test_dpc_gain_objective_at_the_optimum_equals_the_gain(power):
     lam, gain = dpc_lambda_star(ch, 0.5, 0.0)
     value = float(dpc_gain_objective(ch, 0.5, 0.0)(lam))
     assert abs(value - gain) <= 1e-12 * max(1.0, gain)
+
+
+_log_power = st.floats(math.log10(5e-324), 100.0).map(lambda e: max(10.0**e, 5e-324))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_log_power, _log_power, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(p1=0.25, p2=5e-324, c12=1.0, alpha=1.0, beta=0.0)
+def test_dpc_gain_objective_is_finite_down_to_subnormal_powers(p1, p2, c12, alpha, beta):
+    # The bin cost gamma(1 + lam**2 / s) overflowed past lam > 1.3e-6 at
+    # s = 1e-320: the objective read -inf, with an overflow warning.  It
+    # stays finite on the grid dpc-lambda --check evaluates, and below the
+    # closed-form gain it peaks at (at the example, s * (lam - eta2)**2
+    # rounded to 0 and the objective read 0.161 bits above a gain of 0).
+    ch = ChannelParams(p1=p1, p2=p2, c12=c12, c21=0.0)
+    s, eta2 = gaussian._dpc_split(ch, alpha, beta)
+    assume(s > 0.0)
+    _, gain = dpc_lambda_star(ch, alpha, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = dpc_gain_objective(ch, alpha, beta)(np.linspace(0.0, 6.0 * (eta2 + 1.0), 101))
+    assert np.isfinite(values).all()
+    assert values.max() <= gain + 1e-12 * max(1.0, gain)
 
 
 def test_dpc_lambda_star_edge_cases():
