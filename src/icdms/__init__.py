@@ -3,123 +3,17 @@
 Exact finite-alphabet evaluation of the discrete-memoryless regions,
 closed-form evaluation and union of the Gaussian regions, Pareto-frontier
 geometry, and independent Monte Carlo / brute-force oracles.
+
+Each public name is declared once, in the ``__all__`` of the module that
+defines it, and every such name can be imported from ``icdms``.
 """
 
-from .discrete import (
-    AlphabetSpec,
-    AxisError,
-    CapExceededError,
-    DiscreteRegion,
-    FactoredDistribution,
-    JointPmf,
-    NormalizationError,
-    assemble_joint,
-    conditional_mi,
-    distribution_from_dict,
-    distribution_to_dict,
-    random_full,
-    random_star,
-    region_full,
-    region_sim,
-    region_suc,
-)
-from .gaussian import (
-    XI,
-    ChannelParams,
-    DegenerateError,
-    EntropyTerms,
-    GaussianCoding,
-    MiTerms,
-    PentagonRegion,
-    build_covariances,
-    dpc_gain_objective,
-    dpc_lambda_star,
-    entropy_terms,
-    eta_coefficients,
-    mi_terms,
-    region_g,
-    region_g_sp1,
-    region_g_sp2,
-    region_g_suc,
-)
-from .geometry import (
-    AxisGrid,
-    EmptyRegionError,
-    EmptyUnionError,
-    Frontier,
-    GridMismatchError,
-    SweepGrid,
-    convexity_defect,
-    default_grid,
-    inclusion_gap,
-    pentagon_frontier,
-    sweep_gaussian,
-    time_sharing_hull,
-    union_frontier,
-)
-from .oracle import (
-    McEstimate,
-    NonFiniteObjectiveError,
-    NotPositiveDefiniteError,
-    brute_joint_mi,
-    grid_maximize,
-    mc_gaussian_entropy,
-)
+from . import discrete, gaussian, geometry, oracle
+from .discrete import *
+from .gaussian import *
+from .geometry import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "XI",
-    "AlphabetSpec",
-    "AxisError",
-    "AxisGrid",
-    "CapExceededError",
-    "ChannelParams",
-    "DegenerateError",
-    "DiscreteRegion",
-    "EmptyRegionError",
-    "EmptyUnionError",
-    "EntropyTerms",
-    "FactoredDistribution",
-    "Frontier",
-    "GaussianCoding",
-    "GridMismatchError",
-    "JointPmf",
-    "McEstimate",
-    "MiTerms",
-    "NonFiniteObjectiveError",
-    "NormalizationError",
-    "NotPositiveDefiniteError",
-    "PentagonRegion",
-    "SweepGrid",
-    "assemble_joint",
-    "brute_joint_mi",
-    "build_covariances",
-    "conditional_mi",
-    "convexity_defect",
-    "default_grid",
-    "distribution_from_dict",
-    "distribution_to_dict",
-    "dpc_gain_objective",
-    "dpc_lambda_star",
-    "entropy_terms",
-    "eta_coefficients",
-    "grid_maximize",
-    "inclusion_gap",
-    "mc_gaussian_entropy",
-    "mi_terms",
-    "pentagon_frontier",
-    "random_full",
-    "random_star",
-    "region_full",
-    "region_g",
-    "region_g_sp1",
-    "region_g_sp2",
-    "region_g_suc",
-    "region_sim",
-    "region_suc",
-    "sweep_gaussian",
-    "time_sharing_hull",
-    "union_frontier",
-]
+__all__ = ["__version__", *discrete.__all__, *gaussian.__all__, *geometry.__all__, *oracle.__all__]

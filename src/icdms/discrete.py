@@ -179,15 +179,19 @@ _TERM_QUERIES = {
 
 
 class NormalizationError(ValueError):
-    """A factor table has a conditional slice that does not sum to one."""
+    """A factor table has a conditional slice that does not sum to one, or an
+    ``entry`` that is negative or not finite: ``index`` and ``total`` are the
+    slice's index and sum, or the entry's index and value."""
 
-    def __init__(self, factor: str, index: tuple, total: float):
+    def __init__(self, factor: str, index: tuple, total: float, entry: bool = False):
         self.factor = factor
         self.index = index
         self.total = total
-        super().__init__(
-            f"factor {factor!r}, slice {index}: mass sums to {total!r}, not 1"
-        )
+        if entry:
+            message = f"factor {factor!r}, entry {index} is {total!r}, not a finite number >= 0"
+        else:
+            message = f"factor {factor!r}, slice {index}: mass sums to {total!r}, not 1"
+        super().__init__(message)
 
 
 class CapExceededError(ValueError):
@@ -232,8 +236,10 @@ def _check_conditional(name: str, table: np.ndarray, cond_ndim: int) -> None:
     ``cond_ndim`` leading axes are conditioning axes; the table must sum to
     one over the remaining axes for every conditioning index.
     """
-    if np.any(table < 0.0) or not np.all(np.isfinite(table)):
-        raise NormalizationError(name, (), float(np.min(table)))
+    bad = np.argwhere(~(np.isfinite(table) & (table >= 0.0)))
+    if bad.size:
+        index = tuple(int(i) for i in bad[0])
+        raise NormalizationError(name, index, float(table[index]), entry=True)
     sums = table.sum(axis=tuple(range(cond_ndim, table.ndim)))
     bad = np.argwhere(np.abs(sums - 1.0) > NORM_TOL)
     if bad.size:

@@ -42,8 +42,6 @@ from .tiling import largest_piece, tiles
 
 __all__ = [
     "DEFAULT_R1_STEP",
-    "LAMBDA_SPAN",
-    "MAX_LAMBDA",
     "EmptyRegionError",
     "EmptyUnionError",
     "GridMismatchError",

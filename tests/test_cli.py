@@ -503,6 +503,36 @@ def test_region_config_unknown_key_exits_2_naming_it(tmp_path, capsys, doc, key,
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[{"channel": {"p1": 6}}]\n', "top level must be a JSON object"),
+        ('{"regions": ["g_sp1"]}\n', "missing 'channel' object"),
+        ('{"regions": ["g_sp1"],\n "channel": [6, 6]}\n', "line 2: missing 'channel' object"),
+        ('{"channel": {"p1": 6}, "regions": ["g_sp1"],\n "grid": [1]}\n', "line 2: 'grid' must be an object"),
+        (
+            '{"channel": {"p1": 6}, "regions": ["g_sp1"],\n "grid": {\n  "alpha": 41}}\n',
+            "line 3: grid.alpha must be an object",
+        ),
+    ],
+    ids=["top_level_list", "no_channel", "channel_list", "grid_list", "axis_number"],
+)
+def test_region_config_of_a_bad_shape_exits_2(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_region_config_regions_may_be_one_string(tmp_path):
+    one = write_config(tmp_path, dict(SMALL_CONFIG, regions="g_sp1"), "one.json")
+    listed = write_config(tmp_path, SMALL_CONFIG, "listed.json")
+    assert main(["region", "--config", str(one), "--out", str(tmp_path / "one")]) == 0
+    assert main(["region", "--config", str(listed), "--out", str(tmp_path / "listed")]) == 0
+    for name in ("frontier.csv", "frontier.meta.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "listed" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
     "text, needle",
     [
         (
@@ -797,8 +827,15 @@ def test_discrete_command_normalization_error(tmp_path, capsys):
         ("q", ["1"], "'p_q' (file key 'q') must be an array of numbers, got '1'"),
         ("q", [True], "'p_q' (file key 'q') must be an array of numbers, got True"),
         ("u", [[0.0, True]], "'p_u' (file key 'u') must be an array of numbers, got True"),
+        # These two were reported as the sum of slice (): the negative entry's
+        # slice sums to 1, yet it read "slice (): mass sums to -0.5".
+        ("u", [[1.5, -0.5]], "'p_u', entry (0, 1) is -0.5, not a finite number >= 0"),
+        ("q", [None], "'p_q', entry (0,) is nan, not a finite number >= 0"),
     ],
-    ids=["scalar_q", "2d_w_x1", "x2_w_axis_3", "object_in_q", "ragged_u", "string_q", "bool_q", "mixed_u"],
+    ids=[
+        "scalar_q", "2d_w_x1", "x2_w_axis_3", "object_in_q", "ragged_u", "string_q", "bool_q", "mixed_u",
+        "negative_u", "null_q",
+    ],
 )
 def test_discrete_command_malformed_factor_exits_2(tmp_path, capsys, key, table, needle):
     fd = random_star(AlphabetSpec(), np.random.default_rng(15))
@@ -899,6 +936,39 @@ def test_dpc_lambda_check_on_a_subnormal_stream_power(channel, steps, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert "closed-form minus grid value = 0\n" in out
+
+
+def test_dpc_lambda_check_at_zero_stream_power(capsys):
+    # beta = 1 gives the V stream no power, so no lambda changes the objective.
+    argv = ["dpc-lambda", "--p1", "6", "--p2", "6", "--c21", "0.3", "--alpha", "0.5", "--beta", "1"]
+    assert main([*argv, "--check"]) == 0
+    out = "lambda_star = 0\ngain_bits   = 0\ncheck: zero stream power, objective identically 0\n"
+    assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize(
+    "steps, grid",
+    [
+        ("2", "grid argmax = 0, value = 0.82603834829\nclosed-form minus grid value = 0.578\n"),
+        ("3", "grid argmax = 1.75623058987, value = 1.19197415837\nclosed-form minus grid value = 0.212\n"),
+    ],
+)
+def test_dpc_lambda_check_on_the_coarsest_grids_makes_one_pass(steps, grid, capsys, monkeypatch):
+    # Two or three points cannot narrow the window, so the search stops after
+    # one pass around the first grid's argmax: at 2 it finds no better value,
+    # at 3 it does.
+    calls, grid_maximize = [], cli_module.grid_maximize
+
+    def counted(*args):
+        calls.append(args)
+        return grid_maximize(*args)
+
+    monkeypatch.setattr(cli_module, "grid_maximize", counted)
+    argv = ["dpc-lambda", "--p1", "6", "--p2", "6", "--c12", "0.3", "--c21", "0.3", "--alpha", "1", "--beta", "0"]
+    assert main([*argv, "--check", steps]) == 0
+    head = "lambda_star = 1.149977817\ngain_bits   = 1.40367746103\n"
+    assert capsys.readouterr() == (head + grid, "")
+    assert len(calls) == 2
 
 
 def test_oracle_check_command(capsys):

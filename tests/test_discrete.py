@@ -181,6 +181,21 @@ def test_normalization_error_names_factor_and_slice():
     assert "p_uut" in str(err.value) and "(0, 1)" in str(err.value)
 
 
+@pytest.mark.parametrize("value", [-0.5, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_normalization_error_names_the_first_bad_entry(value):
+    # The message named the table's smallest entry as the sum of slice ():
+    # "slice (): mass sums to -0.5", for a slice [1.5, -0.5] that sums to 1.
+    fd = random_star(AlphabetSpec(), np.random.default_rng(72))
+    tables = {name: getattr(fd, name) for name in STAR_FIELDS}
+    p_x2 = tables["p_x2"].copy()
+    p_x2[0, 1, 0, 1] = [1.5, value]
+    p_x2[0, 1, 1, 0] = [1.5, -0.5]  # a later bad entry, not the one named
+    with pytest.raises(NormalizationError) as err:
+        FactoredDistribution(family="star", **tables | {"p_x2": p_x2})
+    assert (err.value.factor, err.value.index) == ("p_x2", (0, 1, 0, 1, 1))
+    assert str(err.value) == f"factor 'p_x2', entry (0, 1, 0, 1, 1) is {value!r}, not a finite number >= 0"
+
+
 def test_family_field_consistency():
     rng = np.random.default_rng(70)
     fd = random_star(AlphabetSpec(), rng)
@@ -1025,6 +1040,17 @@ def test_distribution_from_dict_errors():
             match=rf"^factor '{name}' \(file key '{key}'\) must be an array of numbers, got {shown}$",
         ):
             distribution_from_dict({**doc, "factors": {**doc["factors"], key: table}})
+
+
+def test_input_checks_name_what_is_wrong():
+    # No other test reached these three messages.
+    with pytest.raises(ValueError, match=r"^missing 'factors' object$"):
+        distribution_from_dict({"family": "star"})
+    fd = random_star(AlphabetSpec(), np.random.default_rng(73))
+    with pytest.raises(ValueError, match=r"^unknown family 'x'$"):
+        FactoredDistribution(family="x", **{name: getattr(fd, name) for name in STAR_FIELDS})
+    with pytest.raises(ValueError, match=r"^alphabet size w must be a positive int$"):
+        AlphabetSpec(w=0)
 
 
 @pytest.mark.parametrize("family", [discrete.FULL, discrete.STAR])

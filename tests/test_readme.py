@@ -1,9 +1,17 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its run configuration
+parses."""
 
+import json
 import re
 from pathlib import Path
 
+from icdms import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+#: ```json blocks that are not run configurations, by the heading above them:
+#: the distribution example elides its larger tables as ``[...]``.
+NOT_A_CONFIG = {"Factored distribution files (JSON)"}
 
 
 def test_readme_python_blocks_run():
@@ -13,3 +21,17 @@ def test_readme_python_blocks_run():
     assert blocks
     for index, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {index}", "exec"), {"__name__": "readme"})
+
+
+def test_readme_run_configurations_parse():
+    # Each ```json block goes through the parser that `region --config` uses,
+    # so that a documented config cannot drift from it.
+    text = README.read_text(encoding="utf-8")
+    overrides = cli.build_parser().parse_args(["region", "--config", "unused.json"])
+    headings = set()
+    for block in re.finditer(r"^```json\n(.*?)^```", text, re.M | re.S):
+        heading = re.findall(r"^#+ (.*)$", text[: block.start()], re.M)[-1]
+        headings.add(heading)
+        if heading not in NOT_A_CONFIG:
+            cli.config_from_doc(json.loads(block[1]), block[1], overrides)
+    assert headings - NOT_A_CONFIG == {"Run configuration (JSON)"}
