@@ -245,9 +245,11 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
         raise ConfigError("top level must be a JSON object")
     _check_keys(doc, _CONFIG_KEYS, raw)
 
-    ch_doc = doc.get("channel")
+    if "channel" not in doc:
+        raise ConfigError("missing 'channel' object")
+    ch_doc = doc["channel"]
     if not isinstance(ch_doc, dict):
-        raise ConfigError("missing 'channel' object", _line_of(raw, "channel"))
+        raise ConfigError("'channel' must be an object", _line_of(raw, "channel"))
     values = {
         name: _json_number(ch_doc.get(name, 0.0), f"channel.{name}", _line_of(raw, "channel", name))
         for name in _names(ChannelParams)

@@ -36,20 +36,20 @@ into its slice of every marginal the terms read, bit for bit the
 marginals of the dense table (:func:`_block_plan`).  :func:`_form`
 multiplies each block in pieces with numpy's broadcasting, in the dense
 table's order, so every cell has its bits.  Blocks and pieces are cut by
-the one rule of :func:`icdms.tiling.tiles`.
+the one rule of :func:`icdms.tiling.tiles` and walked one at a time by
+:func:`icdms.tiling.pieces`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .gaussian import _pair_bounds, _row_bounds
-from .tiling import tiles
+from .tiling import pieces, tiles
 
 __all__ = [
     "FULL",
@@ -180,17 +180,19 @@ _TERM_QUERIES = {
 
 class NormalizationError(ValueError):
     """A factor table has a conditional slice that does not sum to one, or an
-    ``entry`` that is negative or not finite: ``index`` and ``total`` are the
-    slice's index and sum, or the entry's index and value."""
+    ``entry`` that is negative or not finite: ``factor`` and ``key`` are the
+    table's field and file key, ``index`` and ``total`` the slice's index and
+    sum, or the entry's index and value."""
 
-    def __init__(self, factor: str, index: tuple, total: float, entry: bool = False):
+    def __init__(self, factor: str, key: str, index: tuple, total: float, entry: bool = False):
         self.factor = factor
         self.index = index
         self.total = total
+        name = f"factor {factor!r} (file key {key!r})"
         if entry:
-            message = f"factor {factor!r}, entry {index} is {total!r}, not a finite number >= 0"
+            message = f"{name}, entry {index} is {total!r}, not a finite number >= 0"
         else:
-            message = f"factor {factor!r}, slice {index}: mass sums to {total!r}, not 1"
+            message = f"{name}, slice {index}: mass sums to {total!r}, not 1"
         super().__init__(message)
 
 
@@ -230,7 +232,7 @@ class AlphabetSpec:
         return math.prod(self.size(a) for a in _AXES[family])
 
 
-def _check_conditional(name: str, table: np.ndarray, cond_ndim: int) -> None:
+def _check_conditional(name: str, key: str, table: np.ndarray, cond_ndim: int) -> None:
     """Validate non-negativity and per-slice normalization of a factor.
 
     ``cond_ndim`` leading axes are conditioning axes; the table must sum to
@@ -239,12 +241,12 @@ def _check_conditional(name: str, table: np.ndarray, cond_ndim: int) -> None:
     bad = np.argwhere(~(np.isfinite(table) & (table >= 0.0)))
     if bad.size:
         index = tuple(int(i) for i in bad[0])
-        raise NormalizationError(name, index, float(table[index]), entry=True)
+        raise NormalizationError(name, key, index, float(table[index]), entry=True)
     sums = table.sum(axis=tuple(range(cond_ndim, table.ndim)))
     bad = np.argwhere(np.abs(sums - 1.0) > NORM_TOL)
     if bad.size:
         index = tuple(int(i) for i in bad[0])
-        raise NormalizationError(name, index, float(sums[tuple(bad[0])]))
+        raise NormalizationError(name, key, index, float(sums[tuple(bad[0])]))
 
 
 @dataclass(frozen=True)
@@ -303,7 +305,7 @@ class FactoredDistribution:
                         f"{name}: axis {axis!r} has {size} entries, but "
                         f"{owner!r} gives it {expected}"
                     )
-            _check_conditional(field_name, table, cond_ndim)
+            _check_conditional(field_name, key, table, cond_ndim)
 
     def __eq__(self, other):
         if not isinstance(other, FactoredDistribution):
@@ -474,11 +476,11 @@ def _block_plan(shape: tuple[int, ...], drops: tuple[tuple[int, ...], ...], bloc
     axes in each of ``drops`` out of a joint of ``shape``.
 
     Returns ``(passes, cells)``: each pass is (its drop sets, each joint
-    axis's slices as :func:`~icdms.tiling.tiles` gives them, whose product
-    is its blocks), and ``cells`` is the largest block's size.  A pass
-    forms every cell of the joint once, one block at a time, and sums each
-    block into its slice of every marginal of the pass.  A joint of at most
-    ``block_cells`` cells is one pass of one block.
+    axis's block length as :func:`~icdms.tiling.tiles` gives it, which
+    :func:`~icdms.tiling.pieces` walks), and ``cells`` is the largest
+    block's size.  A pass forms every cell of the joint once, one block at
+    a time, and sums each block into its slice of every marginal of the
+    pass.  A joint of at most ``block_cells`` cells is one pass of one block.
 
     A block is cut only along axes that every member keeps, and never along
     a member's innermost kept axis of size > 1.  ``np.add.reduce`` sums the
@@ -505,12 +507,8 @@ def _block_plan(shape: tuple[int, ...], drops: tuple[tuple[int, ...], ...], bloc
                 break
         else:
             groups.append(([drop], own))
-    passes, cells = [], 0
-    for members, cut in groups:
-        cuts = tiles(shape, block_cells, sorted(cut))
-        passes.append((tuple(members), cuts))
-        cells = max(cells, math.prod(axis[0].stop for axis in cuts))
-    return tuple(passes), cells
+    passes = tuple((tuple(members), tiles(shape, block_cells, sorted(cut))) for members, cut in groups)
+    return passes, max(math.prod(chunk) for _, chunk in passes)
 
 
 def _uncut_cells(shape: tuple[int, ...], cut) -> int:
@@ -527,14 +525,15 @@ def _restrict(factor: np.ndarray, index) -> np.ndarray:
 def _form(factors, index, block: np.ndarray, limit: int) -> np.ndarray:
     """The cells of the joint at ``index`` multiplied into ``block``, one
     piece of at most ``limit`` cells at a time, the block cut as
-    :func:`~icdms.tiling.tiles` cuts it.  Each cell goes through the
+    :func:`~icdms.tiling.tiles` cuts it and walked by
+    :func:`~icdms.tiling.pieces`.  Each cell goes through the
     multiplications of :func:`_multiply`, in its order, so it has the dense
     table's bits.  Broadcasting keeps each leading product on the axes its
     factors span, in fewer cells than the piece; the first product that
     spans the piece, and every later one, is written into the block.  Whole
     blocks kept ``_terms``' time but lifted ``region_sim``'s traced peak to
     5,388,936 B, over test_star_regions_trace_one_block's 5,242,880 B."""
-    for piece in itertools.product(*tiles(block.shape, limit)):
+    for piece in pieces(block.shape, tiles(block.shape, limit)):
         at = tuple(slice(i.start + p.start, i.start + p.stop) for i, p in zip(index, piece))
         part = block[piece]
         product = _restrict(factors[0], at)
@@ -554,9 +553,9 @@ def _blocked_marginals(factors, shape: tuple[int, ...], drops) -> dict:
     passes, cells = _block_plan(shape, drops, BLOCK_CELLS)
     buffer = np.empty(cells)
     marginals = {}
-    for members, cuts in passes:
+    for members, chunk in passes:
         outs = [np.empty([1 if k in drop else n for k, n in enumerate(shape)]) for drop in members]
-        for index in itertools.product(*cuts):
+        for index in pieces(shape, chunk):
             block_shape = tuple(s.stop - s.start for s in index)
             block = _form(factors, index, buffer[: math.prod(block_shape)].reshape(block_shape), BLOCK_CELLS // 4)
             for drop, out in zip(members, outs):

@@ -17,7 +17,6 @@ floating-point accuracy rather than to grid resolution.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -38,7 +37,7 @@ from .gaussian import (
     eta_coefficients,
     PentagonRegion,
 )
-from .tiling import largest_piece, tiles
+from .tiling import pieces, tiles
 
 __all__ = [
     "DEFAULT_R1_STEP",
@@ -418,21 +417,19 @@ def _sweep_binned_pair(ch: ChannelParams, grid: SweepGrid):
     writes its pair stage into one scratch, made here for the largest tile.
     """
     betas, alphas = grid.beta.points(), grid.edge_alpha.points()
-    beta_cuts, cuts1, cuts2 = main = tiles(
-        (betas.size, grid.lambda1.count + 1, grid.lambda2.count + 1), PAIR_TILE
-    )
-    edge = tiles(alphas.shape, PAIR_TILE)
-    scratch = _pair_scratch(max(largest_piece(main), largest_piece(edge)))
+    shape = (betas.size, grid.lambda1.count + 1, grid.lambda2.count + 1)
+    chunk, edge = tiles(shape, PAIR_TILE), tiles(alphas.shape, PAIR_TILE)
+    scratch = _pair_scratch(max(math.prod(chunk), math.prod(edge)))
     for alpha in grid.alpha.points():
         alpha = float(alpha)
         _, eta2 = eta_coefficients(ch, alpha)
         lam_hi = LAMBDA_SPAN * eta2
-        for b in beta_cuts:
+        for (b,) in pieces(shape[:1], chunk[:1]):
             beta = betas[b]
             s_u, s_v = _stream_powers(ch.p2, alpha, beta)
             lam1 = _lambda_rows(ch, grid.lambda1.points(lam_hi), s_u, eta2)
             lam2 = _lambda_rows(ch, grid.lambda2.points(lam_hi), s_v, eta2)
-            for j, k in itertools.product(cuts1, cuts2):
+            for j, k in pieces(shape[1:], chunk[1:]):
                 yield _region_g_arrays(
                     ch, alpha, beta[:, None, None], lam1[:, j, None], lam2[:, None, k], scratch
                 )[:3]
@@ -440,7 +437,7 @@ def _sweep_binned_pair(ch: ChannelParams, grid: SweepGrid):
     _, eta2 = _eta_arrays(ch, alphas)
     s_v = _stream_powers(ch.p2, alphas, 0.0)[1]
     lam2 = _lambda_rows(ch, np.empty(0), s_v, eta2)[:, -1]  # beta = 0: the optimum
-    for (t,) in itertools.product(*edge):
+    for (t,) in pieces(alphas.shape, edge):
         yield _region_g_arrays(ch, alphas[t, None], 0.0, 0.0, lam2[t, None], scratch)[:3]
         yield _region_g_arrays(ch, alphas[t, None], 1.0, 0.0, 0.0, scratch)[:3]
 
@@ -453,7 +450,8 @@ def _sweep_successive(ch: ChannelParams, grid: SweepGrid, which: str):
         betas = grid.beta.points()
     else:
         betas = np.array([0.0 if which == "g_sp1" else 1.0])
-    for i, j in itertools.product(*tiles((alphas.size, betas.size), PAIR_TILE)):
+    shape = (alphas.size, betas.size)
+    for i, j in pieces(shape, tiles(shape, PAIR_TILE)):
         r1, r2 = _region_g_suc_values(ch, alphas[i, None], betas[j])
         yield r1, r2, r1 + r2
 

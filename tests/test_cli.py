@@ -507,7 +507,7 @@ def test_region_config_unknown_key_exits_2_naming_it(tmp_path, capsys, doc, key,
     [
         ('[{"channel": {"p1": 6}}]\n', "top level must be a JSON object"),
         ('{"regions": ["g_sp1"]}\n', "missing 'channel' object"),
-        ('{"regions": ["g_sp1"],\n "channel": [6, 6]}\n', "line 2: missing 'channel' object"),
+        ('{"regions": ["g_sp1"],\n "channel": [6, 6]}\n', "line 2: 'channel' must be an object"),
         ('{"channel": {"p1": 6}, "regions": ["g_sp1"],\n "grid": [1]}\n', "line 2: 'grid' must be an object"),
         (
             '{"channel": {"p1": 6}, "regions": ["g_sp1"],\n "grid": {\n  "alpha": 41}}\n',
@@ -813,7 +813,7 @@ def test_discrete_command_normalization_error(tmp_path, capsys):
     dist.write_text(json.dumps(doc))
     assert main(["discrete", "--distribution", str(dist), "--scheme", "sim"]) == 2
     err = capsys.readouterr().err
-    assert "p_vvt" in err and "(0, 1)" in err
+    assert "factor 'p_vvt' (file key 'v_vt'), slice (0, 1): mass sums to " in err
 
 
 @pytest.mark.parametrize(
@@ -829,8 +829,8 @@ def test_discrete_command_normalization_error(tmp_path, capsys):
         ("u", [[0.0, True]], "'p_u' (file key 'u') must be an array of numbers, got True"),
         # These two were reported as the sum of slice (): the negative entry's
         # slice sums to 1, yet it read "slice (): mass sums to -0.5".
-        ("u", [[1.5, -0.5]], "'p_u', entry (0, 1) is -0.5, not a finite number >= 0"),
-        ("q", [None], "'p_q', entry (0,) is nan, not a finite number >= 0"),
+        ("u", [[1.5, -0.5]], "'p_u' (file key 'u'), entry (0, 1) is -0.5, not a finite number >= 0"),
+        ("q", [None], "'p_q' (file key 'q'), entry (0,) is nan, not a finite number >= 0"),
     ],
     ids=[
         "scalar_q", "2d_w_x1", "x2_w_axis_3", "object_in_q", "ragged_u", "string_q", "bool_q", "mixed_u",

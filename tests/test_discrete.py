@@ -4,7 +4,6 @@ Derived expected values are recomputed in-test with the brute-force
 mutual-information oracle or with hand-checked probability arithmetic.
 """
 
-import itertools
 import math
 
 import discrete_factor_oracle as oracle
@@ -33,7 +32,7 @@ from icdms import (
 from icdms import discrete
 from icdms.discrete import FULL_AXES, STAR_AXES
 from icdms.oracle import brute_joint_mi
-from icdms.tiling import tiles
+from icdms.tiling import pieces, tiles
 
 
 #: The benchmark's large tables: 4,194,304 FULL cells and 1,048,576 STAR cells.
@@ -178,7 +177,7 @@ def test_normalization_error_names_factor_and_slice():
         )
     assert err.value.factor == "p_uut"
     assert err.value.index == (0, 1)
-    assert "p_uut" in str(err.value) and "(0, 1)" in str(err.value)
+    assert str(err.value).startswith("factor 'p_uut' (file key 'u_ut'), slice (0, 1): mass sums to ")
 
 
 @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf], ids=["negative", "nan", "inf"])
@@ -193,7 +192,9 @@ def test_normalization_error_names_the_first_bad_entry(value):
     with pytest.raises(NormalizationError) as err:
         FactoredDistribution(family="star", **tables | {"p_x2": p_x2})
     assert (err.value.factor, err.value.index) == ("p_x2", (0, 1, 0, 1, 1))
-    assert str(err.value) == f"factor 'p_x2', entry (0, 1, 0, 1, 1) is {value!r}, not a finite number >= 0"
+    assert str(err.value) == (
+        f"factor 'p_x2' (file key 'x2'), entry (0, 1, 0, 1, 1) is {value!r}, not a finite number >= 0"
+    )
 
 
 def test_family_field_consistency():
@@ -490,12 +491,12 @@ def _innermost_kept(shape, drop):
     return max((k for k, n in enumerate(shape) if n > 1 and k not in drop), default=None)
 
 
-def _blocked_sum(table, drop, cuts) -> np.ndarray:
-    """``table``'s keepdims sum over ``drop``, each block of the product of
-    ``cuts`` summed on its own contiguous copy as the region's buffer holds
-    it."""
+def _blocked_sum(table, drop, chunk) -> np.ndarray:
+    """``table``'s keepdims sum over ``drop``, each block of ``chunk``
+    entries per axis summed on its own contiguous copy as the region's
+    buffer holds it."""
     out = np.empty([1 if k in drop else n for k, n in enumerate(table.shape)])
-    for index in itertools.product(*cuts):
+    for index in pieces(table.shape, chunk):
         out[index] = np.add.reduce(np.ascontiguousarray(table[index]), axis=drop, keepdims=True)
     return out
 
@@ -519,18 +520,19 @@ def test_block_rule_reproduces_dense_sum_bitwise(data, seed):
     table = rng.random(shape) * 10.0 ** rng.integers(-3, 3, shape)
     passes, cells = discrete._block_plan(shape, drops, block_cells)
     assert sorted(m for members, _ in passes for m in members) == sorted(drops)
-    for members, cuts in passes:
+    assert cells == max(math.prod(chunk) for _, chunk in passes)
+    for members, chunk in passes:
         cover = np.zeros(shape, dtype=int)
-        for index in itertools.product(*cuts):
+        for index in pieces(shape, chunk):
             cover[index] += 1
             assert cover[index].size <= cells
         assert (cover == 1).all()
-        cut = {k for k, axis in enumerate(cuts) if len(axis) > 1}
+        cut = {k for k, (n, c) in enumerate(zip(shape, chunk)) if c < n}
         for drop in members:
             assert not cut & set(drop)
             assert _innermost_kept(shape, drop) not in cut
             dense = np.add.reduce(table, axis=drop, keepdims=True)
-            assert np.array_equal(bits(_blocked_sum(table, drop, cuts)), bits(dense))
+            assert np.array_equal(bits(_blocked_sum(table, drop, chunk)), bits(dense))
             (_, finest), = discrete._block_plan(shape, (drop,), 1)[0]
             assert np.array_equal(bits(_blocked_sum(table, drop, finest)), bits(dense))
 
@@ -539,9 +541,10 @@ def test_block_rule_reproduces_dense_sum_bitwise(data, seed):
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_forming_on_own_axes_matches_broadcast_product_bitwise(data, seed):
     """Every block that ``_form`` multiplies, and the whole joint, in the
-    pieces ``tiles`` cuts it into for any cell count, which cover it exactly
-    once, its leading products kept on their own axes, equals ``_multiply``
-    of the factors broadcast over it, bit for bit."""
+    pieces ``tiles`` cuts it into for any cell count and ``pieces`` walks,
+    which cover it exactly once, its leading products kept on their own
+    axes, equals ``_multiply`` of the factors broadcast over it, bit for
+    bit."""
     family = data.draw(st.sampled_from([discrete.FULL, discrete.STAR]))
     sizes = AlphabetSpec(**{a: data.draw(st.integers(1, 3), label=a) for a in FULL_AXES})
     fd = (random_full if family == discrete.FULL else random_star)(sizes, np.random.default_rng(seed))
@@ -550,12 +553,12 @@ def test_forming_on_own_axes_matches_broadcast_product_bitwise(data, seed):
     drop = tuple(sorted(data.draw(st.sets(st.integers(0, len(shape) - 1)))))
     block_cells = data.draw(st.integers(1, math.prod(shape)))
     limit = data.draw(st.integers(1, math.prod(shape)))
-    ((_, cuts),), _ = discrete._block_plan(shape, (drop,), block_cells)
+    ((_, chunk),), _ = discrete._block_plan(shape, (drop,), block_cells)
     whole = tuple(slice(0, n) for n in shape)
-    for index in [*itertools.product(*cuts), whole]:
+    for index in [*pieces(shape, chunk), whole]:
         block_shape = tuple(s.stop - s.start for s in index)
         cover = np.zeros(block_shape, dtype=int)
-        for piece in itertools.product(*tiles(block_shape, limit)):
+        for piece in pieces(block_shape, tiles(block_shape, limit)):
             part = cover[piece]
             part += 1
             assert part.size <= limit
@@ -617,6 +620,12 @@ def test_kept_terms_leave_eq_and_repr_unchanged():
         assert (fd == twin) is True
         assert (fd == maker(spec, np.random.default_rng(24))) is False
     assert (random_full(spec, np.random.default_rng(23)) == random_star(spec, np.random.default_rng(23))) is False
+
+
+def test_factored_distribution_is_not_equal_to_another_type():
+    fd = random_star(AlphabetSpec(), np.random.default_rng(0))
+    assert (fd == "not a distribution") is False
+    assert fd != "not a distribution"
 
 
 def test_joint_pmf_eq_compares_axes_and_entries():

@@ -969,6 +969,13 @@ def test_dpc_lambda_star_edge_cases():
     assert dpc_lambda_star(CH_LOW, 0.0, 0.3) == (0.0, 0.0)
 
 
+def test_dpc_gain_objective_at_zero_stream_power_is_rejected():
+    # beta = 1 leaves the V stream no power; the CLI checks that before it
+    # asks for the objective, so only a library caller gets here.
+    with pytest.raises(ValueError, match=r"^zero stream power: the objective is identically 0$"):
+        dpc_gain_objective(CH_LOW, 0.7, 1.0)
+
+
 @pytest.mark.parametrize("alpha, beta", [(0.5, -1.0), (0.5, 2.0), (1.5, 0.0), (math.nan, 0.0)])
 def test_dpc_split_outside_the_unit_interval_is_rejected(alpha, beta):
     # dpc_gain_objective used to return an objective for beta = -1 (a stream

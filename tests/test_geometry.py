@@ -1,5 +1,6 @@
 """Tests for frontier sampling, unions, sweeps, and frontier diagnostics."""
 
+import itertools
 import math
 import re
 import sys
@@ -44,7 +45,7 @@ from icdms.geometry import (
     _union_arrays,
     _union_fold,
 )
-from icdms.tiling import tiles
+from icdms.tiling import pieces, tiles
 
 FIG4 = ChannelParams(p1=6.0, p2=6.0, c12=0.0, c21=0.3)
 
@@ -547,11 +548,13 @@ def test_tile_sizes_match_the_formulas_they_replace(n0, n1, n2):
 def _tile_sizes(*counts):
     """Tile size along each axis of a sweep grid with ``counts`` points per
     axis, as ``tiles`` cuts it at ``PAIR_TILE``, after checking that each
-    axis's slices run over its points in steps of that size."""
-    cuts = tiles(counts, PAIR_TILE)
-    sizes = tuple(axis[0].stop for axis in cuts)
-    for n, size, axis in zip(counts, sizes, cuts):
-        assert len(axis) == -(-n // size) and axis[-1] == slice(size * (len(axis) - 1), n)
+    axis's slices, as ``pieces`` walks them, run over its points in steps of
+    that size.  An axis of over 1,024 slices is walked to its 1,024th slice
+    only: walking all 5 * 10**5 slices of such axes makes this test 41 s."""
+    sizes = tiles(counts, PAIR_TILE)
+    for n, size in zip(counts, sizes):
+        walk = list(itertools.islice(pieces((n,), (size,)), 1024))
+        assert walk == [(slice(i, min(i + size, n)),) for i in range(0, n, size)[:1024]]
     return sizes
 
 
@@ -839,6 +842,19 @@ def test_g_sweep_memory_at_81_points():
     f, peak = traced_peak(lambda: sweep_gaussian(ch, grid, "g"))
     assert f.reach > 0.0
     assert peak < 32 * 2**20
+
+
+def test_first_g_suc_tile_of_a_million_alphas_holds_one_tile():
+    # 10**6 alphas by 2**17 betas: each tile is one alpha's row of betas.
+    # itertools.product of the cut axes held a slice per alpha before the
+    # first tile (137.7 MiB traced); the walk holds the grid points (9 MB)
+    # and one tile's arrays.
+    grid = replace(
+        default_grid("g_suc"), alpha=AxisGrid(0.0, 1.0, 10**6), beta=AxisGrid(0.0, 1.0, 2**17)
+    )
+    tile, peak = traced_peak(lambda: next(geometry._sweep_successive(FIG4, grid, "g_suc")))
+    assert tile[1].shape == tile[2].shape == (1, 2**17)
+    assert peak < 24 * 2**20
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's minor page-fault count")

@@ -256,6 +256,19 @@ def test_grid_maximize_scalar_objective():
     assert arg == 0.75
 
 
+def test_grid_maximize_evaluates_a_wrongly_shaped_objective_point_by_point():
+    # Called on an array, this objective returns one number, not one per
+    # point, so every point is evaluated again on its own.
+    calls = []
+
+    def objective(x):
+        calls.append(np.ndim(x))
+        return -np.sum((np.asarray(x) - 0.75) ** 2)
+
+    assert grid_maximize(objective, 0.0, 1.0, 5) == (0.75, 0.0)
+    assert calls == [1, 0, 0, 0, 0, 0]
+
+
 def test_grid_maximize_errors():
     with pytest.raises(NonFiniteObjectiveError):
         grid_maximize(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0, 11)

@@ -1,8 +1,9 @@
 """The README's Python examples run as written, and its run configuration
-parses."""
+and command lines parse."""
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 from icdms import cli
@@ -35,3 +36,18 @@ def test_readme_run_configurations_parse():
         if heading not in NOT_A_CONFIG:
             cli.config_from_doc(json.loads(block[1]), block[1], overrides)
     assert headings - NOT_A_CONFIG == {"Run configuration (JSON)"}
+
+
+def test_readme_command_lines_parse():
+    # Each `icdms ...` line of a ```sh block goes through the CLI's parser, so
+    # that a documented flag cannot drift from it.  argparse exits on an
+    # unknown command or flag.
+    text = README.read_text(encoding="utf-8")
+    parser = cli.build_parser()
+    commands = set()
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["icdms"]:
+                commands.add(parser.parse_args(words[1:]).command)
+    assert commands == {"figure", "region", "discrete", "dpc-lambda", "oracle-check"}
