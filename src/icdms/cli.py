@@ -293,7 +293,7 @@ def config_from_doc(doc, raw: str, overrides: argparse.Namespace) -> RunConfig:
     try:
         _check_r1_step(r1_step)
     except ValueError as exc:
-        raise ConfigError(f"r1_step: {exc}", line) from exc
+        raise ConfigError(str(exc), line) from exc
 
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -356,10 +356,8 @@ def _check_cut_set(channel: ChannelParams, name: str, frontier: Frontier) -> Non
 
 
 def _run(config: RunConfig, out: str | None, stem: str, extra: dict):
-    """Sweep every region of ``config``, write ``<stem>.csv`` and
-    ``<stem>.meta.json``, print a summary; return the CSV path and frontiers."""
-    out_dir = Path(out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Sweep and check every region of ``config``; only then create ``out``, write
+    ``<stem>.csv`` and ``<stem>.meta.json``, print a summary; return the CSV path and frontiers."""
     frontiers: dict[str, Frontier] = {}
     rows = []
     for name in config.regions:
@@ -369,6 +367,8 @@ def _run(config: RunConfig, out: str | None, stem: str, extra: dict):
         _check_cut_set(config.channel, name, frontier)
         frontiers[name] = frontier
         rows += [(float(r1), float(r2), name) for r1, r2 in zip(*frontier.points())]
+    out_dir = Path(out or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{stem}.csv"
     _write_csv(csv_path, rows)
     _write_meta(out_dir / f"{stem}.meta.json", config, extra)

@@ -28,9 +28,10 @@ regions read.  FULL's are the seven terms i1-i7 of
 :class:`icdms.gaussian.MiTerms`, and :func:`region_full` bounds the rates
 with the statement that the Gaussian ``g`` region reads too
 (:func:`icdms.gaussian._row_bounds`, :func:`icdms.gaussian._pair_bounds`),
-less ``g``'s cap on r1.  A distribution's terms are computed once, on
-its first region call, and kept on it: ``region_sim`` and ``region_suc``
-of one STAR distribution share one evaluation.  That evaluation forms the joint
+less ``g``'s cap on r1.  Every region is made by :func:`_region`, the one
+place its bounds and residuals become Python floats.  A distribution's terms
+are computed once, on its first region call, and kept on it: ``region_sim``
+and ``region_suc`` of one STAR distribution share one evaluation.  That evaluation forms the joint
 one block of at most ``BLOCK_CELLS`` cells at a time and sums each block
 into its slice of every marginal the terms read, bit for bit the
 marginals of the dense table (:func:`_block_plan`).  :func:`_form`
@@ -630,10 +631,12 @@ class DiscreteRegion:
 
 
 def _region(scheme, r1, r2, rsum, constraints, active) -> DiscreteRegion:
-    """A :class:`DiscreteRegion`, feasible when every ``active`` residual
-    is at least ``-DISCRETE_FEAS_TOL``."""
+    """A :class:`DiscreteRegion` of Python floats, feasible when every
+    ``active`` residual is at least ``-DISCRETE_FEAS_TOL``."""
+    constraints = {name: float(value) for name, value in constraints.items()}
     feasible = all(constraints[name] >= -DISCRETE_FEAS_TOL for name in active)
-    return DiscreteRegion(scheme, r1, r2, rsum, constraints, feasible, active)
+    rsum = None if rsum is None else float(rsum)
+    return DiscreteRegion(scheme, float(r1), float(r2), rsum, constraints, feasible, active)
 
 
 def _require_family(fd: FactoredDistribution, family: str) -> None:
@@ -649,8 +652,9 @@ def region_full(fd: FactoredDistribution) -> DiscreteRegion:
     on the seven terms given Q; r1 is not capped.
     """
     t = _terms(fd, FULL)
-    r1, u_at_y1 = _row_bounds(t["i1"], t["i3"], t["i5"])
-    r2, rsum, residuals = _pair_bounds(t["i2"], t["i3"], t["i4"], t["i5"], t["i6"], t["i7"])
+    with np.errstate(all="ignore"):
+        r1, u_at_y1 = _row_bounds(t["i1"], t["i3"], t["i5"])
+        r2, rsum, residuals = _pair_bounds(t["i2"], t["i3"], t["i4"], t["i5"], t["i6"], t["i7"])
     constraints = dict(zip(("u_at_y1", "u_at_y2", "v_at_y2", "r2_total"), (u_at_y1, *residuals)))
     return _region(FULL, r1, r2, rsum, constraints, tuple(constraints))
 

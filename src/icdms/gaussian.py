@@ -132,16 +132,6 @@ def _gamma(x, out=None):
     return np.multiply(0.5, np.log2(x, out=out), out=out)
 
 
-def _add(a, b, out=None):
-    """``a + b``: Python's own operator, or written into the array ``out``."""
-    return a + b if out is None else np.add(a, b, out=out)
-
-
-def _sub(a, b, out=None):
-    """``a - b``: Python's own operator, or written into the array ``out``."""
-    return a - b if out is None else np.subtract(a, b, out=out)
-
-
 def _check_split(name: str, *values) -> None:
     """The power-split rule: ``ValueError`` unless every value is in [0, 1]."""
     if not all(v is not None and 0.0 <= v <= 1.0 for v in values):
@@ -276,20 +266,22 @@ class MiTerms:
 def _row_bounds(i1, i3, i5):
     """The binned-pair region's bounds from :class:`MiTerms`' seven terms: the
     one statement that ``_region_g_arrays`` (arrays) and ``discrete.region_full``
-    (floats, given Q) read.  Each holds the residuals, >= 0 where feasible, to
-    its own tolerance.  Row part: ``(r1, u_at_y1) = (i1, i5 - i3)``, r1 uncapped."""
+    (floats given Q, made Python floats by ``discrete._region``) read.  Each
+    holds the residuals, >= 0 where feasible, to its own tolerance.  Row part:
+    ``(r1, u_at_y1) = (i1, i5 - i3)``, r1 uncapped."""
     return i1, i5 - i3
 
 
 def _pair_bounds(i2, i3, i4, i5, i6, i7, out=(None,) * 4):
-    """Pair part: ``(r2, sum, (u_at_y2, v_at_y2, r2_total))``, each operation
-    in a fixed order.  Without ``out`` the operators are Python's own, so
-    floats stay Python floats; on arrays, ``out`` names the four arrays that
-    r2, the sum, u_at_y2 and v_at_y2 are written into."""
+    """Pair part: ``(r2, sum, (u_at_y2, v_at_y2, r2_total))``, each operation a
+    numpy ufunc in a fixed order.  ``out`` names the four arrays that r2, the
+    sum, u_at_y2 and v_at_y2 are written into; without it, floats come back as
+    numpy scalars of the same bits, which ``discrete._region`` makes Python floats."""
     to_r2, to_sum, to_u, to_v = out
-    r2 = _sub(_sub(i2, i3, to_r2), i4, to_r2)  # i2 - i3 - i4
-    r_sum = _sub(_sub(_add(i5, i6, to_sum), i3, to_sum), i4, to_sum)  # i5 + i6 - i3 - i4
-    return r2, r_sum, (_sub(i7, i3, to_u), _sub(i6, i4, to_v), r2)
+    # r2 = i2 - i3 - i4 and r_sum = i5 + i6 - i3 - i4.
+    r2 = np.subtract(np.subtract(i2, i3, out=to_r2), i4, out=to_r2)
+    r_sum = np.subtract(np.subtract(np.add(i5, i6, out=to_sum), i3, out=to_sum), i4, out=to_sum)
+    return r2, r_sum, (np.subtract(i7, i3, out=to_u), np.subtract(i6, i4, out=to_v), r2)
 
 
 @dataclass(frozen=True)

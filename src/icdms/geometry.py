@@ -24,7 +24,6 @@ import numpy as np
 
 from .gaussian import (
     LAMBDA_SPAN,
-    MAX_LAMBDA,
     ChannelParams,
     _check_lambda,
     _check_split,
@@ -201,8 +200,10 @@ class SweepGrid:
 def _check_axis(name: str, axis: AxisGrid) -> None:
     """The rule of a :class:`SweepGrid` axis: a power split needs a set ``hi``
     and 0 <= lo <= hi <= 1, a bin coefficient finite lo (and hi) in
-    [0, ``MAX_LAMBDA``]."""
+    [0, :data:`icdms.gaussian.MAX_LAMBDA`]."""
     if name in SPLIT_AXES:
+        if axis.hi is None:
+            raise ValueError(f"{name} needs a set hi in [0, 1]")
         _check_split(name, axis.lo, axis.hi)
         return
     for value in (axis.lo,) if axis.hi is None else (axis.lo, axis.hi):

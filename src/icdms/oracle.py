@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import AxisError, JointPmf, _mi_plan
+from .discrete import JointPmf, _mi_plan
 
 __all__ = [
     "McEstimate",
@@ -200,7 +200,7 @@ def brute_joint_mi(j: JointPmf, left, right, given=()) -> float:
     cell, accumulates the four marginal dictionaries on the fly, and sums
     p * log2(p * p_g / (p_lg * p_rg)).  No marginalization code is shared
     with the vectorized evaluator; only the check of the query's names
-    (unknown or overlapping sets raise :class:`AxisError`) is.
+    (unknown or overlapping sets raise :class:`icdms.discrete.AxisError`) is.
     """
     (l_pos, r_pos, g_pos), *_ = _mi_plan(j.axes, left, right, given)
 

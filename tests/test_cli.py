@@ -162,6 +162,7 @@ def test_region_past_the_cut_set_bound_exits_2_without_a_csv(tmp_path, capsys):
     assert err.startswith("error: g frontier reaches r1 = 331.69")
     assert "past the cut-set bound 166.0964047443" in err
     assert not (out / "frontier.csv").exists() and not (out / "frontier.meta.json").exists()
+    assert not out.exists()  # the refused run creates no output directory either
 
 
 @pytest.mark.parametrize("rate", ["r1", "r2"])
@@ -191,8 +192,20 @@ def test_region_command_empty_union_exit_code(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli_module, "sweep_gaussian", boom)
     config = write_config(tmp_path, SMALL_CONFIG)
-    assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 3
+    out = tmp_path / "out"
+    assert main(["region", "--config", str(config), "--out", str(out)]) == 3
     assert "no feasible region" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_region_out_that_is_a_file_exits_2(tmp_path, capsys):
+    # --out is made after the sweep; a path that cannot be a directory still exits 2.
+    config = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "file"
+    out.write_text("kept")
+    assert main(["region", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+    assert out.read_text() == "kept"
 
 
 def test_region_selector_override(tmp_path):
@@ -274,7 +287,12 @@ def test_region_power_split_axis_outside_unit_interval(tmp_path, capsys, key, ax
     err = capsys.readouterr().err
     lines = config.read_text().splitlines()
     line = next(n for n, text in enumerate(lines, 1) if f'"{key}"' in text)
-    rule = "must be finite and >= 0, got -1.0" if key == "lambda1" else "must lie in [0, 1]"
+    if key == "lambda1":
+        rule = "must be finite and >= 0, got -1.0"
+    elif axis["hi"] is None:
+        rule = "needs a set hi in [0, 1]"
+    else:
+        rule = "must lie in [0, 1]"
     assert f"line {line}: grid.{key} {rule}" in err
 
 
@@ -382,13 +400,15 @@ def test_region_config_r1_step_outside_unit_interval(tmp_path, capsys):
     assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
     lines = config.read_text().splitlines()
     line = next(n for n, text in enumerate(lines, 1) if '"r1_step"' in text)
-    assert capsys.readouterr().err == f"error: line {line}: r1_step: r1_step must be in (0, 1)\n"
+    assert capsys.readouterr().err == f"error: line {line}: r1_step must be in (0, 1)\n"
 
 
 def test_region_config_r1_step_over_sample_cap(tmp_path, capsys):
     config = write_config(tmp_path, dict(SMALL_CONFIG, r1_step=1e-9))
-    assert main(["region", "--config", str(config), "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["region", "--config", str(config), "--out", str(out)]) == 2
     assert "r1_step 1e-09" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_region_config_of_figure_preset_matches_figure(tmp_path):

@@ -34,7 +34,15 @@ from icdms import (
     region_g_suc,
 )
 from icdms import gaussian
-from icdms.discrete import DISCRETE_FEAS_TOL, AlphabetSpec, random_full, region_full
+from icdms.discrete import (
+    DISCRETE_FEAS_TOL,
+    AlphabetSpec,
+    random_full,
+    random_star,
+    region_full,
+    region_sim,
+    region_suc,
+)
 from icdms.gaussian import (
     ENTROPY_BLOCKS,
     FEAS_TOL,
@@ -611,13 +619,13 @@ def _old_region_full(t):
 @given(st.lists(_term, min_size=7, max_size=7))
 def test_bounds_statement_is_region_full_old_statement_bitwise(terms):
     # On Python floats the shared statement, and region_full through it, give
-    # the old discrete expressions bit for bit, as Python floats, with the
-    # residuals in the old order and the same verdict.
+    # the old discrete expressions bit for bit, with the residuals in the old
+    # order and the same verdict; the region's fields are Python floats.
     i1, i2, i3, i4, i5, i6, i7 = terms
-    r1, u_at_y1 = _row_bounds(i1, i3, i5)
-    r2, rsum, residuals = _pair_bounds(i2, i3, i4, i5, i6, i7)
+    with np.errstate(all="ignore"):
+        r1, u_at_y1 = _row_bounds(i1, i3, i5)
+        r2, rsum, residuals = _pair_bounds(i2, i3, i4, i5, i6, i7)
     got = (r1, r2, rsum, u_at_y1, *residuals)
-    assert all(type(x) is float for x in got)
     old = ("r1", "i_uv_y2", "i_uw", "i_vw", "i_uw_y1", "i_v_y2u", "i_u_y2v")
     w_r1, w_r2, w_sum, constraints = _old_region_full(dict(zip(old, terms)))
     want = (w_r1, w_r2, w_sum, *constraints.values())
@@ -633,6 +641,16 @@ def test_bounds_statement_is_region_full_old_statement_bitwise(terms):
         bits(want),
     )
     assert region.feasible == all(c >= -DISCRETE_FEAS_TOL for c in constraints.values())
+    fields = (region.r1_bound, region.r2_bound, region.sum_bound, *region.constraints.values())
+    assert all(type(x) is float for x in fields)
+
+
+@pytest.mark.parametrize("evaluate", [region_sim, region_suc])
+def test_star_regions_hold_python_floats(evaluate):
+    # discrete._region makes every region's floats, the STAR regions' too.
+    region = evaluate(random_star(AlphabetSpec(), np.random.default_rng(0)))
+    assert all(type(x) is float for x in (region.r1_bound, region.r2_bound, *region.constraints.values()))
+    assert region.sum_bound is None if evaluate is region_suc else type(region.sum_bound) is float
 
 
 @settings(max_examples=300, deadline=None)

@@ -33,9 +33,8 @@ from icdms import (
     union_frontier,
 )
 from icdms import geometry
-from icdms.gaussian import MAX_POWER
+from icdms.gaussian import MAX_LAMBDA, MAX_POWER
 from icdms.geometry import (
-    MAX_LAMBDA,
     MAX_R1_SAMPLES,
     REGION_FAMILIES,
     PAIR_TILE,
@@ -375,7 +374,6 @@ _BAD_AXES = {
         "lo-below-0": (-0.5, 1.0),
         "hi-above-1": (0.0, 1.5),
         "nan-lo": (math.nan, 1.0),
-        "hi-none": (0.0, None),
     },
     ("lambda1", "lambda2"): {
         "lo-below-0": (-1.0, None),
@@ -403,6 +401,11 @@ def _axis_rule(axis: str) -> str:
         for axes, cases in _BAD_AXES.items()
         for case, (lo, hi) in cases.items()
         for axis in axes
+    ]
+    + [
+        # A split axis has no default hi: its message says that hi is missing.
+        pytest.param(axis, 0.0, None, rf"^{axis} needs a set hi in \[0, 1\]$", id=f"hi-none-{axis}")
+        for axis in SPLIT_AXES
     ]
     + [
         pytest.param(axis, lo, hi, rf"^lo and hi must be numbers, got {lo!r} and 1\.0$", id=f"{case}-{axis}")

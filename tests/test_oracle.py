@@ -13,6 +13,7 @@ from one_shot_oracle import one_shot_grid_maximize, one_shot_mc_gaussian_entropy
 from icdms import (
     XI,
     AlphabetSpec,
+    AxisError,
     JointPmf,
     NonFiniteObjectiveError,
     NotPositiveDefiniteError,
@@ -23,7 +24,7 @@ from icdms import (
     mc_gaussian_entropy,
     random_star,
 )
-from icdms.oracle import MAX_GRID_STEPS, MAX_MC_SAMPLES, MC_CHUNK, AxisError
+from icdms.oracle import MAX_GRID_STEPS, MAX_MC_SAMPLES, MC_CHUNK
 
 # The Cholesky factor's sub-diagonal exceeds its diagonal in both, which is
 # where a general solve pivots rows and loses the last bits.
