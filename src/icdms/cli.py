@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -596,13 +597,38 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 def _entropy_worst_z(channel, coding, samples, seed_base) -> float:
     h = entropy_terms(channel, coding)
     matrices = build_covariances(channel, coding)
+    jobs = [
+        (matrices[which][np.ix_(rows, rows)], samples, seed_base + term_index)
+        for term_index, (which, rows) in enumerate(ENTROPY_BLOCKS.values())
+    ]
     worst = 0.0
-    for term_index, (name, (which, rows)) in enumerate(ENTROPY_BLOCKS.items()):
-        sub = matrices[which][np.ix_(rows, rows)]
-        estimate = mc_gaussian_entropy(sub, samples, seed_base + term_index)
+    for name, estimate in zip(ENTROPY_BLOCKS, _mc_estimates(jobs)):
         z = abs(estimate.value_bits - getattr(h, name)) / estimate.std_error_bits
         worst = max(worst, z)
     return worst
+
+
+def _mc_estimates(jobs) -> list:
+    """``mc_gaussian_entropy(cov, n, seed)`` of each ``(cov, n, seed)`` job,
+    in job order, on a pool of one thread per CPU this process may use.
+
+    Each estimate owns its generator and buffers and its draws and
+    arithmetic release the interpreter lock, so the estimates overlap and
+    equal serial calls bit for bit.  The pool is imported here, so a
+    process that runs no estimate does not load it.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(_usable_cpus()) as pool:
+        return list(pool.map(lambda job: mc_gaussian_entropy(*job), jobs))
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def _number(kind, lo, hi=None):

@@ -35,22 +35,22 @@ LOG2E = math.log2(math.e)
 #: Fewest samples :func:`mc_gaussian_entropy` accepts.
 MIN_MC_SAMPLES = 1000
 
-#: Most samples :func:`mc_gaussian_entropy` accepts: the ``-log2 density``
-#: of every sample is kept for the mean and the standard error, ``8 * n``
-#: bytes, so an unbounded ``n`` is an unbounded allocation.
+#: Most samples :func:`mc_gaussian_entropy` accepts.  Its memory does not
+#: grow with ``n``, so the cap bounds run time, not memory: one estimate of a
+#: 3 x 3 covariance at the cap took 0.54 s on one core of a 2-vCPU Xeon.
 MAX_MC_SAMPLES = 10**7
 
-#: Most grid points :func:`grid_maximize` accepts, for the same reason: the
-#: grid itself is ``8 * steps`` bytes.
+#: Most grid points :func:`grid_maximize` accepts: the grid itself is
+#: ``8 * steps`` bytes, so an unbounded ``steps`` is an unbounded allocation.
 MAX_GRID_STEPS = 10**7
 
 #: Rows drawn and substituted at a time by :func:`mc_gaussian_entropy`, and
-#: grid points per objective call in :func:`grid_maximize`; it bounds their
-#: working memory beyond the per-sample values and the grid.  At 2**14 rows
-#: the ``(k, k) @ (k, rows)`` product of every k <= 4 stays within the
-#: 2**18 multiply-adds above which OpenBLAS runs a gemm on its thread pool,
-#: which on two cores took from 0.14 ms to 8 ms for what takes 0.32 ms on
-#: one thread.
+#: grid points per objective call in :func:`grid_maximize`; it bounds the
+#: estimator's working memory, and the grid maximizer's beyond its grid.  At
+#: 2**14 rows the ``(k, k) @ (k, rows)`` product of every k <= 4 stays
+#: within the 2**18 multiply-adds above which OpenBLAS runs a gemm on its
+#: thread pool, which on two cores took from 0.14 ms to 8 ms for what takes
+#: 0.32 ms on one thread.
 MC_CHUNK = 2**14
 
 
@@ -80,6 +80,16 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations) of two runs of samples, ``a``
+    before ``b``, by the pairwise update of Chan, Golub & LeVeque."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
+
+
 def mc_gaussian_entropy(cov, n: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the differential entropy of N(0, cov), bits.
 
@@ -91,17 +101,25 @@ def mc_gaussian_entropy(cov, n: int, seed: int) -> McEstimate:
     squared norm of its standard-normal draw, up to rounding, so a z against a closed
     form checks its determinant and ``k * XI``, not whether ``cov`` is the right matrix.
 
-    The samples are drawn and evaluated in chunks of :data:`MC_CHUNK` rows,
-    so the working memory is ``8 * n`` bytes plus a few chunk-sized buffers.
-    The result does not depend on ``MC_CHUNK``: it is bit for bit that of
-    one ``(n, k)`` draw evaluated at once.
+    The samples are drawn and evaluated in chunks of :data:`MC_CHUNK` rows
+    through a few chunk-sized buffers, whatever ``n`` is.  Each chunk is
+    reduced to its count, mean and sum of squared deviations, and the chunks
+    are combined in a fixed pairwise tree by the update of Chan, Golub &
+    LeVeque ("Algorithms for computing the sample variance", The American
+    Statistician 37(3), 1983).  The result is bit for bit that of one
+    ``(n, k)`` draw evaluated at once and reduced by the same tree; for
+    ``n <= MC_CHUNK`` that is its ``np.mean`` and ``np.std(ddof=1)``.  The
+    function keeps no state between calls, so calls may run on threads.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] == 0:
         raise NotPositiveDefiniteError("covariance must be a non-empty square matrix")
     if not np.all(np.isfinite(cov)):
         raise NotPositiveDefiniteError("covariance entries must be finite")
-    if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
+    # Asymmetry relative to sqrt(c_ii c_jj), which bounds |c_ij| of an SPD
+    # matrix, so the test does not depend on the covariance's scale.
+    root = np.sqrt(np.abs(np.diag(cov)))
+    if np.any(np.abs(cov - cov.T) > 1e-10 * np.outer(root, root)):
         raise NotPositiveDefiniteError("covariance must be symmetric")
     n = _integer("n", n)
     seed = _integer("seed", seed)
@@ -123,13 +141,18 @@ def mc_gaussian_entropy(cov, n: int, seed: int) -> McEstimate:
 
     # The draw and the substitution go MC_CHUNK rows at a time through
     # reused buffers.  Each works row by row, and PCG64 fills the chunks in
-    # the order of one (n, k) draw, so only quad spans all n samples.
+    # the order of one (n, k) draw.  Each chunk leaves only its (count, mean,
+    # sum of squared deviations).  The top two partials on the stack are
+    # merged while they hold as many samples, a binary counter over the
+    # chunks; what is left is merged from the top down.
     rng = np.random.default_rng(seed)
     rows = min(n, MC_CHUNK)
     zbuf = np.empty((rows, k))
     xbuf = np.empty((k, rows))
     tmp = np.empty(rows)
-    quad = np.zeros(n)
+    qbuf = np.empty(rows)
+    const = 0.5 * (k * math.log2(2.0 * math.pi) + logdet * LOG2E)
+    stack: list[tuple[int, float, float]] = []
     for lo in range(0, n, MC_CHUNK):
         m = min(MC_CHUNK, n - lo)
         z = zbuf[:m]
@@ -138,23 +161,33 @@ def mc_gaussian_entropy(cov, n: int, seed: int) -> McEstimate:
         # a contiguous row.
         x = np.matmul(chol, z.T, out=xbuf[:, :m])
         t = tmp[:m]
-        # quad = x^T cov^{-1} x = |y|^2 with L y = x, by forward substitution
+        # q = x^T cov^{-1} x = |y|^2 with L y = x, by forward substitution
         # in place: row i of x becomes y_i = (x_i - sum_{j<i} L_ij y_j) / L_ii.
-        q = quad[lo : lo + m]
+        q = qbuf[:m]
         for i in range(k):
             y = x[i]
             for j in range(i):
                 y -= np.multiply(x[j], chol[i, j], out=t)
             y /= chol[i, i]
-            q += np.multiply(y, y, out=t)
-    # quad becomes -log2 density in place, then its squared deviations, so
-    # the standard deviation needs no second n-sized array.
-    quad *= 0.5 * LOG2E
-    quad += 0.5 * (k * math.log2(2.0 * math.pi) + logdet * LOG2E)
-    value = float(np.mean(quad))
-    quad -= value
-    quad *= quad
-    stderr = math.sqrt(float(np.sum(quad)) / (n - 1)) / math.sqrt(n)
+            if i:
+                q += np.multiply(y, y, out=t)
+            else:
+                np.multiply(y, y, out=q)
+        # q becomes -log2 density in place, then its squared deviations.
+        q *= 0.5 * LOG2E
+        q += const
+        mean = float(np.mean(q))
+        q -= mean
+        q *= q
+        part = (m, mean, float(np.sum(q)))
+        while stack and stack[-1][0] == part[0]:
+            part = _merge(stack.pop(), part)
+        stack.append(part)
+    part = stack.pop()
+    while stack:
+        part = _merge(stack.pop(), part)
+    _, value, m2 = part
+    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return McEstimate(value, stderr, n, seed)
 
 

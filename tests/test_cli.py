@@ -3,15 +3,18 @@
 import importlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import bits
 
-from icdms import AlphabetSpec, distribution_to_dict, random_star, region_sim
+from icdms import AlphabetSpec, distribution_to_dict, mc_gaussian_entropy, random_star, region_sim
 from icdms.cli import main
 from icdms.geometry import Frontier
 import icdms.cli as cli_module
@@ -997,3 +1000,49 @@ def test_oracle_check_command(capsys):
     )
     out = capsys.readouterr().out
     assert "max |z|" in out and "ok" in out
+
+
+def test_oracle_check_prints_the_same_bytes_on_any_pool(capsys, monkeypatch):
+    # One worker, and more workers than a draw's 12 jobs; every estimate
+    # goes through the module-level name, with positional arguments.
+    calls = []
+    estimate = cli_module.mc_gaussian_entropy
+
+    def counted(*args):
+        calls.append(args[1:])
+        return estimate(*args)
+
+    monkeypatch.setattr(cli_module, "mc_gaussian_entropy", counted)
+    argv = ["oracle-check", "--draws", "2", "--samples", "50000", "--seed", "5"]
+    outs = []
+    for cpus in (1, 64):
+        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cpus)
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "max |z|" in outs[0]
+    seeds = [5 + 1000 * draw + term for draw in range(2) for term in range(12)]
+    assert sorted(calls) == sorted([(50000, seed) for seed in seeds] * 2)
+
+
+def test_pool_estimates_equal_serial_calls_bitwise(monkeypatch):
+    covs = [np.eye(1), np.array([[2.0, 0.5], [0.5, 1.0]]), np.diag([3.0, 1.0, 0.5])]
+    jobs = [(cov, 3000, seed) for seed, cov in enumerate(covs * 3)]
+    monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 4)
+    got = cli_module._mc_estimates(jobs)
+    want = [mc_gaussian_entropy(*job) for job in jobs]
+    assert [(e.sample_count, e.seed) for e in got] == [(e.sample_count, e.seed) for e in want]
+    np.testing.assert_array_equal(
+        bits([(e.value_bits, e.std_error_bits) for e in got]),
+        bits([(e.value_bits, e.std_error_bits) for e in want]),
+    )
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # Only oracle-check's estimates use the pool, so figure and region
+    # processes pay nothing for its import.
+    code = "import sys, icdms.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr

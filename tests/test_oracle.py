@@ -75,7 +75,7 @@ def test_mc_entropy_reproducible():
 def test_mc_entropy_rejects_bad_inputs():
     with pytest.raises(NotPositiveDefiniteError):
         mc_gaussian_entropy(np.array([[1.0, 2.0], [2.0, 1.0]]), 10_000, seed=0)
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NotPositiveDefiniteError, match="symmetric"):
         mc_gaussian_entropy(np.array([[1.0, 0.5], [0.4, 1.0]]), 10_000, seed=0)
     with pytest.raises(ValueError):
         mc_gaussian_entropy(np.eye(2), 10, seed=0)
@@ -95,6 +95,18 @@ def test_mc_entropy_rejects_bad_inputs():
         mc_gaussian_entropy(np.eye(2), 1000, seed=-1)
 
 
+def test_mc_entropy_symmetry_check_is_scale_free():
+    # An absolute tolerance of 1e-10 accepts 20 % asymmetry at scale 1e-12,
+    # then estimates the lower triangle, and refuses one ulp at scale 1e12.
+    with pytest.raises(NotPositiveDefiniteError, match="symmetric"):
+        mc_gaussian_entropy(1e-12 * np.array([[1.0, 0.5], [0.4, 1.0]]), 10_000, seed=0)
+    cov = 1e12 * np.array([[2.0, 0.5], [0.5, 1.0]])
+    lopsided = cov.copy()
+    lopsided[0, 1] = np.nextafter(cov[0, 1], math.inf)
+    got = mc_gaussian_entropy(lopsided, 10_000, seed=0)
+    assert got.value_bits == mc_gaussian_entropy(cov, 10_000, seed=0).value_bits
+
+
 @st.composite
 def spd_covariances(draw):
     """D C D with C = L L^T for a unit lower-triangular L: SPD, with
@@ -109,16 +121,19 @@ def spd_covariances(draw):
     return 0.5 * (cov + cov.T)  # exactly symmetric
 
 
-def exact_entropy(cov, n: int, seed: int) -> tuple[float, float]:
+def exact_entropies(cov, seed: int, sizes) -> list[tuple[float, float]]:
     """Mean and standard error, in bits, of -log2 density over the draw of
-    ``mc_gaussian_entropy(cov, n, seed)``, in 50-digit arithmetic.
+    ``mc_gaussian_entropy(cov, n, seed)`` for each ``n`` in ``sizes``, in
+    50-digit arithmetic.
 
     The draw is x = L z for the same PCG64 normals z and the double
     Cholesky factor L of ``cov``; the density is that of N(0, cov) at x, so
-    its quadratic form is z^T M z with M = L^T cov^-1 L.
+    its quadratic form is z^T M z with M = L^T cov^-1 L.  PCG64 fills a
+    draw's rows in order, so the draw of each ``n`` is the first ``n`` rows
+    of the largest.
     """
     k = cov.shape[0]
-    z = np.random.default_rng(seed).standard_normal((n, k))
+    z = np.random.default_rng(seed).standard_normal((max(sizes), k))
     with mpmath.workdps(50):
         sigma = mpmath.matrix(cov.tolist())
         lower = mpmath.matrix(np.linalg.cholesky(cov).tolist())
@@ -130,10 +145,27 @@ def exact_entropy(cov, n: int, seed: int) -> tuple[float, float]:
         for draw in z.tolist():
             w = [mpmath.mpf(v) for v in draw]
             values.append(const + mpmath.fdot(coef, [w[i] * w[j] for i, j in pairs]) / 2)
-        mean = mpmath.fsum(values) / n
-        var = mpmath.fsum((v - mean) ** 2 for v in values) / (n - 1)
         ln2 = mpmath.log(2)
-        return float(mean / ln2), float(mpmath.sqrt(var / n) / ln2)
+        out = []
+        for n in sizes:
+            mean = mpmath.fsum(values[:n]) / n
+            var = mpmath.fsum((v - mean) ** 2 for v in values[:n]) / (n - 1)
+            out.append((float(mean / ln2), float(mpmath.sqrt(var / n) / ln2)))
+        return out
+
+
+def assert_near_exact(cov, seed: int, sizes) -> None:
+    """Forward substitution is within the rounding scale 64 eps kappa of the
+    exact value of the same draw, relative to max(|value|, 1) because the
+    entropy crosses zero."""
+    kappa = float(np.prod(np.diag(cov)) / np.linalg.det(cov))
+    tol = 64 * np.finfo(float).eps * max(1.0, kappa)
+    for n, want in zip(sizes, exact_entropies(cov, seed, sizes)):
+        got = mc_gaussian_entropy(cov, n, seed)
+        assert (got.sample_count, got.seed) == (n, seed)
+        for a, b in zip((got.value_bits, got.std_error_bits), want):
+            assert abs(a - b) <= tol * max(abs(b), 1.0), n
+        assert mc_gaussian_entropy(cov, n, seed) == got
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,17 +173,14 @@ def exact_entropy(cov, n: int, seed: int) -> tuple[float, float]:
 @example(ILL_CONDITIONED[0], 0)
 @example(ILL_CONDITIONED[1], 0)
 def test_mc_entropy_matches_exact_reference(cov, seed):
-    # Forward substitution is within the rounding scale 64 eps kappa of the
-    # exact value of the same draw, relative to max(|value|, 1) because the
-    # entropy crosses zero.
-    n = 1000
-    got = mc_gaussian_entropy(cov, n, seed)
-    kappa = float(np.prod(np.diag(cov)) / np.linalg.det(cov))
-    tol = 64 * np.finfo(float).eps * max(1.0, kappa)
-    assert (got.sample_count, got.seed) == (n, seed)
-    for a, b in zip((got.value_bits, got.std_error_bits), exact_entropy(cov, n, seed)):
-        assert abs(a - b) <= tol * max(abs(b), 1.0)
-    assert mc_gaussian_entropy(cov, n, seed) == got
+    assert_near_exact(cov, seed, (1000,))
+
+
+@pytest.mark.parametrize("cov", ILL_CONDITIONED, ids=["3x3", "2x2"])
+def test_mc_entropy_matches_exact_reference_past_one_chunk(cov):
+    # One chunk and a one-row chunk, then two and a three-row chunk: the
+    # merged chunks keep the tolerance of one.
+    assert_near_exact(cov, 5, (MC_CHUNK + 1, 2 * MC_CHUNK + 3))
 
 
 @settings(max_examples=50, deadline=None)
@@ -224,13 +253,15 @@ def test_grid_maximize_slices_hold_at_least_two_points():
 
 
 def test_mc_entropy_memory_peak():
-    # Only the per-sample values span all n samples (8 n bytes); the draw
-    # and its factored copy go MC_CHUNK rows at a time.  The one-shot draw
-    # alone was 22.9 MiB at n = 10^6.
+    # Nothing spans all n samples: the draw, its factored copy and the
+    # per-sample values go MC_CHUNK rows at a time through about 1.05 MiB of
+    # buffers at k = 3, whatever n is.  The one-shot draw alone is 22.9 MiB
+    # at n = 10^6.
     cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 3.0]])
+    mc_gaussian_entropy(cov, 1000, seed=3)  # numpy.random's import traces 0.7 MiB once
     for n in (10**6, 4 * 10**6):
         _, peak = traced_peak(lambda: mc_gaussian_entropy(cov, n, seed=3))
-        assert peak < 8 * n + 8 * 2**20, n
+        assert peak < 2 * 2**20, (n, peak)
 
 
 def test_grid_maximize_memory_peak():
